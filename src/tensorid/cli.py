@@ -14,8 +14,6 @@ attempts.
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import click
@@ -49,13 +47,10 @@ class RunConfig:
     stop: StopPolicy = field(default_factory=StopPolicy)
     real_tol: float = 1e-8
     output_path: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.real_tol <= 0:
             raise ValueError("real_tol must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
     def serialize(self) -> dict:
         return {
@@ -64,7 +59,6 @@ class RunConfig:
             "stop": asdict(self.stop),
             "real_tol": self.real_tol,
             "output_path": self.output_path,
-            "threads": self.threads,
         }
 
 
@@ -102,27 +96,6 @@ def _write_report(config: RunConfig, payload: dict, default_name: str) -> str:
     return out
 
 
-@contextmanager
-def _parallel_map(threads: int):
-    if threads <= 1:
-        yield map
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield pool.map
-
-
-def _parse_threads(text: str) -> int:
-    if text == "auto":
-        return os.cpu_count() or 1
-    try:
-        value = int(text)
-    except ValueError:
-        raise click.BadParameter("--threads takes an integer or 'auto'")
-    if value < 1:
-        raise click.BadParameter("--threads must be at least 1")
-    return value
-
-
 def _parse_csv(text: str, kind, count: int | None = None, name: str = "value"):
     parts = [p for p in text.replace(" ", "").split(",") if p]
     try:
@@ -144,7 +117,6 @@ def _common_options(f):
             default=None,
             help="Report path (default: TENSORID_OUTPUT_DIR or cwd).",
         ),
-        click.option("--threads", default="1", show_default=True, help="Worker count or 'auto'."),
         click.option("--real-tol", type=float, default=1e-8, show_default=True),
     ]
     for opt in reversed(opts):
@@ -152,14 +124,13 @@ def _common_options(f):
     return f
 
 
-def _make_config(seed, output_path, threads, real_tol, **stop_kwargs) -> RunConfig:
+def _make_config(seed, output_path, real_tol, **stop_kwargs) -> RunConfig:
     try:
         return RunConfig(
             seed=seed,
             stop=StopPolicy(**stop_kwargs) if stop_kwargs else StopPolicy(),
             real_tol=real_tol,
             output_path=output_path,
-            threads=_parse_threads(threads),
         )
     except ValueError as err:
         raise click.BadParameter(str(err))
@@ -179,12 +150,11 @@ def cli():
 @click.option("--stable-loops", type=int, default=8, show_default=True)
 @click.option("--target-count", type=int, default=None)
 @_common_options
-def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, output_path, threads, real_tol):
+def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, output_path, real_tol):
     """Enumerate all rank-r decompositions of a start form and classify them."""
     config = _make_config(
         seed,
         output_path,
-        threads,
         real_tol,
         max_loops=max_loops,
         stable_loops=stable_loops,
@@ -214,16 +184,14 @@ def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, ou
         source = {"random_seed": config.seed}
 
     config.settings = tracking_settings()
-    with _parallel_map(config.threads) as pmap:
-        registry = enumerate_decompositions(
-            spec,
-            start,
-            tensor,
-            policy=config.stop,
-            settings=config.settings,
-            seed=config.seed,
-            pmap=pmap,
-        )
+    registry = enumerate_decompositions(
+        spec,
+        start,
+        tensor,
+        policy=config.stop,
+        settings=config.settings,
+        seed=config.seed,
+    )
     try:
         classified = classify(registry, real_tol=config.real_tol)
     except UnpairedDecompositionError as err:
@@ -259,9 +227,9 @@ def elliptic_group():
 @elliptic_group.command("plane")
 @click.option("--coeffs", required=True, help="Four plane coefficients, comma separated.")
 @_common_options
-def elliptic_plane(coeffs, seed, output_path, threads, real_tol):
+def elliptic_plane(coeffs, seed, output_path, real_tol):
     """Intersect one real plane with the curve and report the signature."""
-    config = _make_config(seed, output_path, threads, real_tol)
+    config = _make_config(seed, output_path, real_tol)
     plane = _parse_csv(coeffs, float, 4, "--coeffs")
     pencil = ell.example_pencil()
     payload: dict = {"command": "elliptic plane", "plane": plane}
@@ -291,9 +259,9 @@ def elliptic_plane(coeffs, seed, output_path, threads, real_tol):
 @click.option("--construct", type=click.Choice([ell.S1, ell.S2, ell.S3, ell.S4]), default=None)
 @click.option("--coords", default=None, help="Four real coordinates, comma separated.")
 @_common_options
-def elliptic_point(construct, coords, seed, output_path, threads, real_tol):
+def elliptic_point(construct, coords, seed, output_path, real_tol):
     """Classify a real point (given or constructed) by its secant lines."""
-    config = _make_config(seed, output_path, threads, real_tol)
+    config = _make_config(seed, output_path, real_tol)
     if (construct is None) == (coords is None):
         raise click.UsageError("give exactly one of --construct or --coords")
     pencil = ell.example_pencil()
@@ -321,9 +289,9 @@ def elliptic_point(construct, coords, seed, output_path, threads, real_tol):
 @click.option("--to", "to_k", type=float, required=True)
 @click.option("--steps", type=int, required=True)
 @_common_options
-def elliptic_pencil_scan(from_k, to_k, steps, seed, output_path, threads, real_tol):
+def elliptic_pencil_scan(from_k, to_k, steps, seed, output_path, real_tol):
     """Signatures of the plane family x2 = k*x3 over a range of k."""
-    config = _make_config(seed, output_path, threads, real_tol)
+    config = _make_config(seed, output_path, real_tol)
     if steps < 1:
         raise click.BadParameter("--steps must be at least 1")
     ks = np.linspace(from_k, to_k, steps)
@@ -362,9 +330,9 @@ def _segre_spec(dims_text: str) -> seg.SegreSpec:
 @segre_group.command("profile")
 @click.option("--dims", required=True, help="Two factor dimensions, e.g. 2,4.")
 @_common_options
-def segre_profile(dims, seed, output_path, threads, real_tol):
+def segre_profile(dims, seed, output_path, real_tol):
     """Almost-unbalanced rank, section degree and their parity gap."""
-    config = _make_config(seed, output_path, threads, real_tol)
+    config = _make_config(seed, output_path, real_tol)
     spec = _segre_spec(dims)
     prof = seg.almost_unbalanced_profile(spec)
     payload = {"command": "segre profile", "spec": list(spec.dims), **prof}
@@ -378,9 +346,9 @@ def segre_profile(dims, seed, output_path, threads, real_tol):
 @click.option("--dims", required=True)
 @click.option("--span-real", type=int, default=None, help="Span of this many real rank-one points.")
 @_common_options
-def segre_section(dims, span_real, seed, output_path, threads, real_tol):
+def segre_section(dims, span_real, seed, output_path, real_tol):
     """Solve one linear section and report its realness signature."""
-    config = _make_config(seed, output_path, threads, real_tol)
+    config = _make_config(seed, output_path, real_tol)
     spec = _segre_spec(dims)
     if span_real is not None:
         space = seg.span_through_points(spec, span_real, seed=config.seed)
@@ -391,18 +359,16 @@ def segre_section(dims, span_real, seed, output_path, threads, real_tol):
             f"space has codimension {space.codim}; the section is square only "
             f"at codimension {spec.variety_dim}"
         )
-    with _parallel_map(config.threads) as pmap:
-        try:
-            result = seg.solve_section(
-                spec,
-                space,
-                config.settings,
-                seed=config.seed,
-                real_tol=config.real_tol,
-                pmap=pmap,
-            )
-        except seg.DeficientSectionError as err:
-            raise click.ClickException(str(err))
+    try:
+        result = seg.solve_section(
+            spec,
+            space,
+            config.settings,
+            seed=config.seed,
+            real_tol=config.real_tol,
+        )
+    except seg.DeficientSectionError as err:
+        raise click.ClickException(str(err))
     payload = {
         "command": "segre section",
         "spec": list(spec.dims),
@@ -422,9 +388,9 @@ def segre_section(dims, span_real, seed, output_path, threads, real_tol):
 @click.option("--target", required=True, help="real,nonreal counts, e.g. 9,6.")
 @click.option("--max-attempts", type=int, default=50, show_default=True)
 @_common_options
-def segre_search(dims, target, max_attempts, seed, output_path, threads, real_tol):
+def segre_search(dims, target, max_attempts, seed, output_path, real_tol):
     """Search for a real section with the requested realness signature."""
-    config = _make_config(seed, output_path, threads, real_tol)
+    config = _make_config(seed, output_path, real_tol)
     spec = _segre_spec(dims)
     goal = tuple(_parse_csv(target, int, 2, "--target"))
     payload: dict = {
@@ -433,26 +399,24 @@ def segre_search(dims, target, max_attempts, seed, output_path, threads, real_to
         "degree": seg.degree(spec),
         "target": list(goal),
     }
-    with _parallel_map(config.threads) as pmap:
-        try:
-            space, result = seg.search_signature(
-                spec,
-                goal,
-                max_attempts=max_attempts,
-                seed=config.seed,
-                settings=config.settings,
-                real_tol=config.real_tol,
-                pmap=pmap,
-            )
-        except ValueError as err:
-            raise click.BadParameter(str(err))
-        except seg.SignatureNotFoundError as err:
-            payload["status"] = "not_found"
-            payload["attempts"] = err.attempts
-            out = _write_report(config, payload, "segre_search.json")
-            click.echo(f"not found in {err.attempts} attempts")
-            click.echo(f"report: {out}")
-            return 3
+    try:
+        space, result = seg.search_signature(
+            spec,
+            goal,
+            max_attempts=max_attempts,
+            seed=config.seed,
+            settings=config.settings,
+            real_tol=config.real_tol,
+        )
+    except ValueError as err:
+        raise click.BadParameter(str(err))
+    except seg.SignatureNotFoundError as err:
+        payload["status"] = "not_found"
+        payload["attempts"] = err.attempts
+        out = _write_report(config, payload, "segre_search.json")
+        click.echo(f"not found in {err.attempts} attempts")
+        click.echo(f"report: {out}")
+        return 3
     payload["status"] = "found"
     payload["signature"] = list(result.signature)
     payload["L"] = space.equations

@@ -20,13 +20,13 @@ serves as the condition estimate.
 import cmath
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
-from .poly import MPoly, PolySystem, monomials
+from .poly import MPoly, PolySystem
 
 
 class SingularJacobianError(RuntimeError):
@@ -107,45 +107,47 @@ class PathResult:
 _SINGULAR_RATIO = 1e14
 
 
-def _lu_solve_scaled(jac, rhs, scales, ratio_limit=_SINGULAR_RATIO):
-    """Row-scaled LU solve; returns None when the factorization looks singular."""
-    weights = 1.0 / (1.0 + scales)
-    a = jac * weights[:, None]
-    b = rhs * weights
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        return None
+def _pivoted_lu(a):
+    """LU factors of a square matrix and their pivot ratio.
+
+    Returns (lu_and_piv, ratio) with ratio = max|U_ii| / min|U_ii|; the
+    factors are None and the ratio inf when the matrix is empty or not
+    finite, the factorization fails, or a pivot is zero.
+    """
+    if a.size == 0 or not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+        return None, np.inf
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     except (ValueError, scipy.linalg.LinAlgError):
-        return None
+        return None, np.inf
     diag = np.abs(np.diag(lu))
-    dmax = diag.max() if diag.size else 0.0
-    dmin = diag.min() if diag.size else 0.0
-    if dmin == 0.0 or dmax / dmin > ratio_limit:
+    dmin = diag.min()
+    if not dmin > 0.0:
+        return None, np.inf
+    return (lu, piv), float(diag.max() / dmin)
+
+
+def _lu_solve_scaled(jac, rhs, scales, ratio_limit=_SINGULAR_RATIO):
+    """Row-scaled LU solve; returns None when the factorization looks singular."""
+    weights = 1.0 / (1.0 + scales)
+    factors, ratio = _pivoted_lu(jac * weights[:, None])
+    if ratio > ratio_limit:
         return None
-    out = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    out = scipy.linalg.lu_solve(factors, rhs * weights, check_finite=False)
     if not np.all(np.isfinite(out.real)):
         return None
     return out
 
 
 def condition_estimate(jac, scales=None) -> float:
-    """Pivot-ratio condition estimate of a (row-scaled) Jacobian."""
+    """Pivot-ratio condition estimate of a (row-scaled) Jacobian; inf
+    when the scaled Jacobian is singular or not finite."""
     a = np.asarray(jac, dtype=np.complex128)
     if scales is not None:
         a = a * (1.0 / (1.0 + scales))[:, None]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, _ = scipy.linalg.lu_factor(a, check_finite=False)
-    except (ValueError, scipy.linalg.LinAlgError):
-        return np.inf
-    diag = np.abs(np.diag(lu))
-    if diag.size == 0 or diag.min() == 0.0:
-        return np.inf
-    return float(diag.max() / diag.min())
+    return _pivoted_lu(a)[1]
 
 
 def _newton(system, params, point, tol, max_iters, max_move=None):

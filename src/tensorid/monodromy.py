@@ -16,7 +16,7 @@ segment gamma*p0 -> q1 stays clear of the real discriminant.
 """
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,33 +111,15 @@ class LoopSpec:
     gamma_out: complex
 
 
-def draw_loop(base_params, rng: np.random.Generator, twist_exit: bool, sampler=None) -> LoopSpec:
+def draw_loop(base_params, rng: np.random.Generator, twist_exit: bool, sampler) -> LoopSpec:
     """Sample the random data of one loop.
 
-    With no sampler, the auxiliary instances match the base
-    coefficients' magnitude coordinate by coordinate (with a small
-    floor so vanishing entries still move).  Keeping every coefficient
-    row at its natural scale keeps the solution path's velocity
-    bounded; a uniform draw at the overall rms scale makes rows whose
-    coefficients are many orders smaller than the largest ones move
-    violently and stalls the tracker.
-
-    A sampler(rng) callable overrides the default draw; it must return
-    a parameter tuple drawn from a continuous distribution so the loop
-    vertices stay generic.
+    The two auxiliary instances come from sampler(rng), which must
+    return a parameter tuple drawn from a continuous distribution so the
+    loop vertices stay generic.
     """
     base = np.asarray(base_params, dtype=np.complex128)
-    if sampler is not None:
-        aux = [np.asarray(sampler(rng), dtype=np.complex128) for _ in range(2)]
-    else:
-        rms = float(np.sqrt(np.mean(np.abs(base) ** 2))) if base.size else 1.0
-        floor = 1e-3 * max(1.0, rms)
-        scale = np.maximum(np.abs(base), floor)
-        aux = []
-        for _ in range(2):
-            re = rng.standard_normal(base.size)
-            im = rng.standard_normal(base.size)
-            aux.append(scale * (re + 1j * im) / np.sqrt(2.0))
+    aux = [np.asarray(sampler(rng), dtype=np.complex128) for _ in range(2)]
     gamma = cmath.exp(2j * cmath.pi * rng.random()) if twist_exit else 1.0 + 0j
     return LoopSpec(base, tuple(aux), gamma)
 
@@ -149,6 +131,8 @@ class SolutionRegistry:
     parameters, satisfies the system to ``residual_tol`` (scaled), has
     no weight of modulus below ``lambda_tol``, and sits farther than
     ``dedup_tol`` from every other entry in canonical distance.
+    ``transports_lost`` counts the loop transports dropped because one
+    of their legs failed.
     """
 
     def __init__(
@@ -169,6 +153,7 @@ class SolutionRegistry:
         self.solutions: list = []
         self.history: list = []
         self.warning: str | None = None
+        self.transports_lost = 0
 
     def insert(self, candidate) -> bool:
         """Polish, validate and store a candidate; False on duplicate or reject."""
@@ -213,6 +198,7 @@ class SolutionRegistry:
             "d": d,
             "solutions": sols,
             "history": [{"loop": i, "new": k} for i, k in self.history],
+            "transports_lost": self.transports_lost,
         }
 
 
@@ -226,10 +212,10 @@ def triangle_loop(
     registry: SolutionRegistry,
     loop: LoopSpec,
     settings: TrackSettings | None = None,
-    pmap=map,
 ) -> int:
     """Carry every stored solution around one triangle; returns how many
-    endpoints were new."""
+    endpoints were new.  A transport whose leg fails is dropped and
+    counted in ``registry.transports_lost``."""
     st = settings or TrackSettings()
     sys_ = registry.system
     p0 = registry.base_params
@@ -248,10 +234,12 @@ def triangle_loop(
             x = result.endpoint
         return x
 
-    starts = [dec.to_vector() for dec in registry.solutions]
     new = 0
-    for endpoint in pmap(transport, starts):
-        if endpoint is not None and registry.insert(endpoint):
+    for dec in registry.solutions[:]:
+        endpoint = transport(dec.to_vector())
+        if endpoint is None:
+            registry.transports_lost += 1
+        elif registry.insert(endpoint):
             new += 1
     return new
 
@@ -260,11 +248,10 @@ def solve(
     system,
     base_params,
     start: Decomposition,
+    sampler,
     policy: StopPolicy | None = None,
     settings: TrackSettings | None = None,
     seed: int = 0,
-    pmap=map,
-    sampler=None,
 ) -> SolutionRegistry:
     """Monodromy enumeration of the solutions through one start point.
 
@@ -272,15 +259,10 @@ def solve(
         system: coefficient-matching PolySystem.
         base_params: parameters of the target form.
         start: known decomposition at the base parameters.
+        sampler: sampler(rng) for the auxiliary parameter tuples.
         policy: stop conditions (defaults: 8 fruitless loops, cap 200).
         settings: path-tracking settings.
         seed: randomness for the loop instances.
-        pmap: map-like callable used to transport solutions; results
-            are consumed in input order, so the registry's content does
-            not depend on the executor.
-        sampler: optional sampler(rng) for the auxiliary parameter
-            tuples; used when generic coefficient draws would put the
-            loop vertices' solutions at untrackable coordinates.
 
     Returns:
         SolutionRegistry; its ``warning`` field is set when the loop
@@ -304,7 +286,7 @@ def solve(
         if fruitless >= policy.stable_loops:
             return registry
         loop = draw_loop(base, rng, twist_exit=real_base, sampler=sampler)
-        new = triangle_loop(registry, loop, st, pmap=pmap)
+        new = triangle_loop(registry, loop, st)
         registry.history.append((loop_index, new))
         fruitless = fruitless + 1 if new == 0 else 0
 

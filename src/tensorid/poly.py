@@ -154,10 +154,6 @@ class MPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def degree_in_leading(self, count: int) -> set:
-        """Set of total degrees carried by the first ``count`` variables."""
-        return {sum(e[:count]) for e in self.terms} or {0}
-
     def __eq__(self, other):
         return (
             isinstance(other, MPoly)
@@ -167,24 +163,6 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly(num_vars={self.num_vars}, terms={len(self.terms)})"
-
-
-def power_of_linear_form(coeffs, degree: int, scale=1.0) -> MPoly:
-    """Expand ``scale * (c_0 x_0 + ... + c_n x_n)**degree``.
-
-    Multinomial coefficients are computed as exact integers and only
-    multiplied into floating complex values at the end.
-    """
-    coeffs = [complex(c) for c in coeffs]
-    nv = len(coeffs)
-    terms = {}
-    for expo in monomials(nv, degree):
-        c = complex(scale) * multinomial(expo)
-        for base, e in zip(coeffs, expo):
-            if e:
-                c *= base**e
-        terms[expo] = c
-    return MPoly(nv, terms)
 
 
 class _CompiledSystem:
@@ -363,13 +341,18 @@ class PolySystem:
 
     def evaluate(self, point, params=()) -> np.ndarray:
         """Residual vector at the given unknowns and parameter values."""
-        self._check(point, params)
-        comp = self.compiled()
-        vals, _ = comp.values_and_scales(comp.powers(point, params))
-        return vals
+        return self.full_state(point, params)[0]
 
-    def evaluate_with_scales(self, point, params=()):
-        """Residual vector plus per-equation term-magnitude scales.
+    def jacobian(self, point, params=()) -> np.ndarray:
+        """Matrix of partials with respect to the unknowns only."""
+        return self.full_state(point, params)[2]
+
+    def scaled_residual(self, point, params=()) -> float:
+        vals, scales, _ = self.full_state(point, params)
+        return float(np.max(np.abs(vals) / (1.0 + scales)))
+
+    def full_state(self, point, params=()):
+        """(values, scales, jacobian) sharing one powers table.
 
         The scale of an equation is the sum of the absolute values of its
         evaluated terms; dividing residuals by (1 + scale) measures
@@ -377,22 +360,6 @@ class PolySystem:
         them, which is the only meaningful notion once coefficients span
         many orders of magnitude.
         """
-        self._check(point, params)
-        comp = self.compiled()
-        return comp.values_and_scales(comp.powers(point, params))
-
-    def jacobian(self, point, params=()) -> np.ndarray:
-        """Matrix of partials with respect to the unknowns only."""
-        self._check(point, params)
-        comp = self.compiled()
-        return comp.jacobian(comp.powers(point, params))
-
-    def scaled_residual(self, point, params=()) -> float:
-        vals, scales = self.evaluate_with_scales(point, params)
-        return float(np.max(np.abs(vals) / (1.0 + scales)))
-
-    def full_state(self, point, params=()):
-        """(values, scales, jacobian) sharing one powers table."""
         self._check(point, params)
         comp = self.compiled()
         pw = comp.powers(point, params)
@@ -405,28 +372,3 @@ class PolySystem:
         comp = self.compiled()
         return comp.param_tangent(comp.powers(point, params), dparams)
 
-
-def extract_coefficient_system(
-    expr: MPoly, num_x_vars: int, num_unknowns: int
-) -> PolySystem:
-    """Turn one polynomial identity into a square system by matching
-    coefficients of the leading ``num_x_vars`` variables.
-
-    ``expr`` must be homogeneous of one degree d in the leading block.
-    The result has one equation per degree-d monomial in the leading
-    variables (graded-lex order), each an MPoly in the remaining
-    variables, of which the first ``num_unknowns`` are unknowns.
-    """
-    degs = expr.degree_in_leading(num_x_vars)
-    if len(degs) != 1:
-        raise ValueError(f"expression is not homogeneous in the leading block: degrees {sorted(degs)}")
-    d = degs.pop()
-    rest = expr.num_vars - num_x_vars
-    grouped: dict = {}
-    for expo, coeff in expr.terms.items():
-        xpart = expo[:num_x_vars]
-        tail = expo[num_x_vars:]
-        grouped.setdefault(xpart, {})[tail] = coeff
-    basis = monomials(num_x_vars, d)
-    polys = [MPoly(rest, grouped.get(alpha, {})) for alpha in basis]
-    return PolySystem(polys, num_unknowns, rest - num_unknowns)

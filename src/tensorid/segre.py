@@ -204,7 +204,6 @@ def solve_section(
     settings: TrackSettings | None = None,
     seed: int = 0,
     real_tol: float = 1e-8,
-    pmap=map,
 ) -> SectionResult:
     """All intersection points of the Segre variety with a linear space.
 
@@ -229,16 +228,12 @@ def solve_section(
     children = np.random.SeedSequence(seed).spawn(len(charts))
     want = degree(spec)
 
-    def solve_chart(args):
-        chart, child = args
-        polys = _chart_system(spec, space.equations, chart)
-        rng = np.random.default_rng(child)
-        sols = solve_total_degree(polys, st, rng)
-        return [_lift_chart_point(spec, chart, x) for x, _ in sols]
-
     found: list = []
-    for lifted in pmap(solve_chart, zip(charts, children)):
-        for p in lifted:
+    for chart, child in zip(charts, children):
+        polys = _chart_system(spec, space.equations, chart)
+        sols = solve_total_degree(polys, st, np.random.default_rng(child))
+        for x, _ in sols:
+            p = _lift_chart_point(spec, chart, x)
             if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
                 found.append(p)
         if len(found) >= want:
@@ -264,7 +259,6 @@ def search_signature(
     seed: int = 0,
     settings: TrackSettings | None = None,
     real_tol: float = 1e-8,
-    pmap=map,
 ):
     """Hunt for a real linear space whose section has the given signature.
 
@@ -303,7 +297,6 @@ def search_signature(
                 settings,
                 seed=int(rng.integers(2**31)),
                 real_tol=real_tol,
-                pmap=pmap,
             )
         except DeficientSectionError:
             continue

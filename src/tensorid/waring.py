@@ -22,13 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .poly import (
-    MPoly,
-    PolySystem,
-    extract_coefficient_system,
-    monomials,
-    multinomial,
-)
+from .poly import MPoly, PolySystem, monomials, multinomial
 
 
 class NonGenericFormError(RuntimeError):
@@ -145,28 +139,22 @@ def build_system(spec: WaringSpec) -> PolySystem:
             f"system is not square: C({spec.n}+{spec.d},{spec.d})={spec.num_coeffs} "
             f"!= r(n+1)={spec.num_unknowns}"
         )
-    nx = spec.n + 1
     nu = spec.num_unknowns
     npar = spec.num_coeffs
-    nv = nx + nu + npar
-    basis = monomials(nx, spec.d)
-
-    terms: dict = {}
-    for a_idx, alpha in enumerate(basis):
-        expo = list(alpha) + [0] * (nu + npar)
-        expo[nx + nu + a_idx] = 1
-        terms[tuple(expo)] = 1.0
-    for i in range(spec.r):
-        base = nx + i * (spec.n + 1)
-        for alpha in basis:
-            expo = list(alpha) + [0] * (nu + npar)
-            for h in range(1, spec.n + 1):
-                expo[base + h - 1] = alpha[h]
+    polys = []
+    for a_idx, alpha in enumerate(monomials(spec.n + 1, spec.d)):
+        expo = [0] * (nu + npar)
+        expo[nu + a_idx] = 1
+        terms = {tuple(expo): 1.0}
+        weight = -multinomial(alpha)
+        for i in range(spec.r):
+            base = i * (spec.n + 1)
+            expo = [0] * (nu + npar)
+            expo[base : base + spec.n] = alpha[1:]
             expo[base + spec.n] = 1
-            key = tuple(expo)
-            terms[key] = terms.get(key, 0j) - multinomial(alpha)
-    expr = MPoly(nv, terms)
-    return extract_coefficient_system(expr, nx, nu)
+            terms[tuple(expo)] = weight
+        polys.append(MPoly(nu + npar, terms))
+    return PolySystem(polys, nu, npar)
 
 
 def _defective(d: int, n: int) -> str | None:
@@ -326,7 +314,6 @@ def enumerate_decompositions(
     policy=None,
     settings=None,
     seed: int = 0,
-    pmap=map,
 ):
     """Monodromy enumeration of all rank-r decompositions of a form.
 
@@ -341,7 +328,6 @@ def enumerate_decompositions(
         policy: stop policy; defaults to the loop driver's.
         settings: tracking settings; defaults to tracking_settings().
         seed: loop randomness.
-        pmap: map-like callable for concurrent path transport.
 
     Returns:
         SolutionRegistry over the target's coefficients.
@@ -353,11 +339,10 @@ def enumerate_decompositions(
         system,
         np.asarray(tensor.coeffs, dtype=np.complex128),
         start,
+        decomposition_sampler(spec, start),
         policy=policy,
         settings=settings or tracking_settings(),
         seed=seed,
-        pmap=pmap,
-        sampler=decomposition_sampler(spec, start),
     )
 
 

@@ -223,14 +223,3 @@ def test_default_output_dir_env(tmp_path, monkeypatch):
     assert main(["segre", "profile", "--dims", "2,2"]) == 0
     assert (tmp_path / "segre_profile.json").is_file()
 
-
-def test_threads_auto_matches_serial(tmp_path):
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    base = ["segre", "section", "--dims", "2,2", "--seed", "5"]
-    assert main(base + ["--output", str(serial)]) == 0
-    assert main(base + ["--threads", "auto", "--output", str(threaded)]) == 0
-    a = read_report(serial)
-    b = read_report(threaded)
-    assert a["signature"] == b["signature"]
-    assert a["points"] == b["points"]

@@ -10,6 +10,7 @@ from tensorid.homotopy import (
     SegmentHomotopy,
     SingularJacobianError,
     TrackSettings,
+    condition_estimate,
     newton_refine,
     solve_total_degree,
     track,
@@ -157,3 +158,14 @@ def test_round_trip_permutes_solution_set():
     root = cmath.sqrt(p0)
     d = min(abs(back.endpoint[0] - root), abs(back.endpoint[0] + root))
     assert d < 1e-6
+
+
+def test_newton_refine_non_finite_jacobian_raises():
+    # x^3 - 1 at 1e200: the powers overflow, so the scaled Jacobian is nan
+    p = MPoly(1, {(3,): 1.0, (0,): -1.0})
+    sys_ = PolySystem([p], num_unknowns=1, num_params=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, scales, jac = sys_.full_state([1e200], ())
+        assert condition_estimate(jac, scales) == np.inf
+        with pytest.raises(SingularJacobianError):
+            newton_refine(sys_, (), [1e200])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from tensorid import monodromy
+from tensorid.homotopy import PathResult, PathStatus
 from tensorid.monodromy import (
     SolutionRegistry,
     StopPolicy,
@@ -107,7 +109,7 @@ def test_draw_loop_uses_sampler_and_twist():
     assert len(calls) == 2
     assert np.allclose(loop.aux_params[0], 2.0 + 1.0j)
     assert abs(abs(loop.gamma_out) - 1.0) < 1e-12
-    plain = draw_loop(base, rng, twist_exit=False)
+    plain = draw_loop(base, rng, twist_exit=False, sampler=sampler)
     assert plain.gamma_out == 1.0 + 0j
 
 
@@ -152,7 +154,7 @@ def test_solve_rejects_bad_start():
     _, tensor = random_real_start(spec, seed=1)
     bad = Decomposition((Summand((1.0,), 1.0 + 0j), Summand((2.0,), 1.0 + 0j)))
     with pytest.raises(ValueError):
-        solve(build_system(spec), np.asarray(tensor.coeffs), bad)
+        solve(build_system(spec), np.asarray(tensor.coeffs), bad, decomposition_sampler(spec, bad))
 
 
 def test_registry_monotone_history():
@@ -177,3 +179,24 @@ def test_triangle_loop_transports_all_solutions():
     new = triangle_loop(reg, loop, tracking_settings())
     assert new >= 0
     assert len(reg) >= 1  # the start never disappears
+
+
+def test_triangle_loop_counts_lost_transports(monkeypatch):
+    spec = WaringSpec(5, 1, 3)
+    start, tensor = random_real_start(spec, seed=6)
+    base = np.asarray(tensor.coeffs)
+    reg = SolutionRegistry(build_system(spec), base, n=1)
+    reg.insert(start)
+    # a second stored entry (the start, reordered) for the loop to carry
+    reg.solutions.append(Decomposition(tuple(reversed(start.summands))))
+    stored = len(reg)
+
+    def failing_track(homotopy, x, settings=None):
+        return PathResult(PathStatus.SINGULAR, np.asarray(x), 1.0, 1)
+
+    monkeypatch.setattr(monodromy, "track", failing_track)
+    rng = np.random.default_rng(0)
+    loop = draw_loop(base, rng, twist_exit=True, sampler=decomposition_sampler(spec, start))
+    assert triangle_loop(reg, loop, tracking_settings()) == 0
+    assert reg.transports_lost == stored == 2
+    assert reg.serialize(d=5)["transports_lost"] == stored

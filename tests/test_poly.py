@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, evaluation and coefficient extraction."""
+"""Polynomial arithmetic and system evaluation."""
 
 import math
 
@@ -9,10 +9,8 @@ from tensorid.poly import (
     DimensionMismatchError,
     MPoly,
     PolySystem,
-    extract_coefficient_system,
     monomials,
     multinomial,
-    power_of_linear_form,
 )
 
 
@@ -54,34 +52,6 @@ def test_mpoly_dimension_mismatch():
         MPoly(2, {(1, 0, 0): 1.0})
     with pytest.raises(DimensionMismatchError):
         MPoly.variable(2, 0) + MPoly.variable(3, 0)
-
-
-def test_power_of_linear_form_binomial():
-    # (x0 + 2 x1)^2 = x0^2 + 4 x0 x1 + 4 x1^2
-    p = power_of_linear_form((1.0, 2.0), 2)
-    assert p.terms[(2, 0)] == pytest.approx(1.0)
-    assert p.terms[(1, 1)] == pytest.approx(4.0)
-    assert p.terms[(0, 2)] == pytest.approx(4.0)
-
-
-def test_power_of_linear_form_single_variable():
-    p = power_of_linear_form((1.0, 0.0, 0.0), 7, scale=5.0)
-    assert p.terms == {(7, 0, 0): 5.0 + 0j}
-
-
-def test_power_of_linear_form_multinomial_theorem():
-    p = power_of_linear_form((1.0, 1.0, 1.0), 3)
-    assert p.terms[(1, 1, 1)] == pytest.approx(6.0)
-    assert len(p.terms) == math.comb(5, 3)
-
-
-def test_power_of_linear_form_random_point_identity():
-    rng = np.random.default_rng(7)
-    c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    pt = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    p = power_of_linear_form(c, 5, scale=2.5)
-    direct = 2.5 * (c @ pt) ** 5
-    assert abs(p.evaluate(pt) - direct) < 1e-10 * (1 + abs(direct))
 
 
 def _random_parametric_system(rng, n_unknowns=3, n_params=2, n_eqs=3, degree=3):
@@ -129,61 +99,3 @@ def test_scaled_residual_zero_at_root():
     assert sys_.scaled_residual([2.0]) < 1e-15
     assert sys_.scaled_residual([2.1]) > 1e-3
 
-
-def test_extract_coefficient_system_shapes():
-    # lambda * (x0 + l1 x1 + l2 x2)^d summed over r summands, coefficients as params
-    for d, n, r in ((7, 2, 12), (8, 2, 15), (1, 1, 1)):
-        nx = n + 1
-        n_unknowns = r * (n + 1)
-        count = math.comb(n + d, d)
-        # variables: x block first, then unknowns, then params
-        total = nx + n_unknowns + count
-        x_polys = [MPoly.variable(total, i) for i in range(nx)]
-        expr = MPoly(total, {})
-        for i in range(r):
-            base = nx + i * (n + 1)
-            form = x_polys[0]
-            for h in range(n):
-                form = form + MPoly.variable(total, base + h) * x_polys[1 + h]
-            powered = MPoly.constant(total, 1.0)
-            for _ in range(d):
-                powered = powered * form
-            expr = expr + MPoly.variable(total, base + n) * powered
-        sys_ = extract_coefficient_system(expr, num_x_vars=nx, num_unknowns=n_unknowns)
-        assert sys_.num_equations == count
-
-
-def test_extract_coefficient_system_rejects_inhomogeneous():
-    x = MPoly.variable(3, 0)
-    u = MPoly.variable(3, 1)
-    expr = x * x + x * u + u  # degree in x block not constant
-    with pytest.raises(ValueError):
-        extract_coefficient_system(expr, num_x_vars=1, num_unknowns=1)
-
-
-def test_extraction_is_linear_in_expression():
-    rng = np.random.default_rng(11)
-    nx, nu = 2, 2
-    total = nx + nu
-
-    def random_expr():
-        terms = {}
-        for _ in range(5):
-            xdeg = rng.integers(0, 3)
-            expo = [0] * total
-            expo[0] = int(xdeg)
-            expo[1] = 2 - int(xdeg)
-            expo[nx + rng.integers(0, nu)] = int(rng.integers(0, 2))
-            terms[tuple(expo)] = complex(rng.standard_normal())
-        return MPoly(total, terms)
-
-    a, b = random_expr(), random_expr()
-    sa = extract_coefficient_system(a, num_x_vars=nx, num_unknowns=nu)
-    sb = extract_coefficient_system(b, num_x_vars=nx, num_unknowns=nu)
-    sab = extract_coefficient_system(a + b, num_x_vars=nx, num_unknowns=nu)
-    pt = rng.standard_normal(nu) + 1j * rng.standard_normal(nu)
-    vals_a = sa.evaluate(pt)
-    vals_b = sb.evaluate(pt)
-    vals_ab = sab.evaluate(pt)
-    # extraction keyed by graded-lex monomials of the same degree: same order
-    assert np.allclose(vals_ab, vals_a + vals_b, atol=1e-12)

@@ -158,3 +158,18 @@ def test_decomposition_conjugate_involution():
         complex(a.lam) == complex(b.lam) and a.l == b.l
         for a, b in zip(twisted.summands, back.summands)
     )
+
+
+def test_build_system_evaluates_to_coefficient_mismatch():
+    # equation alpha is p_alpha minus the alpha coefficient of sum_i lambda_i ell_i^d,
+    # one equation per degree-d monomial in graded-lex order
+    rng = np.random.default_rng(12)
+    for d, n, r in ((7, 2, 12), (8, 2, 15), (5, 1, 3)):
+        spec = WaringSpec(d, n, r)
+        sys_ = build_system(spec)
+        assert sys_.num_equations == spec.num_coeffs
+        x = rng.standard_normal(spec.num_unknowns) + 1j * rng.standard_normal(spec.num_unknowns)
+        p = rng.standard_normal(spec.num_coeffs) + 1j * rng.standard_normal(spec.num_coeffs)
+        expected = p - tensor_from_decomposition(spec, Decomposition.from_vector(x, n)).coeffs
+        got = sys_.evaluate(x, p)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
