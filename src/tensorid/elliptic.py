@@ -11,11 +11,11 @@ Secant directions are found without ever solving for the two contact
 parameters at the same time: a line P + t*d meets both quadrics in the
 same unordered pair of points exactly when the two binary quadratics
 q_j(t) = a_j t^2 + b_j t + c_j (a_j = d.Q_j.d, b_j = 2 P.Q_j.d,
-c_j = P.Q_j.P) are proportional.  On a chart of the direction plane
-this is one cubic and one conic, six tracked paths, of which four are
-the directions hitting C inside the complementary plane (a_1 = a_2 = 0)
-and are discarded exactly; the contact parameters then come from one
-quadratic formula per surviving direction.
+c_j = P.Q_j.P) are proportional.  On one random complex chart of the
+direction plane this is one cubic and one conic, six tracked paths, of
+which four are the directions hitting C inside the complementary plane
+(a_1 = a_2 = 0) and are discarded exactly; the contact parameters then
+come from one quadratic formula per surviving direction.
 """
 
 from dataclasses import dataclass
@@ -162,20 +162,25 @@ def plane_basis(plane) -> np.ndarray:
     return vt[1:].T
 
 
-def _conic_chart(m: np.ndarray, chart: int) -> MPoly:
-    """Restrict u.m.u to the affine chart u[chart] = 1 of the plane."""
-    a, b = [i for i in range(3) if i != chart]
+def _conic_chart(m: np.ndarray) -> MPoly:
+    """Restrict w.m.w to the affine chart w[0] = 1 of the plane."""
     return MPoly(
         2,
         {
-            (0, 0): m[chart, chart],
-            (1, 0): 2.0 * m[chart, a],
-            (0, 1): 2.0 * m[chart, b],
-            (2, 0): m[a, a],
-            (1, 1): 2.0 * m[a, b],
-            (0, 2): m[b, b],
+            (0, 0): m[0, 0],
+            (1, 0): 2.0 * m[0, 1],
+            (0, 1): 2.0 * m[0, 2],
+            (2, 0): m[1, 1],
+            (1, 1): 2.0 * m[1, 2],
+            (0, 2): m[2, 2],
         },
     )
+
+
+def _random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Q factor of a 3x3 complex Gaussian matrix."""
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return np.linalg.qr(z)[0]
 
 
 def intersect_plane(
@@ -188,7 +193,9 @@ def intersect_plane(
     """The four intersection points of a real transverse plane with the curve.
 
     Parametrizes the plane, restricts both quadrics to a pair of conics
-    and tracks the four paths of a diagonal total-degree start system.
+    in one random complex affine chart of it and tracks the four paths
+    of a diagonal total-degree start system, keeping stalled paths that
+    polish to a double root.
     Points come back projectively normalized, deterministically ordered,
     real ones first.
 
@@ -207,21 +214,19 @@ def intersect_plane(
     m1 = basis.T @ pencil.q1.matrix @ basis
     m2 = basis.T @ pencil.q2.matrix @ basis
 
-    # Collect roots from enough charts, merging projectively.  A double
-    # contact shows up as a missing root: the two paths stall at the
-    # same limit, so the merged count drops to three and the survivor is
-    # recognized by its parallel conic gradients (a transverse root has
-    # independent ones).
+    # One random complex chart of the plane: u = R w with R unitary and
+    # w[0] = 1, so no intersection point lies at the chart's infinity
+    # with probability one.  A double contact shows up as a missing
+    # root: the two paths stall at the same limit, so the merged count
+    # drops to three and the survivor is recognized by its parallel
+    # conic gradients (a transverse root has independent ones).
+    rot = _random_unitary(rng)
+    polys = [_conic_chart(rot.T @ m @ rot) for m in (m1, m2)]
     found: list = []
-    for chart in range(3):
-        polys = [_conic_chart(m1, chart), _conic_chart(m2, chart)]
-        sols = solve_total_degree(polys, st, rng, salvage_singular=True)
-        for x, _ in sols:
-            p = normalize_projective(basis @ np.insert(x, chart, 1.0 + 0j))
-            if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
-                found.append(p)
-        if len(found) >= 4:
-            break
+    for x, _ in solve_total_degree(polys, st, rng, salvage_singular=True):
+        p = normalize_projective(basis @ rot @ np.concatenate(([1.0 + 0j], x)))
+        if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
+            found.append(p)
 
     if len(found) == 3:
         for p in found:
@@ -299,12 +304,6 @@ def pencil_scan(
     return records
 
 
-def _complement_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal 4x3 real basis of the complement of a real point."""
-    _, _, vt = np.linalg.svd(p.reshape(1, 4))
-    return vt[1:].T
-
-
 def secant_lines_through(
     pencil: QuadricPencil,
     point,
@@ -341,10 +340,10 @@ def secant_lines_through(
 
     st = settings or TrackSettings()
     rng = np.random.default_rng(seed)
-    comp = _complement_basis(p)
     lines: list = []
 
     def consider_direction(d: np.ndarray):
+        d = normalize_projective(d)  # a real line then has real contact parameters
         a1 = complex(d @ q1m @ d)
         a2 = complex(d @ q2m @ d)
         nd2 = float(np.linalg.norm(d) ** 2)
@@ -370,55 +369,34 @@ def secant_lines_through(
                 if res > 1e-9:
                     return  # not a genuine common intersection
             pts.append(normalize_projective(x))
-        direction = normalize_projective(d)
         for existing in lines:
-            if projective_distance(direction, existing.direction) < DEDUP_TOL:
+            if projective_distance(d, existing.direction) < DEDUP_TOL:
                 return
         if (t2.real, t2.imag) < (t1.real, t1.imag):
             t1, t2 = t2, t1
             pts.reverse()
         lines.append(
             SecantLine(
-                direction=direction,
+                direction=d,
                 t1=complex(t1),
                 t2=complex(t2),
                 points=tuple(pts),
-                is_real_line=projective_distance(direction, np.conjugate(direction))
-                < TANGENT_TOL,
+                is_real_line=projective_distance(d, np.conjugate(d)) < TANGENT_TOL,
                 points_real=tuple(is_real_point(x, real_tol) for x in pts),
             )
         )
 
-    for chart in range(3):
-        a, b = [i for i in range(3) if i != chart]
-        e3 = comp[:, [chart, a, b]]
-        g1 = e3.T @ q1m @ e3
-        g2 = e3.T @ q2m @ e3
-        w1 = p @ q1m @ e3
-        w2 = p @ q2m @ e3
-
-        def quad(g):
-            return MPoly(
-                2,
-                {
-                    (0, 0): g[0, 0],
-                    (1, 0): 2.0 * g[0, 1],
-                    (0, 1): 2.0 * g[0, 2],
-                    (2, 0): g[1, 1],
-                    (1, 1): 2.0 * g[1, 2],
-                    (0, 2): g[2, 2],
-                },
-            )
-
-        def lin(w):
-            return MPoly(2, {(0, 0): 2.0 * w[0], (1, 0): 2.0 * w[1], (0, 1): 2.0 * w[2]})
-
-        f1 = quad(g1) * lin(w2) - quad(g2) * lin(w1)
-        f2 = quad(g1) * c2 - quad(g2) * c1
-        for x, _ in solve_total_degree([f1, f2], st, rng):
-            consider_direction(e3 @ np.concatenate(([1.0 + 0j], x)))
-        if len(lines) == 2:
-            break
+    # Directions d = e3 @ (1, x) in one random complex chart of the
+    # complement plane.
+    e3 = plane_basis(p) @ _random_unitary(rng)
+    g1 = _conic_chart(e3.T @ q1m @ e3)
+    g2 = _conic_chart(e3.T @ q2m @ e3)
+    w1 = 2.0 * (p @ q1m @ e3)
+    w2 = 2.0 * (p @ q2m @ e3)
+    lin1 = MPoly(2, {(0, 0): w1[0], (1, 0): w1[1], (0, 1): w1[2]})
+    lin2 = MPoly(2, {(0, 0): w2[0], (1, 0): w2[1], (0, 1): w2[2]})
+    for x, _ in solve_total_degree([g1 * lin2 - g2 * lin1, g1 * c2 - g2 * c1], st, rng):
+        consider_direction(e3 @ np.concatenate(([1.0 + 0j], x)))
 
     if len(lines) != 2:
         raise DegeneratePointError(f"expected 2 secant lines, found {len(lines)}")

@@ -373,9 +373,27 @@ def solve_total_degree(
 
     system = PolySystem(polys, num_unknowns=n, num_params=num_params)
     hom = SegmentHomotopy(system, p_start, p_end)
+    starts = (np.asarray(c, dtype=np.complex128) for c in itertools.product(*start_axis_roots))
+    return track_and_polish(hom, starts, st, salvage_singular)
+
+
+def track_and_polish(
+    homotopy: SegmentHomotopy,
+    starts,
+    settings: TrackSettings | None = None,
+    salvage_singular: bool = False,
+):
+    """Track every start to t=1 and Newton-polish each endpoint at
+    ``params_end``; ``salvage_singular`` is as in ``solve_total_degree``.
+
+    Returns the (endpoint, residual) pairs that passed polish, in start
+    order.
+    """
+    st = settings or TrackSettings()
+    system, p_end = homotopy.system, homotopy.params_end
     found = []
-    for combo in itertools.product(*start_axis_roots):
-        result = track(hom, np.asarray(combo, dtype=np.complex128), st)
+    for start in starts:
+        result = track(homotopy, start, st)
         if result.success:
             x, res = _newton(system, p_end, result.endpoint, 1e-13, 30)
             if res < st.corrector_tol:

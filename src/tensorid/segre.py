@@ -9,14 +9,15 @@ here.  The arithmetic side tracks the almost-unbalanced rank a_q =
 span a space of the right codimension.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .elliptic import normalize_projective, projective_distance, _point_key
-from .homotopy import TrackSettings, solve_total_degree
-from .poly import MPoly
+from .homotopy import SegmentHomotopy, TrackSettings, track_and_polish
+from .poly import MPoly, PolySystem
 from .realcert import is_real_point
 
 DEDUP_TOL = 1e-6
@@ -151,51 +152,39 @@ def random_section_space(spec: SegreSpec, seed: int = 0) -> LinearSpace:
     return LinearSpace(equations=rng.standard_normal((spec.variety_dim, spec.ambient_dim + 1)))
 
 
-def _chart_system(spec: SegreSpec, equations: np.ndarray, chart: tuple):
-    """Bilinear equations on the bi-chart u[I] = 1, v[J] = 1.
+def _section_system(spec: SegreSpec, alpha: np.ndarray, beta: np.ndarray) -> PolySystem:
+    """Section equations with the equation rows as parameters.
 
-    Unknown order: the a1 free u-coordinates, then the a2 free
-    v-coordinates.
+    Unknowns: u (a1 + 1 coordinates), then v (a2 + 1).  Parameter
+    k * (a1+1)(a2+1) + i * (a2+1) + j is entry (k, i * (a2+1) + j) of the
+    equation matrix, so ``equations.ravel()`` is a parameter vector.
+    The a1 + a2 bilinear equations are followed by the affine chart
+    alpha.u = 1 and beta.v = 1, which holds no parameter: scaling the
+    parameters by the homotopy's twist keeps every root.
     """
     a1, a2 = spec.dims
-    big_i, big_j = chart
-    u_pos = {}
-    v_pos = {}
-    k = 0
-    for i in range(a1 + 1):
-        if i != big_i:
-            u_pos[i] = k
-            k += 1
-    for j in range(a2 + 1):
-        if j != big_j:
-            v_pos[j] = k
-            k += 1
-    nvars = a1 + a2
-    polys = []
-    for row in equations:
-        terms: dict = {}
-        for i in range(a1 + 1):
-            for j in range(a2 + 1):
-                c = row[i * (a2 + 1) + j]
-                if c == 0.0:
-                    continue
-                expo = [0] * nvars
-                if i != big_i:
-                    expo[u_pos[i]] += 1
-                if j != big_j:
-                    expo[v_pos[j]] += 1
-                key = tuple(expo)
-                terms[key] = terms.get(key, 0.0) + c
-        polys.append(MPoly(nvars, terms))
-    return polys
+    n = a1 + a2 + 2
+    pairs = list(itertools.product(range(a1 + 1), range(a2 + 1)))
+    num_params = spec.variety_dim * len(pairs)
+    unit = np.eye(n + num_params, dtype=int)
+    polys = [
+        MPoly(
+            n + num_params,
+            {
+                tuple(unit[i] + unit[a1 + 1 + j] + unit[n + k * len(pairs) + c]): 1.0
+                for c, (i, j) in enumerate(pairs)
+            },
+        )
+        for k in range(spec.variety_dim)
+    ]
+    for coeffs, first in ((alpha, 0), (beta, a1 + 1)):
+        chart = {tuple(unit[first + i]): c for i, c in enumerate(coeffs)}
+        polys.append(MPoly(n + num_params, {**chart, (0,) * (n + num_params): -1.0}))
+    return PolySystem(polys, num_unknowns=n, num_params=num_params)
 
 
-def _lift_chart_point(spec: SegreSpec, chart: tuple, x: np.ndarray) -> np.ndarray:
-    a1, a2 = spec.dims
-    big_i, big_j = chart
-    u = np.insert(x[:a1], big_i, 1.0 + 0j)
-    v = np.insert(x[a1:], big_j, 1.0 + 0j)
-    return normalize_projective(np.outer(u, v).ravel())
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def solve_section(
@@ -207,41 +196,52 @@ def solve_section(
 ) -> SectionResult:
     """All intersection points of the Segre variety with a linear space.
 
-    Every bi-chart contributes a square bilinear system solved by a
-    total-degree homotopy; chart solutions are lifted to the ambient
-    space, deduplicated projectively and the enumeration stops early
-    once the degree is reached.  Points are returned normalized, real
-    ones first, in a deterministic order.
+    One 2-homogeneous linear-product homotopy in one random complex
+    affine chart alpha.u = 1, beta.v = 1: the start rows are rank-one
+    products l_k m_k^T, and each a1-subset S of them gives the start root
+    l_S.u = 0, m_rest.v = 0, so exactly degree(spec) paths are tracked.
+    Endpoints are lifted to u (x) v, deduplicated projectively and
+    returned normalized, real ones first, in a deterministic order.
 
-    Raises DeficientSectionError when the merged count differs from the
-    degree (non-generic space).
+    Raises DeficientSectionError when the count differs from the degree
+    (non-generic space); the message says how many paths failed and
+    how many endpoints repeated a point already found.
     """
     a1, a2 = spec.dims
     if space.codim != spec.variety_dim:
-        raise ValueError(
-            f"need codimension {spec.variety_dim}, got {space.codim}"
-        )
+        raise ValueError(f"need codimension {spec.variety_dim}, got {space.codim}")
     if space.equations.shape[1] != spec.ambient_dim + 1:
         raise ValueError("equation width does not match the ambient space")
-    st = settings or TrackSettings()
-    charts = [(i, j) for i in range(a1 + 1) for j in range(a2 + 1)]
-    children = np.random.SeedSequence(seed).spawn(len(charts))
-    want = degree(spec)
+    rows = spec.variety_dim
+    rng = np.random.default_rng(seed)
+    alpha = _complex_normal(rng, a1 + 1)
+    beta = _complex_normal(rng, a2 + 1)
+    ell = _complex_normal(rng, (rows, a1 + 1))
+    m = _complex_normal(rng, (rows, a2 + 1))
+    gamma = np.exp(2j * np.pi * rng.random())
+
+    starts = []
+    for subset in itertools.combinations(range(rows), a1):
+        rest = [k for k in range(rows) if k not in subset]
+        u = np.linalg.solve(np.vstack([ell[list(subset)], alpha]), np.eye(a1 + 1)[-1])
+        v = np.linalg.solve(np.vstack([m[rest], beta]), np.eye(a2 + 1)[-1])
+        starts.append(np.concatenate([u, v]))
+    p_start = (ell[:, :, None] * m[:, None, :]).ravel()
+    hom = SegmentHomotopy(_section_system(spec, alpha, beta), p_start, space.equations.ravel(), gamma)
+    endpoints = track_and_polish(hom, starts, settings)
 
     found: list = []
-    for chart, child in zip(charts, children):
-        polys = _chart_system(spec, space.equations, chart)
-        sols = solve_total_degree(polys, st, np.random.default_rng(child))
-        for x, _ in sols:
-            p = _lift_chart_point(spec, chart, x)
-            if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
-                found.append(p)
-        if len(found) >= want:
-            break
+    for x, _ in endpoints:
+        p = normalize_projective(np.outer(x[: a1 + 1], x[a1 + 1 :]).ravel())
+        if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
+            found.append(p)
 
+    want = degree(spec)
     if len(found) != want:
         raise DeficientSectionError(
-            f"expected {want} section points, found {len(found)}"
+            f"expected {want} section points, found {len(found)} "
+            f"({len(starts) - len(endpoints)} paths failed, "
+            f"{len(endpoints) - len(found)} duplicate endpoints)"
         )
     found.sort(key=lambda p: (not is_real_point(p, real_tol), _point_key(p)))
     real_count = sum(is_real_point(p, real_tol) for p in found)

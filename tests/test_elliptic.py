@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tensorid import elliptic
 from tensorid.elliptic import (
     DEGENERATE,
     S1,
@@ -68,6 +69,25 @@ def test_nonreal_points_come_in_conjugate_pairs(pencil):
     assert len(nonreal) == 4
     for p in nonreal:
         assert any(projective_distance(np.conj(p), q) < 1e-6 for q in nonreal)
+
+
+def test_each_query_is_one_solve(pencil, monkeypatch):
+    # one random complex chart per query: no coordinate chart is retried
+    calls = []
+    real_solve = elliptic.solve_total_degree
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "solve_total_degree", counting_solve)
+    for k in (-2.0, 0.0, 2.0):
+        calls.clear()
+        intersect_plane(pencil, np.array([0.0, 0.0, 1.0, -k]))
+        assert len(calls) == 1
+    calls.clear()
+    assert len(secant_lines_through(pencil, np.array([1.0, 2.0, 3.0, 4.0]))) == 2
+    assert len(calls) == 1
 
 
 def test_tangent_plane_reports_double_point(pencil):

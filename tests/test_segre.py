@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from tensorid import homotopy
 from tensorid.elliptic import projective_distance
+from tensorid.homotopy import PathStatus
 from tensorid.segre import (
     DeficientSectionError,
     LinearSpace,
@@ -69,19 +71,39 @@ def test_span_contains_its_points():
         assert np.max(np.abs(space.equations @ p)) < 1e-10
 
 
-def test_section_points_lie_on_variety_and_space():
+@pytest.mark.parametrize("spec", [P2xP2, P2xP4], ids=["P2xP2", "P2xP4"])
+def test_section_points_lie_on_variety_and_space(spec):
     # independent check of what an intersection point is: rank one as a
     # matrix and inside the linear space
-    space = random_section_space(P2xP2, seed=4)
-    result = solve_section(P2xP2, space, seed=4)
-    a1, a2 = P2xP2.dims
-    assert len(result.points) == 6
+    space = random_section_space(spec, seed=4)
+    result = solve_section(spec, space, seed=4)
+    a1, a2 = spec.dims
+    assert len(result.points) == degree(spec)
     for p in result.points:
         svals = np.linalg.svd(
             np.asarray(p).reshape(a1 + 1, a2 + 1), compute_uv=False
         )
         assert svals[1] < 1e-8 * svals[0]
         assert np.max(np.abs(space.equations @ p)) < 1e-8
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (2, 4)])
+def test_solve_section_tracks_one_path_per_point(monkeypatch, dims):
+    # the linear-product start has exactly degree(spec) roots, and every
+    # path of a generic section reaches a distinct point
+    spec = SegreSpec(dims=dims)
+    statuses = []
+    real_track = homotopy.track
+
+    def counting_track(*args, **kwargs):
+        result = real_track(*args, **kwargs)
+        statuses.append(result.status)
+        return result
+
+    monkeypatch.setattr(homotopy, "track", counting_track)
+    result = solve_section(spec, random_section_space(spec, seed=2), seed=2)
+    assert statuses == [PathStatus.SUCCESS] * degree(spec)
+    assert len(result.points) == degree(spec)
 
 
 def test_span_sections_are_fully_real():
@@ -127,7 +149,10 @@ def test_tangent_line_section_is_deficient():
     space = LinearSpace(
         equations=np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]])
     )
-    with pytest.raises(DeficientSectionError):
+    with pytest.raises(
+        DeficientSectionError,
+        match=r"expected 2 section points, found 0 \(2 paths failed, 0 duplicate endpoints\)",
+    ):
         solve_section(P1xP1, space, seed=0)
 
 
