@@ -114,7 +114,7 @@ def _pivoted_lu(a):
     factors are None and the ratio inf when the matrix is empty or not
     finite, the factorization fails, or a pivot is zero.
     """
-    if a.size == 0 or not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if a.size == 0 or not np.isfinite(a).all():
         return None, np.inf
     try:
         with warnings.catch_warnings():
@@ -136,7 +136,7 @@ def _lu_solve_scaled(jac, rhs, scales, ratio_limit=_SINGULAR_RATIO):
     if ratio > ratio_limit:
         return None
     out = scipy.linalg.lu_solve(factors, rhs * weights, check_finite=False)
-    if not np.all(np.isfinite(out.real)):
+    if not np.isfinite(out).all():
         return None
     return out
 

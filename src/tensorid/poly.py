@@ -7,9 +7,12 @@ then lexicographically, largest first), which fixes the equation order
 of every system built here.
 
 Systems separate their variables into unknowns (solved for) followed by
-parameters (moved by homotopies).  Evaluation and differentiation are
-compiled once per system into flat numpy index arrays so that path
-trackers can evaluate residuals and Jacobians in vectorized form.
+parameters (moved by homotopies), and every system here is linear in its
+parameters: F(x; p) = M(x) p + c(x).  A PolySystem stores each term as
+``coeff * x^m * (p_k or 1)`` in a term table of flat numpy index arrays,
+one table for the equations and one for the Jacobian cells, so path
+trackers evaluate residuals, Jacobians and the parameter tangent M(x) dp
+in vectorized form.
 """
 
 import math
@@ -139,16 +142,6 @@ class MPoly:
             total += term
         return total
 
-    def partial(self, var: int) -> "MPoly":
-        """Partial derivative with respect to variable ``var``."""
-        out = {}
-        for expo, coeff in self.terms.items():
-            e = expo[var]
-            if e:
-                key = expo[:var] + (e - 1,) + expo[var + 1 :]
-                out[key] = out.get(key, 0j) + coeff * e
-        return MPoly(self.num_vars, out)
-
     def total_degree(self) -> int:
         if not self.terms:
             return 0
@@ -165,179 +158,118 @@ class MPoly:
         return f"MPoly(num_vars={self.num_vars}, terms={len(self.terms)})"
 
 
-class _CompiledSystem:
-    """Flat index arrays for vectorized evaluation of a PolySystem.
+class _TermTable:
+    """Rows of terms ``coeff * x^m * (p_k or 1)`` as flat index arrays.
 
-    Every term is a run of (variable, exponent) factors; constant terms
-    carry the synthetic factor (0, 0).  Term products come out of a
-    powers table via ``np.multiply.reduceat`` and rows are summed with
-    ``np.add.reduceat``, so all segment arrays are built non-empty.
+    A term is (coeff, m, k): m holds the exponents of the unknowns and k
+    indexes the parameter vector, whose last slot is the constant that
+    stands in for "no parameter" (k = -1).  Each monomial x^m is a run of
+    (unknown, exponent) factors multiplied by ``np.multiply.reduceat``,
+    and rows are summed by ``np.add.reduceat``.  Both need non-empty
+    segments, so x^0 is the factor (0, 0) and an empty row holds one
+    zero term.
     """
 
-    def __init__(self, polys, num_unknowns: int, num_params: int):
-        nv = num_unknowns + num_params
-        rows = len(polys)
-
-        fvar, fexp, tptr, tcoef, rptr = [], [], [0], [], [0]
-        for poly in polys:
-            items = sorted(poly.terms.items()) or [((0,) * nv, 0j)]
-            for expo, coeff in items:
-                nz = [(v, e) for v, e in enumerate(expo) if e] or [(0, 0)]
-                for v, e in nz:
+    def __init__(self, rows):
+        fvar, fexp, tptr, coef, pidx, rptr = [], [], [], [], [], []
+        for terms in rows:
+            rptr.append(len(coef))
+            for c, mono, k in terms or [(0j, (), -1)]:
+                tptr.append(len(fvar))
+                for v, e in [(v, e) for v, e in enumerate(mono) if e] or [(0, 0)]:
                     fvar.append(v)
                     fexp.append(e)
-                tptr.append(len(fvar))
-                tcoef.append(coeff)
-            rptr.append(len(tcoef))
-
-        self.num_unknowns = num_unknowns
-        self.num_vars = nv
-        self.rows = rows
+                coef.append(c)
+                pidx.append(k)
         self.fvar = np.asarray(fvar, dtype=np.intp)
         self.fexp = np.asarray(fexp, dtype=np.intp)
-        self.tptr = np.asarray(tptr[:-1], dtype=np.intp)
-        self.tcoef = np.asarray(tcoef, dtype=np.complex128)
-        self.rptr = np.asarray(rptr[:-1], dtype=np.intp)
+        self.tptr = np.asarray(tptr, dtype=np.intp)
+        self.coef = np.asarray(coef, dtype=np.complex128)
+        self.pidx = np.asarray(pidx, dtype=np.intp)
+        self.rptr = np.asarray(rptr, dtype=np.intp)
 
-        # Jacobian entries grouped by (row, unknown) cell.
-        cells: dict = {}
-        for i, poly in enumerate(polys):
-            for expo, coeff in poly.terms.items():
-                for col in range(num_unknowns):
-                    e = expo[col]
-                    if e:
-                        dexpo = expo[:col] + (e - 1,) + expo[col + 1 :]
-                        cells.setdefault((i, col), []).append((coeff * e, dexpo))
-        jfvar, jfexp, jtptr, jtcoef = [], [], [0], []
-        jcell_ptr, jcell_out = [], []
-        for (i, col), entries in sorted(cells.items()):
-            jcell_ptr.append(len(jtcoef))
-            jcell_out.append(i * num_unknowns + col)
-            for coeff, dexpo in entries:
-                nz = [(v, e) for v, e in enumerate(dexpo) if e] or [(0, 0)]
-                for v, e in nz:
-                    jfvar.append(v)
-                    jfexp.append(e)
-                jtptr.append(len(jfvar))
-                jtcoef.append(coeff)
-        self.jfvar = np.asarray(jfvar, dtype=np.intp)
-        self.jfexp = np.asarray(jfexp, dtype=np.intp)
-        self.jtptr = np.asarray(jtptr[:-1], dtype=np.intp)
-        self.jtcoef = np.asarray(jtcoef, dtype=np.complex128)
-        self.jcell_ptr = np.asarray(jcell_ptr, dtype=np.intp)
-        self.jcell_out = np.asarray(jcell_out, dtype=np.intp)
+    def terms(self, pw, pv):
+        """coeff * (x^m * pv[k]) for every term, from the powers table of
+        the unknowns and the parameter vector with its constant slot."""
+        mono = np.multiply.reduceat(pw[self.fvar, self.fexp], self.tptr)
+        return self.coef * (mono * pv[self.pidx])
 
-        # Parameter-direction terms grouped by row; rows are padded with a
-        # zero term so the row reduction never sees an empty segment.
-        prow_terms: list = [[] for _ in range(rows)]
-        for i, poly in enumerate(polys):
-            for expo, coeff in poly.terms.items():
-                for col in range(num_unknowns, nv):
-                    e = expo[col]
-                    if e:
-                        dexpo = expo[:col] + (e - 1,) + expo[col + 1 :]
-                        prow_terms[i].append((coeff * e, col - num_unknowns, dexpo))
-        pfvar, pfexp, ptptr, ptcoef, ptcol, prptr = [], [], [0], [], [], [0]
-        for i in range(rows):
-            entries = prow_terms[i] or [(0j, 0, (0,) * nv)]
-            for coeff, pcol, dexpo in entries:
-                nz = [(v, e) for v, e in enumerate(dexpo) if e] or [(0, 0)]
-                for v, e in nz:
-                    pfvar.append(v)
-                    pfexp.append(e)
-                ptptr.append(len(pfvar))
-                ptcoef.append(coeff)
-                ptcol.append(pcol)
-            prptr.append(len(ptcoef))
-        self.pfvar = np.asarray(pfvar, dtype=np.intp)
-        self.pfexp = np.asarray(pfexp, dtype=np.intp)
-        self.ptptr = np.asarray(ptptr[:-1], dtype=np.intp)
-        self.ptcoef = np.asarray(ptcoef, dtype=np.complex128)
-        self.ptcol = np.asarray(ptcol, dtype=np.intp)
-        self.prptr = np.asarray(prptr[:-1], dtype=np.intp)
+    def sum_rows(self, values):
+        return np.add.reduceat(values, self.rptr)
 
-        exps = [1]
-        for arr in (self.fexp, self.jfexp, self.pfexp):
-            if arr.size:
-                exps.append(int(arr.max()))
-        self.max_exp = max(exps)
 
-    def powers(self, point, params):
-        v = np.concatenate(
-            [
-                np.asarray(point, dtype=np.complex128).ravel(),
-                np.asarray(params, dtype=np.complex128).ravel(),
-            ]
+def _split_term(expo, coeff, num_unknowns: int):
+    """(coeff, unknown exponents, parameter index or -1) of an MPoly term."""
+    pexp = expo[num_unknowns:]
+    if sum(pexp) > 1:
+        raise ValueError(
+            f"term {expo} has degree {sum(pexp)} in the parameters; "
+            "PolySystem needs every term linear in the parameters"
         )
-        if v.size != self.num_vars:
-            raise DimensionMismatchError(
-                f"got {v.size} values, expected {self.num_vars}"
-            )
-        pw = np.empty((self.num_vars, self.max_exp + 1), dtype=np.complex128)
-        pw[:, 0] = 1.0
-        for k in range(1, self.max_exp + 1):
-            pw[:, k] = pw[:, k - 1] * v
-        return pw
-
-    def values_and_scales(self, pw):
-        tv = np.multiply.reduceat(pw[self.fvar, self.fexp], self.tptr)
-        weighted = self.tcoef * tv
-        vals = np.add.reduceat(weighted, self.rptr)
-        scales = np.add.reduceat(np.abs(weighted), self.rptr)
-        return vals, scales
-
-    def jacobian(self, pw):
-        if self.jtcoef.size == 0:
-            return np.zeros((self.rows, self.num_unknowns), dtype=np.complex128)
-        tv = np.multiply.reduceat(pw[self.jfvar, self.jfexp], self.jtptr)
-        sums = np.add.reduceat(self.jtcoef * tv, self.jcell_ptr)
-        jac = np.zeros(self.rows * self.num_unknowns, dtype=np.complex128)
-        jac[self.jcell_out] = sums
-        return jac.reshape(self.rows, self.num_unknowns)
-
-    def param_tangent(self, pw, dparams):
-        dp = np.asarray(dparams, dtype=np.complex128).ravel()
-        tv = np.multiply.reduceat(pw[self.pfvar, self.pfexp], self.ptptr)
-        weighted = self.ptcoef * tv * dp[self.ptcol]
-        return np.add.reduceat(weighted, self.prptr)
+    return coeff, expo[:num_unknowns], pexp.index(1) if any(pexp) else -1
 
 
 class PolySystem:
-    """Square system of polynomials in unknowns followed by parameters."""
+    """Square system of polynomials in unknowns followed by parameters.
+
+    Every term must be of degree at most one in the parameters.  The
+    equation table sums each row in sorted exponent order; the Jacobian
+    table has one row per (equation, unknown) cell, its entries in the
+    polynomial's term order.  These orders fix the rounding, and so every
+    tracked path.  The parameter tangent is the equation table evaluated
+    at the velocity dp with the constant slot set to 0, which leaves
+    M(x) dp.
+    """
 
     def __init__(self, polys, num_unknowns: int, num_params: int):
         polys = tuple(polys)
-        nv = num_unknowns + num_params
+        nu = int(num_unknowns)
+        nv = nu + num_params
         for p in polys:
             if p.num_vars != nv:
                 raise DimensionMismatchError(
                     f"polynomial has {p.num_vars} variables, expected {nv}"
                 )
         self.polys = polys
-        self.num_unknowns = int(num_unknowns)
+        self.num_unknowns = nu
         self.num_params = int(num_params)
-        self._compiled = None
+
+        eq_rows = []
+        cells: dict = {}
+        for i, poly in enumerate(polys):
+            split = {expo: _split_term(expo, c, nu) for expo, c in poly.terms.items()}
+            eq_rows.append([split[expo] for expo in sorted(split)])
+            for c, mono, k in split.values():
+                for col, e in enumerate(mono):
+                    if e:
+                        dmono = mono[:col] + (e - 1,) + mono[col + 1 :]
+                        cells.setdefault(i * nu + col, []).append((c * e, dmono, k))
+        self._equations = _TermTable(eq_rows)
+        self._jacobian = _TermTable([cells.get(cell, []) for cell in range(len(polys) * nu)])
+        self._max_exp = max(1, int(self._equations.fexp.max()))
 
     @property
     def num_equations(self) -> int:
         return len(self.polys)
 
-    def compiled(self) -> _CompiledSystem:
-        if self._compiled is None:
-            self._compiled = _CompiledSystem(
-                self.polys, self.num_unknowns, self.num_params
-            )
-        return self._compiled
-
-    def _check(self, point, params):
+    def _check(self, point, *param_vectors):
         if len(point) != self.num_unknowns:
             raise DimensionMismatchError(
                 f"point has {len(point)} coordinates, expected {self.num_unknowns}"
             )
-        if len(params) != self.num_params:
-            raise DimensionMismatchError(
-                f"got {len(params)} parameters, expected {self.num_params}"
-            )
+        for params in param_vectors:
+            if len(params) != self.num_params:
+                raise DimensionMismatchError(
+                    f"got {len(params)} parameters, expected {self.num_params}"
+                )
+
+    def _powers(self, point):
+        x = np.asarray(point, dtype=np.complex128)
+        pw = np.empty((self.num_unknowns, self._max_exp + 1), dtype=np.complex128)
+        pw[:, 0] = 1.0
+        for k in range(1, self._max_exp + 1):
+            pw[:, k] = pw[:, k - 1] * x
+        return pw
 
     def evaluate(self, point, params=()) -> np.ndarray:
         """Residual vector at the given unknowns and parameter values."""
@@ -361,14 +293,19 @@ class PolySystem:
         many orders of magnitude.
         """
         self._check(point, params)
-        comp = self.compiled()
-        pw = comp.powers(point, params)
-        vals, scales = comp.values_and_scales(pw)
-        return vals, scales, comp.jacobian(pw)
+        pw = self._powers(point)
+        pv = np.concatenate((params, (1.0,)), dtype=np.complex128)
+        terms = self._equations.terms(pw, pv)
+        jac = self._jacobian.sum_rows(self._jacobian.terms(pw, pv))
+        return (
+            self._equations.sum_rows(terms),
+            self._equations.sum_rows(np.abs(terms)),
+            jac.reshape(len(self.polys), self.num_unknowns),
+        )
 
     def param_tangent(self, point, params, dparams) -> np.ndarray:
-        """Directional derivative of the system along a parameter velocity."""
-        self._check(point, params)
-        comp = self.compiled()
-        return comp.param_tangent(comp.powers(point, params), dparams)
-
+        """Directional derivative M(x) dp of the system along a parameter
+        velocity dp."""
+        self._check(point, params, dparams)
+        dpv = np.concatenate((dparams, (0.0,)), dtype=np.complex128)
+        return self._equations.sum_rows(self._equations.terms(self._powers(point), dpv))

@@ -120,10 +120,6 @@ class TensorParams:
         if self.coeffs.size != expected:
             raise ValueError(f"expected {expected} coefficients, got {self.coeffs.size}")
 
-    def is_real(self, tol: float = 1e-8) -> bool:
-        scale = 1.0 + float(np.max(np.abs(self.coeffs)))
-        return float(np.max(np.abs(self.coeffs.imag))) < tol * scale
-
 
 def build_system(spec: WaringSpec) -> PolySystem:
     """Square coefficient-matching system for the given sizes.

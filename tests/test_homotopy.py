@@ -10,6 +10,7 @@ from tensorid.homotopy import (
     SegmentHomotopy,
     SingularJacobianError,
     TrackSettings,
+    _lu_solve_scaled,
     condition_estimate,
     newton_refine,
     solve_total_degree,
@@ -169,3 +170,11 @@ def test_newton_refine_non_finite_jacobian_raises():
         assert condition_estimate(jac, scales) == np.inf
         with pytest.raises(SingularJacobianError):
             newton_refine(sys_, (), [1e200])
+
+
+def test_lu_solve_rejects_non_finite_imaginary_part():
+    # the solution 1e310j overflows in its imaginary part only
+    out = _lu_solve_scaled(np.array([[1e-300 + 0j]]), np.array([1e10j]), np.zeros(1))
+    assert out is None
+    jac = np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]])
+    assert condition_estimate(jac) == np.inf

@@ -1,13 +1,17 @@
-"""Every name a tensorid module imports is used in that module."""
+"""Every name a tensorid module imports is used in that module, and every
+function, class and method it defines is referenced somewhere."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tensorid"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tensorid"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the code whose references keep a definition alive
+CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -32,3 +36,53 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(source: str) -> set:
+    """Names read as variables, attributes or imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[-1])
+    return names
+
+
+def dead_definitions(source: str, referenced: set) -> list:
+    """Undecorated, non-dunder definitions whose name is not referenced.
+
+    Decorated definitions (click commands, properties, classmethods) are
+    reached through their decorator, and dunders through Python itself.
+    """
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.decorator_list
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+    )
+
+
+def test_detects_dead_definition():
+    source = (
+        "def used():\n    pass\n\n"
+        "def unused():\n    used()\n\n"
+        "class C:\n"
+        "    def method(self):\n        pass\n\n"
+        "    def dead_method(self):\n        pass\n\n"
+        "    @property\n    def prop(self):\n        pass\n\n"
+        "    def __repr__(self):\n        return ''\n\n"
+        "C().method()\n"
+    )
+    dead = dead_definitions(source, referenced_names(source))
+    assert dead == [(4, "unused"), (11, "dead_method")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_definitions(path):
+    referenced = set().union(*(referenced_names(p.read_text()) for p in CALLERS))
+    assert dead_definitions(path.read_text(), referenced) == []

@@ -12,6 +12,7 @@ from tensorid.poly import (
     monomials,
     multinomial,
 )
+from tensorid.waring import WaringSpec, build_system
 
 
 def test_multinomial_values():
@@ -55,13 +56,21 @@ def test_mpoly_dimension_mismatch():
 
 
 def _random_parametric_system(rng, n_unknowns=3, n_params=2, n_eqs=3, degree=3):
+    """Random system linear in its parameters: each term has random unknown
+    exponents and at most one parameter, to the first power."""
     polys = []
     nv = n_unknowns + n_params
     for _ in range(n_eqs):
         terms = {}
         for _ in range(6):
-            expo = tuple(int(e) for e in rng.integers(0, degree, size=nv))
-            terms[expo] = complex(rng.standard_normal(), rng.standard_normal())
+            pexp = [0] * n_params
+            k = int(rng.integers(-1, n_params))
+            if k >= 0:
+                pexp[k] = 1
+            mono = rng.integers(0, degree, size=n_unknowns)
+            terms[tuple(int(e) for e in mono) + tuple(pexp)] = complex(
+                rng.standard_normal(), rng.standard_normal()
+            )
         polys.append(MPoly(nv, terms))
     return PolySystem(polys, num_unknowns=n_unknowns, num_params=n_params)
 
@@ -99,3 +108,48 @@ def test_scaled_residual_zero_at_root():
     assert sys_.scaled_residual([2.0]) < 1e-15
     assert sys_.scaled_residual([2.1]) > 1e-3
 
+
+def test_polysystem_matches_mpoly_with_zero_and_parameter_rows():
+    # unknowns x, y; parameters p, q
+    x, y, p, q = (MPoly.variable(4, i) for i in range(4))
+    polys = [x * x * y * p - 3.0 * y + q + 2.0, x - x, 2.0 * q, x * y]
+    sys_ = PolySystem(polys, num_unknowns=2, num_params=2)
+    rng = np.random.default_rng(5)
+    pt = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    par = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    vals, scales, jac = sys_.full_state(pt, par)
+    want = np.array([f.evaluate([*pt, *par]) for f in polys])
+    assert np.allclose(vals, want, rtol=1e-14, atol=1e-14)
+    # the zero row is an empty segment of every table
+    assert vals[1] == 0 and scales[1] == 0
+    assert np.all(jac[1] == 0)
+    assert jac.shape == (4, 2)
+    assert np.all(jac[2] == 0)
+    h = 1e-6
+    for k in range(2):
+        e = np.zeros(2, dtype=complex)
+        e[k] = h
+        fd = (sys_.evaluate(pt + e, par) - sys_.evaluate(pt - e, par)) / (2 * h)
+        assert np.max(np.abs(fd - jac[:, k])) < 1e-6 * (1 + np.max(np.abs(jac)))
+    dp = np.array([1.0 - 2.0j, 0.5j])
+    tang = sys_.param_tangent(pt, par, dp)
+    assert np.allclose(tang, [pt[0] ** 2 * pt[1] * dp[0] + dp[1], 0, 2 * dp[1], 0])
+
+
+def test_polysystem_rejects_nonlinear_parameters():
+    x, p = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    with pytest.raises(ValueError, match=r"\(1, 2\)"):
+        PolySystem([x * p * p - 1.0], num_unknowns=1, num_params=1)
+
+
+@pytest.mark.parametrize("dnr", [(7, 2, 12), (5, 1, 3)])
+def test_waring(dnr):
+    """The Waring system is p - V(x), so its parameter tangent is dp exactly."""
+    spec = WaringSpec(*dnr)
+    sys_ = build_system(spec)
+    rng = np.random.default_rng(6)
+    x, p, dp = (
+        rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for m in (spec.num_unknowns, spec.num_coeffs, spec.num_coeffs)
+    )
+    assert np.array_equal(sys_.param_tangent(x, p, dp), dp)
