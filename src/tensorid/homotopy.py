@@ -19,12 +19,11 @@ serves as the condition estimate.
 
 import cmath
 import itertools
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .poly import MPoly, PolySystem
 
@@ -105,37 +104,33 @@ class PathResult:
 
 
 _SINGULAR_RATIO = 1e14
+_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
 def _pivoted_lu(a):
-    """LU factors of a square matrix and their pivot ratio.
+    """LAPACK LU factors of a square matrix and their pivot ratio.
 
-    Returns (lu_and_piv, ratio) with ratio = max|U_ii| / min|U_ii|; the
+    Returns (lu, piv, ratio) with ratio = max|U_ii| / min|U_ii|; the
     factors are None and the ratio inf when the matrix is empty or not
-    finite, the factorization fails, or a pivot is zero.
+    finite, or a pivot is zero.
     """
     if a.size == 0 or not np.isfinite(a).all():
-        return None, np.inf
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    except (ValueError, scipy.linalg.LinAlgError):
-        return None, np.inf
+        return None, None, np.inf
+    lu, piv, _ = _GETRF(a)
     diag = np.abs(np.diag(lu))
     dmin = diag.min()
     if not dmin > 0.0:
-        return None, np.inf
-    return (lu, piv), float(diag.max() / dmin)
+        return None, None, np.inf
+    return lu, piv, float(diag.max() / dmin)
 
 
-def _lu_solve_scaled(jac, rhs, scales, ratio_limit=_SINGULAR_RATIO):
+def _lu_solve_scaled(jac, rhs, scales):
     """Row-scaled LU solve; returns None when the factorization looks singular."""
     weights = 1.0 / (1.0 + scales)
-    factors, ratio = _pivoted_lu(jac * weights[:, None])
-    if ratio > ratio_limit:
+    lu, piv, ratio = _pivoted_lu(jac * weights[:, None])
+    if ratio > _SINGULAR_RATIO:
         return None
-    out = scipy.linalg.lu_solve(factors, rhs * weights, check_finite=False)
+    out, _ = _GETRS(lu, piv, rhs * weights)
     if not np.isfinite(out).all():
         return None
     return out
@@ -147,42 +142,45 @@ def condition_estimate(jac, scales=None) -> float:
     a = np.asarray(jac, dtype=np.complex128)
     if scales is not None:
         a = a * (1.0 / (1.0 + scales))[:, None]
-    return _pivoted_lu(a)[1]
+    return _pivoted_lu(a)[2]
 
 
 def _newton(system, params, point, tol, max_iters, max_move=None):
     """Newton iteration at fixed parameters.
 
-    Returns (best_point, best_residual).  Stops early on tolerance,
-    a singular linear solve, a residual increase past the best seen,
-    or (when ``max_move`` is given) an update larger than ``max_move``
-    in the sup norm.  The move cap rejects corrector overshoots: near
-    an ill-conditioned point the computed step can be orders of
-    magnitude longer than the Newton basin, and applying it would land
-    on an unrelated sheet or in a region where the residual explodes.
+    Returns (best_point, best_residual, best_state), where best_state is
+    the (values, scales, jacobian) of ``system.full_state`` at
+    best_point.  Stops early on tolerance, a singular linear solve, a
+    residual increase past the best seen, or (when ``max_move`` is
+    given) an update larger than ``max_move`` in the sup norm.  The move
+    cap rejects corrector overshoots: near an ill-conditioned point the
+    computed step can be orders of magnitude longer than the Newton
+    basin, and applying it would land on an unrelated sheet or in a
+    region where the residual explodes.
     """
     x = np.asarray(point, dtype=np.complex128).copy()
-    vals, scales, jac = system.full_state(x, params)
-    res = float(np.max(np.abs(vals) / (1.0 + scales)))
-    best_x, best_res = x.copy(), res
+    state = system.full_state(x, params)
+    res = float(np.max(np.abs(state[0]) / (1.0 + state[1])))
+    best_x, best_res, best_state = x, res, state
     for _ in range(max_iters):
         if best_res < tol:
             break
+        vals, scales, jac = state
         dx = _lu_solve_scaled(jac, -vals, scales)
         if dx is None:
             break
         if max_move is not None and float(np.max(np.abs(dx))) > max_move:
             break
         x = x + dx
-        vals, scales, jac = system.full_state(x, params)
-        res = float(np.max(np.abs(vals) / (1.0 + scales)))
+        state = system.full_state(x, params)
+        res = float(np.max(np.abs(state[0]) / (1.0 + state[1])))
         if not np.isfinite(res):
             break
         if res < best_res:
-            best_x, best_res = x.copy(), res
+            best_x, best_res, best_state = x, res, state
         elif res > 10.0 * best_res:
             break
-    return best_x, best_res
+    return best_x, best_res, best_state
 
 
 def newton_refine(system, params, point, tol=1e-10, max_iters=20):
@@ -208,7 +206,7 @@ def newton_refine(system, params, point, tol=1e-10, max_iters=20):
     _, scales, jac = system.full_state(x, params)
     if condition_estimate(jac, scales) > 1e12:
         raise SingularJacobianError("Jacobian numerically singular at input point")
-    return _newton(system, params, x, tol, max_iters)
+    return _newton(system, params, x, tol, max_iters)[:2]
 
 
 def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = None) -> PathResult:
@@ -232,10 +230,11 @@ def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = Non
     vals, scales, jac = sys_.full_state(x, params0)
     res = float(np.max(np.abs(vals) / (1.0 + scales)))
     if not res < 10.0 * st.corrector_tol:
-        x, res = _newton(sys_, params0, x, st.corrector_tol, st.max_corrector_iters)
-        if res >= st.corrector_tol:
+        x, res, (vals, scales, jac) = _newton(
+            sys_, params0, x, st.corrector_tol, st.max_corrector_iters
+        )
+        if not res < st.corrector_tol:
             raise ValueError(f"start point is not a solution at t=0 (residual {res:.3e})")
-        vals, scales, jac = sys_.full_state(x, params0)
 
     t = 0.0
     step = st.initial_step
@@ -249,7 +248,7 @@ def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = Non
         h = t_next - t
 
         # Euler predictor along the parameter velocity.
-        rhs = -sys_.param_tangent(x, homotopy.params_at(t), dp)
+        rhs = -sys_.param_tangent(x, dp)
         dxdt = _lu_solve_scaled(jac, rhs, scales)
         if dxdt is None:
             x_pred = x
@@ -264,7 +263,7 @@ def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = Non
             )
 
         params_next = homotopy.params_at(t_next)
-        x_new, res_new = _newton(
+        x_new, res_new, state_new = _newton(
             sys_,
             params_next,
             x_pred,
@@ -280,7 +279,7 @@ def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = Non
             res = res_new
             if float(np.max(np.abs(x))) > st.divergence_norm:
                 return PathResult(PathStatus.DIVERGED, x, res, steps_taken)
-            vals, scales, jac = sys_.full_state(x, homotopy.params_at(t))
+            vals, scales, jac = state_new
             streak += 1
             if streak >= 3:
                 step = min(step * 2.0, st.max_step)
@@ -395,7 +394,7 @@ def track_and_polish(
     for start in starts:
         result = track(homotopy, start, st)
         if result.success:
-            x, res = _newton(system, p_end, result.endpoint, 1e-13, 30)
+            x, res, _ = _newton(system, p_end, result.endpoint, 1e-13, 30)
             if res < st.corrector_tol:
                 found.append((x, res))
         elif salvage_singular and result.status in (
@@ -404,7 +403,7 @@ def track_and_polish(
         ):
             if float(np.max(np.abs(result.endpoint))) > st.divergence_norm:
                 continue
-            x, res = _newton(system, p_end, result.endpoint, 1e-13, 60)
+            x, res, _ = _newton(system, p_end, result.endpoint, 1e-13, 60)
             if res < 1e-8:
                 found.append((x, res))
     return found

@@ -23,20 +23,9 @@ import numpy as np
 from .homotopy import SegmentHomotopy, TrackSettings, _newton, track
 from .waring import Decomposition
 
-
-def _summand_distance(a, b, n: int) -> float:
-    # Coordinate-wise, normalized by coordinate size: Newton-polished
-    # endpoints of one and the same solution scatter proportionally to
-    # their magnitude (times the Jacobian's condition number), so an
-    # absolute metric would split large-weight duplicates.
-    def coord(u, v):
-        u, v = complex(u), complex(v)
-        return abs(u - v) / (1.0 + max(abs(u), abs(v)))
-
-    d = coord(a.lam, b.lam)
-    for h in range(n):
-        d = max(d, coord(a.l[h], b.l[h]))
-    return d
+DEDUP_TOL = 1e-6
+RESIDUAL_TOL = 1e-10
+LAMBDA_TOL = 1e-10
 
 
 def _has_perfect_matching(allowed: np.ndarray) -> bool:
@@ -66,14 +55,21 @@ def canonical_distance(a: Decomposition, b: Decomposition) -> float:
     distance between paired summands, computed as a bottleneck
     assignment: binary search over candidate thresholds with an
     augmenting-path matching on the r x r distance matrix.
+
+    Coordinates u, v are compared as |u - v| / (1 + max(|u|, |v|)):
+    Newton-polished endpoints of one and the same solution scatter
+    proportionally to their magnitude (times the Jacobian's condition
+    number), so an absolute metric would split large-weight duplicates.
+    The moduli are ``np.hypot`` of the real and imaginary parts, which
+    agrees with Python's complex ``abs`` bit for bit (``np.abs`` does not).
     """
     if a.r != b.r or a.n != b.n:
         raise ValueError("decompositions have different shapes")
-    r, n = a.r, a.n
-    dist = np.empty((r, r))
-    for i, si in enumerate(a.summands):
-        for j, sj in enumerate(b.summands):
-            dist[i, j] = _summand_distance(si, sj, n)
+    u = a.to_vector().reshape(a.r, 1, a.n + 1)
+    v = b.to_vector().reshape(1, b.r, b.n + 1)
+    d = u - v
+    size = np.maximum(np.hypot(u.real, u.imag), np.hypot(v.real, v.imag))
+    dist = (np.hypot(d.real, d.imag) / (1.0 + size)).max(axis=2)
     values = np.unique(dist)
     lo, hi = 0, values.size - 1
     if _has_perfect_matching(dist <= values[0]):
@@ -128,28 +124,17 @@ class SolutionRegistry:
     """Deduplicated solutions of one coefficient-matching system.
 
     Every stored decomposition is Newton-polished against the base
-    parameters, satisfies the system to ``residual_tol`` (scaled), has
-    no weight of modulus below ``lambda_tol``, and sits farther than
-    ``dedup_tol`` from every other entry in canonical distance.
+    parameters, satisfies the system to ``RESIDUAL_TOL`` (scaled), has
+    no weight of modulus below ``LAMBDA_TOL``, and sits at least
+    ``DEDUP_TOL`` from every other entry in canonical distance.
     ``transports_lost`` counts the loop transports dropped because one
     of their legs failed.
     """
 
-    def __init__(
-        self,
-        system,
-        base_params,
-        n: int,
-        dedup_tol: float = 1e-6,
-        residual_tol: float = 1e-10,
-        lambda_tol: float = 1e-10,
-    ):
+    def __init__(self, system, base_params, n: int):
         self.system = system
         self.base_params = np.asarray(base_params, dtype=np.complex128)
         self.n = int(n)
-        self.dedup_tol = dedup_tol
-        self.residual_tol = residual_tol
-        self.lambda_tol = lambda_tol
         self.solutions: list = []
         self.history: list = []
         self.warning: str | None = None
@@ -161,14 +146,14 @@ class SolutionRegistry:
             vec = candidate.to_vector()
         else:
             vec = np.asarray(candidate, dtype=np.complex128)
-        vec, res = _newton(self.system, self.base_params, vec, 5e-14, 25)
-        if res >= self.residual_tol:
+        vec, res, _ = _newton(self.system, self.base_params, vec, 5e-14, 25)
+        if not res < RESIDUAL_TOL:
             return False
         dec = Decomposition.from_vector(vec, self.n)
-        if any(abs(s.lam) < self.lambda_tol for s in dec.summands):
+        if any(abs(s.lam) < LAMBDA_TOL for s in dec.summands):
             return False
         for stored in self.solutions:
-            if canonical_distance(dec, stored) < self.dedup_tol:
+            if canonical_distance(dec, stored) < DEDUP_TOL:
                 return False
         self.solutions.append(dec)
         return True

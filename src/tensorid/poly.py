@@ -10,9 +10,9 @@ Systems separate their variables into unknowns (solved for) followed by
 parameters (moved by homotopies), and every system here is linear in its
 parameters: F(x; p) = M(x) p + c(x).  A PolySystem stores each term as
 ``coeff * x^m * (p_k or 1)`` in a term table of flat numpy index arrays,
-one table for the equations and one for the Jacobian cells, so path
-trackers evaluate residuals, Jacobians and the parameter tangent M(x) dp
-in vectorized form.
+one table for the equations, one for their parameter terms and one for
+the Jacobian cells, so path trackers evaluate residuals, Jacobians and
+the parameter tangent M(x) dp in vectorized form.
 """
 
 import math
@@ -216,9 +216,9 @@ class PolySystem:
     equation table sums each row in sorted exponent order; the Jacobian
     table has one row per (equation, unknown) cell, its entries in the
     polynomial's term order.  These orders fix the rounding, and so every
-    tracked path.  The parameter tangent is the equation table evaluated
-    at the velocity dp with the constant slot set to 0, which leaves
-    M(x) dp.
+    tracked path.  The tangent table keeps the parameter terms of each
+    equation row, in the same order; evaluated at the velocity dp it
+    gives M(x) dp.
     """
 
     def __init__(self, polys, num_unknowns: int, num_params: int):
@@ -245,6 +245,7 @@ class PolySystem:
                         dmono = mono[:col] + (e - 1,) + mono[col + 1 :]
                         cells.setdefault(i * nu + col, []).append((c * e, dmono, k))
         self._equations = _TermTable(eq_rows)
+        self._tangent = _TermTable([[t for t in row if t[2] >= 0] for row in eq_rows])
         self._jacobian = _TermTable([cells.get(cell, []) for cell in range(len(polys) * nu)])
         self._max_exp = max(1, int(self._equations.fexp.max()))
 
@@ -252,16 +253,15 @@ class PolySystem:
     def num_equations(self) -> int:
         return len(self.polys)
 
-    def _check(self, point, *param_vectors):
+    def _check(self, point, params):
         if len(point) != self.num_unknowns:
             raise DimensionMismatchError(
                 f"point has {len(point)} coordinates, expected {self.num_unknowns}"
             )
-        for params in param_vectors:
-            if len(params) != self.num_params:
-                raise DimensionMismatchError(
-                    f"got {len(params)} parameters, expected {self.num_params}"
-                )
+        if len(params) != self.num_params:
+            raise DimensionMismatchError(
+                f"got {len(params)} parameters, expected {self.num_params}"
+            )
 
     def _powers(self, point):
         x = np.asarray(point, dtype=np.complex128)
@@ -303,9 +303,9 @@ class PolySystem:
             jac.reshape(len(self.polys), self.num_unknowns),
         )
 
-    def param_tangent(self, point, params, dparams) -> np.ndarray:
+    def param_tangent(self, point, dparams) -> np.ndarray:
         """Directional derivative M(x) dp of the system along a parameter
-        velocity dp."""
-        self._check(point, params, dparams)
+        velocity dp; it does not depend on the parameters."""
+        self._check(point, dparams)
         dpv = np.concatenate((dparams, (0.0,)), dtype=np.complex128)
-        return self._equations.sum_rows(self._equations.terms(self._powers(point), dpv))
+        return self._tangent.sum_rows(self._tangent.terms(self._powers(point), dpv))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monodromy import canonical_distance
+from .monodromy import DEDUP_TOL, canonical_distance
 from .waring import Decomposition
 
 REAL = "real"
@@ -78,16 +78,12 @@ class ClassifiedSet:
         }
 
 
-def classify(
-    registry_or_list,
-    real_tol: float = 1e-8,
-    dedup_tol: float = 1e-6,
-) -> ClassifiedSet:
+def classify(registry_or_list, real_tol: float = 1e-8) -> ClassifiedSet:
     """Assign each decomposition its realness class.
 
     Accepts a SolutionRegistry or a plain sequence of Decomposition.
     Raises UnpairedDecompositionError when a non-real, non-autoconjugate
-    entry has no mutual conjugate partner within ``dedup_tol``.
+    entry has no mutual conjugate partner within ``DEDUP_TOL``.
     """
     solutions = getattr(registry_or_list, "solutions", registry_or_list)
     decs = list(solutions)
@@ -100,7 +96,7 @@ def classify(
     for i, dec in enumerate(decs):
         if is_real_point(dec.to_vector(), real_tol):
             tags[i] = REAL
-        elif canonical_distance(dec, dec.conjugate()) < dedup_tol:
+        elif canonical_distance(dec, dec.conjugate()) < DEDUP_TOL:
             tags[i] = AUTOCONJUGATE
 
     for i, dec in enumerate(decs):
@@ -114,9 +110,9 @@ def classify(
             d = canonical_distance(conj, other)
             if d < best_d:
                 best_j, best_d = j, d
-        if best_j is None or best_d >= dedup_tol:
+        if best_j is None or best_d >= DEDUP_TOL:
             raise UnpairedDecompositionError(
-                f"decomposition {i} has no conjugate partner within {dedup_tol:g}; "
+                f"decomposition {i} has no conjugate partner within {DEDUP_TOL:g}; "
                 f"the enumeration looks incomplete"
             )
         if partners[best_j] not in (None, i):

@@ -22,6 +22,7 @@ from importlib import resources
 
 import numpy as np
 
+from .homotopy import TrackSettings
 from .poly import MPoly, PolySystem, monomials, multinomial
 
 
@@ -287,7 +288,7 @@ def decomposition_sampler(spec: WaringSpec, base: Decomposition):
     return sampler
 
 
-def tracking_settings(**overrides) -> "TrackSettings":
+def tracking_settings() -> TrackSettings:
     """Path-tracking settings tuned for coefficient-matching systems.
 
     The Jacobian of a degree-7 or degree-8 instance is genuinely
@@ -296,11 +297,7 @@ def tracking_settings(**overrides) -> "TrackSettings":
     to shrink far below the generic-case floor before the corrector
     basin is reached; the budget is raised to match.
     """
-    from .homotopy import TrackSettings
-
-    values = dict(min_step=1e-13, max_steps=200000)
-    values.update(overrides)
-    return TrackSettings(**values)
+    return TrackSettings(min_step=1e-13, max_steps=200000)
 
 
 def enumerate_decompositions(

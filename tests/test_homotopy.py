@@ -11,6 +11,7 @@ from tensorid.homotopy import (
     SingularJacobianError,
     TrackSettings,
     _lu_solve_scaled,
+    _newton,
     condition_estimate,
     newton_refine,
     solve_total_degree,
@@ -46,6 +47,49 @@ def test_track_rejects_non_solution_start():
     hom = SegmentHomotopy(sys_, [1.0], [4.0])
     with pytest.raises(ValueError):
         track(hom, [0.5])
+
+
+@pytest.mark.parametrize("start", [np.nan, 1e200])
+def test_track_rejects_non_finite_residual_start(start):
+    # x^2 - p at nan or 1e200: the scaled residual is nan
+    sys_ = _square_root_system()
+    hom = SegmentHomotopy(sys_, [1.0], [4.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not a solution"):
+            track(hom, [start])
+
+
+def test_track_evaluates_each_state_once(monkeypatch):
+    calls = []
+    full_state = PolySystem.full_state
+
+    def recording(self, point, params=()):
+        calls.append((np.array(point), np.array(params)))
+        return full_state(self, point, params)
+
+    monkeypatch.setattr(PolySystem, "full_state", recording)
+    sys_ = _square_root_system()
+    result = track(SegmentHomotopy(sys_, [1.0], [4.0 + 3.0j]), [1.0])
+    assert result.success
+    assert len(calls) > result.steps_taken
+    for (x0, p0), (x1, p1) in zip(calls, calls[1:]):
+        assert not (np.array_equal(x0, x1) and np.array_equal(p0, p1))
+
+
+@pytest.mark.parametrize("max_move", [None, 1e-9])
+def test_newton_returns_state_at_its_point(max_move):
+    # x^2 - p from 1.3 at p = 2: converges, or stops at the start when the
+    # first update (about 0.12) exceeds max_move
+    sys_ = _square_root_system()
+    params = np.array([2.0 + 0j])
+    x, res, state = _newton(sys_, params, [1.3], 1e-12, 8, max_move=max_move)
+    if max_move is None:
+        assert res < 1e-12
+    else:
+        assert x[0] == 1.3
+    for got, want in zip(state, sys_.full_state(x, params)):
+        assert np.array_equal(got, want)
+    assert res == float(np.max(np.abs(state[0]) / (1.0 + state[1])))
 
 
 def test_track_reports_divergence():

@@ -181,6 +181,17 @@ def test_triangle_loop_transports_all_solutions():
     assert len(reg) >= 1  # the start never disappears
 
 
+@pytest.mark.parametrize("value", [np.nan, 1e200])
+def test_registry_rejects_non_finite_residual(value):
+    spec = WaringSpec(5, 1, 3)
+    start, tensor = random_real_start(spec, seed=6)
+    reg = SolutionRegistry(build_system(spec), np.asarray(tensor.coeffs), n=1)
+    assert reg.insert(start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not reg.insert(np.full(spec.num_unknowns, value, dtype=complex))
+    assert len(reg) == 1
+
+
 def test_triangle_loop_counts_lost_transports(monkeypatch):
     spec = WaringSpec(5, 1, 3)
     start, tensor = random_real_start(spec, seed=6)

@@ -96,7 +96,7 @@ def test_param_tangent_matches_finite_differences():
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     p = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     dp = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    tang = sys_.param_tangent(x, p, dp)
+    tang = sys_.param_tangent(x, dp)
     h = 1e-7
     fd = (sys_.evaluate(x, p + h * dp) - sys_.evaluate(x, p - h * dp)) / (2 * h)
     assert np.max(np.abs(fd - tang)) < 1e-5 * (1 + np.max(np.abs(tang)))
@@ -132,7 +132,7 @@ def test_polysystem_matches_mpoly_with_zero_and_parameter_rows():
         fd = (sys_.evaluate(pt + e, par) - sys_.evaluate(pt - e, par)) / (2 * h)
         assert np.max(np.abs(fd - jac[:, k])) < 1e-6 * (1 + np.max(np.abs(jac)))
     dp = np.array([1.0 - 2.0j, 0.5j])
-    tang = sys_.param_tangent(pt, par, dp)
+    tang = sys_.param_tangent(pt, dp)
     assert np.allclose(tang, [pt[0] ** 2 * pt[1] * dp[0] + dp[1], 0, 2 * dp[1], 0])
 
 
@@ -148,8 +148,8 @@ def test_waring(dnr):
     spec = WaringSpec(*dnr)
     sys_ = build_system(spec)
     rng = np.random.default_rng(6)
-    x, p, dp = (
+    x, _, dp = (
         rng.standard_normal(m) + 1j * rng.standard_normal(m)
         for m in (spec.num_unknowns, spec.num_coeffs, spec.num_coeffs)
     )
-    assert np.array_equal(sys_.param_tangent(x, p, dp), dp)
+    assert np.array_equal(sys_.param_tangent(x, dp), dp)
