@@ -183,13 +183,12 @@ def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, ou
         start, tensor = random_real_start(spec, seed=config.seed)
         source = {"random_seed": config.seed}
 
-    config.settings = tracking_settings()
+    config.settings = tracking_settings()  # what enumerate_decompositions tracks with
     registry = enumerate_decompositions(
         spec,
         start,
         tensor,
         policy=config.stop,
-        settings=config.settings,
         seed=config.seed,
     )
     try:
@@ -235,7 +234,7 @@ def elliptic_plane(coeffs, seed, output_path, real_tol):
     payload: dict = {"command": "elliptic plane", "plane": plane}
     try:
         points, sig = ell.intersect_plane(
-            pencil, plane, config.settings, seed=config.seed, real_tol=config.real_tol
+            pencil, plane, seed=config.seed, real_tol=config.real_tol
         )
         payload["status"] = "transverse"
         payload["signature"] = list(sig.as_tuple())
@@ -266,12 +265,10 @@ def elliptic_point(construct, coords, seed, output_path, real_tol):
         raise click.UsageError("give exactly one of --construct or --coords")
     pencil = ell.example_pencil()
     if construct:
-        point = ell.construct_point_of_type(pencil, construct, seed=config.seed, settings=config.settings)
+        point = ell.construct_point_of_type(pencil, construct, seed=config.seed)
     else:
         point = np.asarray(_parse_csv(coords, float, 4, "--coords"))
-    tag = ell.classify_point(
-        pencil, point, config.settings, seed=config.seed, real_tol=config.real_tol
-    )
+    tag = ell.classify_point(pencil, point, seed=config.seed, real_tol=config.real_tol)
     payload = {
         "command": "elliptic point",
         "point": [float(v) for v in np.asarray(point, dtype=float)],
@@ -296,9 +293,7 @@ def elliptic_pencil_scan(from_k, to_k, steps, seed, output_path, real_tol):
         raise click.BadParameter("--steps must be at least 1")
     ks = np.linspace(from_k, to_k, steps)
     pencil = ell.example_pencil()
-    records = ell.pencil_scan(
-        pencil, ks, config.settings, seed=config.seed, real_tol=config.real_tol
-    )
+    records = ell.pencil_scan(pencil, ks, seed=config.seed, real_tol=config.real_tol)
     counts: dict = {}
     for rec in records:
         counts[rec["status"]] = counts.get(rec["status"], 0) + 1
@@ -363,7 +358,6 @@ def segre_section(dims, span_real, seed, output_path, real_tol):
         result = seg.solve_section(
             spec,
             space,
-            config.settings,
             seed=config.seed,
             real_tol=config.real_tol,
         )
@@ -405,7 +399,6 @@ def segre_search(dims, target, max_attempts, seed, output_path, real_tol):
             goal,
             max_attempts=max_attempts,
             seed=config.seed,
-            settings=config.settings,
             real_tol=config.real_tol,
         )
     except ValueError as err:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homotopy import TrackSettings, solve_total_degree
+from .homotopy import solve_total_degree
 from .poly import MPoly
 from .realcert import is_real_point
 
@@ -135,10 +135,6 @@ def projective_distance(x, y) -> float:
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, c * c))))
 
 
-def is_real_projective(x, real_tol: float = 1e-8) -> bool:
-    return is_real_point(normalize_projective(x), real_tol)
-
-
 def real_representative(x, real_tol: float = 1e-8) -> np.ndarray:
     """Real coordinate vector of a conjugation-fixed projective point."""
     w = normalize_projective(x)
@@ -156,6 +152,8 @@ def _point_key(x) -> tuple:
 def plane_basis(plane) -> np.ndarray:
     """Orthonormal 4x3 basis of the plane a.x = 0."""
     a = np.asarray(plane, dtype=float).reshape(1, 4)
+    if not np.isfinite(a).all():
+        raise ValueError(f"plane coefficients {a.ravel().tolist()} are not all finite")
     if np.linalg.norm(a) < 1e-12:
         raise ValueError("zero plane")
     _, _, vt = np.linalg.svd(a)
@@ -186,7 +184,6 @@ def _random_unitary(rng: np.random.Generator) -> np.ndarray:
 def intersect_plane(
     pencil: QuadricPencil,
     plane,
-    settings: TrackSettings | None = None,
     seed: int = 0,
     real_tol: float = 1e-8,
 ):
@@ -208,7 +205,6 @@ def intersect_plane(
         DegeneratePlaneError: fewer than four isolated intersections.
     """
     plane = np.asarray(plane, dtype=float)
-    st = settings or TrackSettings()
     rng = np.random.default_rng(seed)
     basis = plane_basis(plane)
     m1 = basis.T @ pencil.q1.matrix @ basis
@@ -223,7 +219,7 @@ def intersect_plane(
     rot = _random_unitary(rng)
     polys = [_conic_chart(rot.T @ m @ rot) for m in (m1, m2)]
     found: list = []
-    for x, _ in solve_total_degree(polys, st, rng, salvage_singular=True):
+    for x, _ in solve_total_degree(polys, rng, salvage_singular=True):
         p = normalize_projective(basis @ rot @ np.concatenate(([1.0 + 0j], x)))
         if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
             found.append(p)
@@ -260,7 +256,6 @@ def intersect_plane(
 def pencil_scan(
     pencil: QuadricPencil,
     k_values,
-    settings: TrackSettings | None = None,
     seed: int = 0,
     real_tol: float = 1e-8,
 ):
@@ -290,7 +285,7 @@ def pencil_scan(
         plane = np.array([0.0, 0.0, 1.0, -float(k)])
         record: dict = {"k": float(k)}
         try:
-            points, sig = intersect_plane(pencil, plane, settings, seed, real_tol)
+            points, sig = intersect_plane(pencil, plane, seed, real_tol)
             record["status"] = "transverse"
             record["signature"] = sig.as_tuple()
             record["points"] = points
@@ -307,7 +302,6 @@ def pencil_scan(
 def secant_lines_through(
     pencil: QuadricPencil,
     point,
-    settings: TrackSettings | None = None,
     seed: int = 0,
     real_tol: float = 1e-8,
 ):
@@ -324,6 +318,10 @@ def secant_lines_through(
     p = np.asarray(point, dtype=np.complex128).ravel()
     if p.size != 4:
         raise ValueError("expected a point of projective 3-space")
+    if not np.isfinite(p).all():
+        raise ValueError(
+            f"point coordinates {np.ravel(point).tolist()} are not all finite"
+        )
     if not is_real_point(p, real_tol):
         raise ValueError("base point must be real")
     p = np.real(normalize_projective(p))
@@ -338,7 +336,6 @@ def secant_lines_through(
     if abs(c1) < 1e-10 * s1 and abs(c2) < 1e-10 * s2:
         raise DegeneratePointError("point lies on the curve")
 
-    st = settings or TrackSettings()
     rng = np.random.default_rng(seed)
     lines: list = []
 
@@ -395,7 +392,7 @@ def secant_lines_through(
     w2 = 2.0 * (p @ q2m @ e3)
     lin1 = MPoly(2, {(0, 0): w1[0], (1, 0): w1[1], (0, 1): w1[2]})
     lin2 = MPoly(2, {(0, 0): w2[0], (1, 0): w2[1], (0, 1): w2[2]})
-    for x, _ in solve_total_degree([g1 * lin2 - g2 * lin1, g1 * c2 - g2 * c1], st, rng):
+    for x, _ in solve_total_degree([g1 * lin2 - g2 * lin1, g1 * c2 - g2 * c1], rng):
         consider_direction(e3 @ np.concatenate(([1.0 + 0j], x)))
 
     if len(lines) != 2:
@@ -407,7 +404,6 @@ def secant_lines_through(
 def classify_point(
     pencil: QuadricPencil,
     point,
-    settings: TrackSettings | None = None,
     seed: int = 0,
     real_tol: float = 1e-8,
 ) -> str:
@@ -419,7 +415,7 @@ def classify_point(
     s4: the two lines themselves form a conjugate pair.
     """
     try:
-        lines = secant_lines_through(pencil, point, settings, seed, real_tol)
+        lines = secant_lines_through(pencil, point, seed, real_tol)
     except DegeneratePointError:
         return DEGENERATE
     flags = [ln.is_real_line for ln in lines]
@@ -443,7 +439,6 @@ def sample_real_points(
     pencil: QuadricPencil,
     count: int,
     seed: int = 0,
-    settings: TrackSettings | None = None,
     max_attempts: int = 400,
 ):
     """Real curve points harvested from random real plane sections."""
@@ -454,9 +449,7 @@ def sample_real_points(
             return found[:count]
         normal = rng.standard_normal(4)
         try:
-            points, _ = intersect_plane(
-                pencil, normal, settings, seed=int(rng.integers(2**31))
-            )
+            points, _ = intersect_plane(pencil, normal, seed=int(rng.integers(2**31)))
         except (TangentPlaneError, DegeneratePlaneError):
             continue
         for pt in points:
@@ -473,7 +466,6 @@ def find_plane_with_signature(
     pencil: QuadricPencil,
     target: tuple,
     seed: int = 0,
-    settings: TrackSettings | None = None,
     max_attempts: int = 400,
 ):
     """A real plane whose section has the requested realness signature.
@@ -487,7 +479,7 @@ def find_plane_with_signature(
     target = tuple(target)
     rng = np.random.default_rng(seed)
     if target == (4, 0):
-        pool = sample_real_points(pencil, 8, seed=seed, settings=settings)
+        pool = sample_real_points(pencil, 8, seed=seed)
         for _ in range(max_attempts):
             idx = rng.choice(len(pool), size=3, replace=False)
             stack = np.array([pool[i] for i in idx])
@@ -497,7 +489,7 @@ def find_plane_with_signature(
             plane = vt[-1]
             try:
                 points, sig = intersect_plane(
-                    pencil, plane, settings, seed=int(rng.integers(2**31))
+                    pencil, plane, seed=int(rng.integers(2**31))
                 )
             except (TangentPlaneError, DegeneratePlaneError):
                 continue
@@ -508,7 +500,7 @@ def find_plane_with_signature(
             plane = rng.standard_normal(4)
             try:
                 points, sig = intersect_plane(
-                    pencil, plane, settings, seed=int(rng.integers(2**31))
+                    pencil, plane, seed=int(rng.integers(2**31))
                 )
             except (TangentPlaneError, DegeneratePlaneError):
                 continue
@@ -562,7 +554,6 @@ def construct_point_of_type(
     pencil: QuadricPencil,
     tag: str,
     seed: int = 0,
-    settings: TrackSettings | None = None,
 ) -> np.ndarray:
     """A real point engineered to have secant type ``tag``.
 
@@ -578,21 +569,21 @@ def construct_point_of_type(
         attempt_seed = seed + 1000 * attempt
         try:
             if tag == S1:
-                _, pts = find_plane_with_signature(pencil, (4, 0), attempt_seed, settings)
+                _, pts = find_plane_with_signature(pencil, (4, 0), attempt_seed)
                 reals, _ = _conjugate_pairs(pts)
                 cand = _line_intersection(reals[0], reals[1], reals[2], reals[3])
             elif tag == S2:
-                _, pts = find_plane_with_signature(pencil, (2, 2), attempt_seed, settings)
+                _, pts = find_plane_with_signature(pencil, (2, 2), attempt_seed)
                 reals, pairs = _conjugate_pairs(pts)
                 (n1, n2), = pairs
                 cand = _line_intersection(reals[0], reals[1], n1, n2)
             elif tag == S3:
-                _, pts = find_plane_with_signature(pencil, (0, 4), attempt_seed, settings)
+                _, pts = find_plane_with_signature(pencil, (0, 4), attempt_seed)
                 _, pairs = _conjugate_pairs(pts)
                 (a1, b1), (a2, b2) = pairs
                 cand = _line_intersection(a1, b1, a2, b2)
             else:
-                _, pts = find_plane_with_signature(pencil, (0, 4), attempt_seed, settings)
+                _, pts = find_plane_with_signature(pencil, (0, 4), attempt_seed)
                 _, pairs = _conjugate_pairs(pts)
                 (a1, b1), (a2, b2) = pairs
                 cand = _line_intersection(a1, b2, b1, a2)

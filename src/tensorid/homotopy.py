@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .poly import MPoly, PolySystem
+from .poly import PolySystem
 
 
 class SingularJacobianError(RuntimeError):
@@ -295,7 +295,6 @@ def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = Non
 
 def solve_total_degree(
     targets,
-    settings: TrackSettings | None = None,
     rng: np.random.Generator | None = None,
     salvage_singular: bool = False,
 ):
@@ -311,7 +310,6 @@ def solve_total_degree(
 
     Args:
         targets: list of MPoly, all in the same unknowns, square.
-        settings: tracking settings.
         rng: randomness source for the start system.
         salvage_singular: also keep paths that stall near t=1 with a
             singular Jacobian (double roots of the target), accepting
@@ -325,7 +323,6 @@ def solve_total_degree(
         List of (endpoint, residual) pairs for every path that reached
         t=1, polished against the target system.
     """
-    st = settings or TrackSettings()
     rng = rng or np.random.default_rng(0)
     n = len(targets)
     if n == 0 or any(p.num_vars != n for p in targets):
@@ -342,7 +339,7 @@ def solve_total_degree(
         supports.append(sorted(sup, reverse=True))
     num_params = sum(len(s) for s in supports)
 
-    polys = []
+    rows = []
     p_start = np.zeros(num_params, dtype=np.complex128)
     p_end = np.zeros(num_params, dtype=np.complex128)
     offset = 0
@@ -352,43 +349,38 @@ def solve_total_degree(
         b = scale * (0.5 + rng.random()) * cmath.exp(2j * cmath.pi * rng.random())
         diag = tuple(degrees[i] if j == i else 0 for j in range(n))
         zero = (0,) * n
-        terms = {}
+        rows.append([(1.0, mono, offset + k) for k, mono in enumerate(supports[i])])
         for k, mono in enumerate(supports[i]):
-            expo = mono + tuple(
-                1 if offset + k == q else 0 for q in range(num_params)
-            )
-            terms[expo] = 1.0
             p_end[offset + k] = p.terms.get(mono, 0j)
             if mono == diag:
                 p_start[offset + k] = scale
             elif mono == zero:
                 p_start[offset + k] = -b
-        polys.append(MPoly(n + num_params, terms))
         root = (b / scale) ** (1.0 / degrees[i])
         start_axis_roots.append(
             [root * cmath.exp(2j * cmath.pi * k / degrees[i]) for k in range(degrees[i])]
         )
         offset += len(supports[i])
 
-    system = PolySystem(polys, num_unknowns=n, num_params=num_params)
+    system = PolySystem(rows, num_unknowns=n, num_params=num_params)
     hom = SegmentHomotopy(system, p_start, p_end)
     starts = (np.asarray(c, dtype=np.complex128) for c in itertools.product(*start_axis_roots))
-    return track_and_polish(hom, starts, st, salvage_singular)
+    return track_and_polish(hom, starts, salvage_singular)
 
 
 def track_and_polish(
     homotopy: SegmentHomotopy,
     starts,
-    settings: TrackSettings | None = None,
     salvage_singular: bool = False,
 ):
-    """Track every start to t=1 and Newton-polish each endpoint at
-    ``params_end``; ``salvage_singular`` is as in ``solve_total_degree``.
+    """Track every start to t=1 with the default TrackSettings and
+    Newton-polish each endpoint at ``params_end``; ``salvage_singular``
+    is as in ``solve_total_degree``.
 
     Returns the (endpoint, residual) pairs that passed polish, in start
     order.
     """
-    st = settings or TrackSettings()
+    st = TrackSettings()
     system, p_end = homotopy.system, homotopy.params_end
     found = []
     for start in starts:

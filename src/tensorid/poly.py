@@ -6,13 +6,15 @@ Monomial bases are ordered graded lexicographically (by total degree,
 then lexicographically, largest first), which fixes the equation order
 of every system built here.
 
-Systems separate their variables into unknowns (solved for) followed by
-parameters (moved by homotopies), and every system here is linear in its
-parameters: F(x; p) = M(x) p + c(x).  A PolySystem stores each term as
-``coeff * x^m * (p_k or 1)`` in a term table of flat numpy index arrays,
-one table for the equations, one for their parameter terms and one for
-the Jacobian cells, so path trackers evaluate residuals, Jacobians and
-the parameter tangent M(x) dp in vectorized form.
+Every homotopy here is linear in its parameters, F(x; p) = M(x) p + c(x),
+so a PolySystem is given directly as term rows: equation i is a list
+of terms (coeff, m, k), read as ``coeff * x^m * p_k`` with m the
+exponents of the unknowns and k a parameter index, or -1 for a term
+with no parameter.  A row cannot express a term nonlinear in p.  The
+rows are compiled into term tables of flat numpy index arrays, one for
+the equations, one for their parameter terms and one for the Jacobian
+cells, so path trackers evaluate residuals, Jacobians and the
+parameter tangent M(x) dp in vectorized form.
 """
 
 import math
@@ -86,12 +88,6 @@ class MPoly:
     @classmethod
     def constant(cls, num_vars: int, value) -> "MPoly":
         return cls(num_vars, {(0,) * num_vars: complex(value)})
-
-    @classmethod
-    def variable(cls, num_vars: int, index: int) -> "MPoly":
-        expo = [0] * num_vars
-        expo[index] = 1
-        return cls(num_vars, {tuple(expo): 1.0 + 0j})
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -198,60 +194,42 @@ class _TermTable:
         return np.add.reduceat(values, self.rptr)
 
 
-def _split_term(expo, coeff, num_unknowns: int):
-    """(coeff, unknown exponents, parameter index or -1) of an MPoly term."""
-    pexp = expo[num_unknowns:]
-    if sum(pexp) > 1:
-        raise ValueError(
-            f"term {expo} has degree {sum(pexp)} in the parameters; "
-            "PolySystem needs every term linear in the parameters"
-        )
-    return coeff, expo[:num_unknowns], pexp.index(1) if any(pexp) else -1
-
-
 class PolySystem:
-    """Square system of polynomials in unknowns followed by parameters.
+    """Square system F(x; p) = M(x) p + c(x) from rows of (coeff, m, k)
+    terms, m a tuple of ``num_unknowns`` exponents and -1 <= k < num_params.
 
-    Every term must be of degree at most one in the parameters.  The
-    equation table sums each row in sorted exponent order; the Jacobian
-    table has one row per (equation, unknown) cell, its entries in the
-    polynomial's term order.  These orders fix the rounding, and so every
-    tracked path.  The tangent table keeps the parameter terms of each
-    equation row, in the same order; evaluated at the velocity dp it
-    gives M(x) dp.
+    The equation table sums each row sorted by m; the Jacobian table has
+    one row per (equation, unknown) cell, its entries in the given term
+    order.  These orders fix the rounding, and so every tracked path.
+    The tangent table keeps the parameter terms of each equation row, in
+    the same order; evaluated at the velocity dp it gives M(x) dp.
     """
 
-    def __init__(self, polys, num_unknowns: int, num_params: int):
-        polys = tuple(polys)
+    def __init__(self, rows, num_unknowns: int, num_params: int):
         nu = int(num_unknowns)
-        nv = nu + num_params
-        for p in polys:
-            if p.num_vars != nv:
-                raise DimensionMismatchError(
-                    f"polynomial has {p.num_vars} variables, expected {nv}"
-                )
-        self.polys = polys
         self.num_unknowns = nu
         self.num_params = int(num_params)
-
-        eq_rows = []
+        rows = list(rows)
         cells: dict = {}
-        for i, poly in enumerate(polys):
-            split = {expo: _split_term(expo, c, nu) for expo, c in poly.terms.items()}
-            eq_rows.append([split[expo] for expo in sorted(split)])
-            for c, mono, k in split.values():
+        for i, row in enumerate(rows):
+            for c, mono, k in row:
+                if len(mono) != nu:
+                    raise DimensionMismatchError(
+                        f"exponent {mono} has {len(mono)} entries, expected {nu}"
+                    )
+                if not -1 <= k < self.num_params:
+                    raise DimensionMismatchError(
+                        f"parameter index {k} is outside -1..{self.num_params - 1}"
+                    )
                 for col, e in enumerate(mono):
                     if e:
                         dmono = mono[:col] + (e - 1,) + mono[col + 1 :]
                         cells.setdefault(i * nu + col, []).append((c * e, dmono, k))
+        eq_rows = [sorted(row, key=lambda term: term[1]) for row in rows]
         self._equations = _TermTable(eq_rows)
         self._tangent = _TermTable([[t for t in row if t[2] >= 0] for row in eq_rows])
-        self._jacobian = _TermTable([cells.get(cell, []) for cell in range(len(polys) * nu)])
+        self._jacobian = _TermTable([cells.get(cell, []) for cell in range(len(rows) * nu)])
         self._max_exp = max(1, int(self._equations.fexp.max()))
-
-    @property
-    def num_equations(self) -> int:
-        return len(self.polys)
 
     def _check(self, point, params):
         if len(point) != self.num_unknowns:
@@ -271,18 +249,6 @@ class PolySystem:
             pw[:, k] = pw[:, k - 1] * x
         return pw
 
-    def evaluate(self, point, params=()) -> np.ndarray:
-        """Residual vector at the given unknowns and parameter values."""
-        return self.full_state(point, params)[0]
-
-    def jacobian(self, point, params=()) -> np.ndarray:
-        """Matrix of partials with respect to the unknowns only."""
-        return self.full_state(point, params)[2]
-
-    def scaled_residual(self, point, params=()) -> float:
-        vals, scales, _ = self.full_state(point, params)
-        return float(np.max(np.abs(vals) / (1.0 + scales)))
-
     def full_state(self, point, params=()):
         """(values, scales, jacobian) sharing one powers table.
 
@@ -300,7 +266,7 @@ class PolySystem:
         return (
             self._equations.sum_rows(terms),
             self._equations.sum_rows(np.abs(terms)),
-            jac.reshape(len(self.polys), self.num_unknowns),
+            jac.reshape(len(self._equations.rptr), self.num_unknowns),
         )
 
     def param_tangent(self, point, dparams) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import normalize_projective, projective_distance, _point_key
-from .homotopy import SegmentHomotopy, TrackSettings, track_and_polish
-from .poly import MPoly, PolySystem
+from .homotopy import SegmentHomotopy, track_and_polish
+from .poly import PolySystem
 from .realcert import is_real_point
 
 DEDUP_TOL = 1e-6
@@ -165,22 +165,18 @@ def _section_system(spec: SegreSpec, alpha: np.ndarray, beta: np.ndarray) -> Pol
     a1, a2 = spec.dims
     n = a1 + a2 + 2
     pairs = list(itertools.product(range(a1 + 1), range(a2 + 1)))
-    num_params = spec.variety_dim * len(pairs)
-    unit = np.eye(n + num_params, dtype=int)
-    polys = [
-        MPoly(
-            n + num_params,
-            {
-                tuple(unit[i] + unit[a1 + 1 + j] + unit[n + k * len(pairs) + c]): 1.0
-                for c, (i, j) in enumerate(pairs)
-            },
-        )
+    unit = np.eye(n, dtype=int)
+    rows = [
+        [
+            (1.0, tuple(unit[i] + unit[a1 + 1 + j]), k * len(pairs) + c)
+            for c, (i, j) in enumerate(pairs)
+        ]
         for k in range(spec.variety_dim)
     ]
     for coeffs, first in ((alpha, 0), (beta, a1 + 1)):
-        chart = {tuple(unit[first + i]): c for i, c in enumerate(coeffs)}
-        polys.append(MPoly(n + num_params, {**chart, (0,) * (n + num_params): -1.0}))
-    return PolySystem(polys, num_unknowns=n, num_params=num_params)
+        chart = [(c, tuple(unit[first + i]), -1) for i, c in enumerate(coeffs)]
+        rows.append(chart + [(-1.0, (0,) * n, -1)])
+    return PolySystem(rows, num_unknowns=n, num_params=spec.variety_dim * len(pairs))
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -190,7 +186,6 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def solve_section(
     spec: SegreSpec,
     space: LinearSpace,
-    settings: TrackSettings | None = None,
     seed: int = 0,
     real_tol: float = 1e-8,
 ) -> SectionResult:
@@ -228,7 +223,7 @@ def solve_section(
         starts.append(np.concatenate([u, v]))
     p_start = (ell[:, :, None] * m[:, None, :]).ravel()
     hom = SegmentHomotopy(_section_system(spec, alpha, beta), p_start, space.equations.ravel(), gamma)
-    endpoints = track_and_polish(hom, starts, settings)
+    endpoints = track_and_polish(hom, starts)
 
     found: list = []
     for x, _ in endpoints:
@@ -257,7 +252,6 @@ def search_signature(
     target: tuple,
     max_attempts: int = 50,
     seed: int = 0,
-    settings: TrackSettings | None = None,
     real_tol: float = 1e-8,
 ):
     """Hunt for a real linear space whose section has the given signature.
@@ -268,14 +262,20 @@ def search_signature(
     codimension and its spanning points are real section points for
     free), and (b) fully random real spaces.  Returns the first witness
     (LinearSpace, SectionResult); raises SignatureNotFoundError after
-    max_attempts sections, which is evidence, not a disproof.
+    max_attempts sections, which is evidence, not a disproof.  Raises
+    ValueError, before any section is solved, on a target that no
+    section can have or on max_attempts < 1.
     """
     target = (int(target[0]), int(target[1]))
     want = degree(spec)
+    if min(target) < 0:
+        raise ValueError(f"target counts must be non-negative, got {target}")
     if target[0] + target[1] != want:
         raise ValueError(f"target must sum to the degree {want}")
     if target[1] % 2 != 0:
         raise ValueError("nonreal count must be even (conjugation closure)")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     a_q = almost_unbalanced_profile(spec)["a_q"]
     span_applicable = target[0] == a_q
     rng = np.random.default_rng(seed)
@@ -294,7 +294,6 @@ def search_signature(
             result = solve_section(
                 spec,
                 space,
-                settings,
                 seed=int(rng.integers(2**31)),
                 real_tol=real_tol,
             )

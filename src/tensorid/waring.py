@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .homotopy import TrackSettings
-from .poly import MPoly, PolySystem, monomials, multinomial
+from .poly import PolySystem, monomials, multinomial
 
 
 class NonGenericFormError(RuntimeError):
@@ -137,21 +137,18 @@ def build_system(spec: WaringSpec) -> PolySystem:
             f"!= r(n+1)={spec.num_unknowns}"
         )
     nu = spec.num_unknowns
-    npar = spec.num_coeffs
-    polys = []
+    rows = []
     for a_idx, alpha in enumerate(monomials(spec.n + 1, spec.d)):
-        expo = [0] * (nu + npar)
-        expo[nu + a_idx] = 1
-        terms = {tuple(expo): 1.0}
+        row = [(1.0, (0,) * nu, a_idx)]
         weight = -multinomial(alpha)
         for i in range(spec.r):
             base = i * (spec.n + 1)
-            expo = [0] * (nu + npar)
-            expo[base : base + spec.n] = alpha[1:]
-            expo[base + spec.n] = 1
-            terms[tuple(expo)] = weight
-        polys.append(MPoly(nu + npar, terms))
-    return PolySystem(polys, nu, npar)
+            mono = [0] * nu
+            mono[base : base + spec.n] = alpha[1:]
+            mono[base + spec.n] = 1
+            row.append((weight, tuple(mono), -1))
+        rows.append(row)
+    return PolySystem(rows, nu, spec.num_coeffs)
 
 
 def _defective(d: int, n: int) -> str | None:
@@ -305,7 +302,6 @@ def enumerate_decompositions(
     start: Decomposition,
     tensor: TensorParams,
     policy=None,
-    settings=None,
     seed: int = 0,
 ):
     """Monodromy enumeration of all rank-r decompositions of a form.
@@ -319,7 +315,6 @@ def enumerate_decompositions(
         start: known decomposition of the target.
         tensor: the target form's coefficients.
         policy: stop policy; defaults to the loop driver's.
-        settings: tracking settings; defaults to tracking_settings().
         seed: loop randomness.
 
     Returns:
@@ -334,7 +329,7 @@ def enumerate_decompositions(
         start,
         decomposition_sampler(spec, start),
         policy=policy,
-        settings=settings or tracking_settings(),
+        settings=tracking_settings(),
         seed=seed,
     )
 

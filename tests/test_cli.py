@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from tensorid import segre
 from tensorid.cli import main
 
 
@@ -203,6 +206,39 @@ def test_segre_search_exhausted_exit_3(tmp_path):
 def test_segre_search_bad_target():
     assert main(["segre", "search", "--dims", "2,2", "--target", "3,3"]) == 1
     assert main(["segre", "search", "--dims", "2,2", "--target", "1,2,3"]) == 1
+
+
+def test_segre_search_impossible_request_exit_1(tmp_path, monkeypatch):
+    # (-1, 16) sums to the (2,4) degree 15 and has an even nonreal count,
+    # but no section has -1 real points; neither request solves a section
+    solved = []
+    monkeypatch.setattr(segre, "solve_section", lambda *args, **kwargs: solved.append(1))
+    out = tmp_path / "search.json"
+    args = ["segre", "search", "--output", str(out)]
+    assert main(args + ["--dims", "2,4", "--target", "-1,16"]) == 1
+    assert main(args + ["--dims", "2,2", "--target", "6,0", "--max-attempts", "0"]) == 1
+    assert solved == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["plane", "--coeffs", "inf,0,1,0"], "plane coefficients [inf, 0.0, 1.0, 0.0]"),
+        (["plane", "--coeffs", "nan,0,1,0"], "plane coefficients [nan, 0.0, 1.0, 0.0]"),
+        (["point", "--coords", "inf,1,2,3"], "point coordinates [inf, 1.0, 2.0, 3.0]"),
+        (
+            ["pencil-scan", "--from", "nan", "--to", "1", "--steps", "2"],
+            "plane coefficients [0.0, 0.0, 1.0, nan]",
+        ),
+    ],
+    ids=["plane-inf", "plane-nan", "point-inf", "pencil-scan-nan"],
+)
+def test_elliptic_non_finite_input_exit_1(tmp_path, capsys, args, named):
+    out = tmp_path / "report.json"
+    assert main(["elliptic", *args, "--output", str(out)]) == 1
+    assert f"error: {named} are not all finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -17,7 +17,6 @@ from tensorid.elliptic import (
     example_pencil,
     find_plane_with_signature,
     intersect_plane,
-    is_real_projective,
     normalize_projective,
     pencil_scan,
     projective_distance,
@@ -25,6 +24,7 @@ from tensorid.elliptic import (
     sample_real_points,
     secant_lines_through,
 )
+from tensorid.realcert import is_real_point
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def test_projective_helpers():
     assert np.max(np.abs(nx)) == pytest.approx(1.0)
     assert projective_distance(x, 3.7 * x) < 1e-12
     assert projective_distance(x, np.array([1.0, 0.0, 0.0, 0.0])) > 0.1
-    assert is_real_projective((1 + 1j) * x)  # common phase is projectively real
+    assert is_real_point(normalize_projective((1 + 1j) * x))  # common phase is projectively real
     rep = real_representative((1 + 1j) * x)
     assert np.max(np.abs(rep.imag)) == 0.0
 
@@ -49,7 +49,7 @@ def test_curve_points_satisfy_both_quadrics(pencil):
     for p in pts:
         assert abs(pencil.q1.evaluate(p)) < 1e-8 * (1 + np.linalg.norm(p) ** 2)
         assert abs(pencil.q2.evaluate(p)) < 1e-8 * (1 + np.linalg.norm(p) ** 2)
-        assert is_real_projective(p)
+        assert is_real_point(normalize_projective(p))
 
 
 def test_transverse_plane_signatures(pencil):
@@ -65,7 +65,7 @@ def test_transverse_plane_signatures(pencil):
 def test_nonreal_points_come_in_conjugate_pairs(pencil):
     plane = np.array([0.0, 0.0, 1.0, -2.0])
     points, _ = intersect_plane(pencil, plane)
-    nonreal = [p for p in points if not is_real_projective(p)]
+    nonreal = [p for p in points if not is_real_point(normalize_projective(p))]
     assert len(nonreal) == 4
     for p in nonreal:
         assert any(projective_distance(np.conj(p), q) < 1e-6 for q in nonreal)

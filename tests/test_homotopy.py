@@ -22,7 +22,7 @@ from tensorid.poly import MPoly, PolySystem
 
 def _square_root_system():
     # x^2 - p: one unknown, one parameter
-    x2 = MPoly(2, {(2, 0): 1.0, (0, 1): -1.0})
+    x2 = [(1.0, (2,), -1), (-1.0, (0,), 0)]
     return PolySystem([x2], num_unknowns=1, num_params=1)
 
 
@@ -94,7 +94,7 @@ def test_newton_returns_state_at_its_point(max_move):
 
 def test_track_reports_divergence():
     # x * p - 1: as p -> 0 the root runs to infinity
-    xp = MPoly(2, {(1, 1): 1.0, (0, 0): -1.0})
+    xp = [(1.0, (1,), 0), (-1.0, (0,), -1)]
     sys_ = PolySystem([xp], num_unknowns=1, num_params=1)
     hom = SegmentHomotopy(sys_, [1.0], [0.0])
     result = track(hom, [1.0], TrackSettings(divergence_norm=1e6))
@@ -138,7 +138,7 @@ def test_conjugation_equivariance():
 
 
 def test_newton_refine_sqrt2():
-    x2 = MPoly(1, {(2,): 1.0, (0,): -2.0})
+    x2 = [(1.0, (2,), -1), (-2.0, (0,), -1)]
     sys_ = PolySystem([x2], num_unknowns=1, num_params=0)
     point, res = newton_refine(sys_, (), [1.4], tol=1e-12, max_iters=3)
     assert point[0] == pytest.approx(np.sqrt(2.0), abs=1e-10)
@@ -146,7 +146,7 @@ def test_newton_refine_sqrt2():
 
 
 def test_newton_refine_fixed_point():
-    x2 = MPoly(1, {(2,): 1.0, (0,): -2.0})
+    x2 = [(1.0, (2,), -1), (-2.0, (0,), -1)]
     sys_ = PolySystem([x2], num_unknowns=1, num_params=0)
     exact = np.sqrt(2.0)
     point, _ = newton_refine(sys_, (), [exact], tol=1e-12, max_iters=5)
@@ -154,7 +154,7 @@ def test_newton_refine_fixed_point():
 
 
 def test_newton_refine_singular_jacobian_raises():
-    x2 = MPoly(1, {(2,): 1.0})  # x^2: Jacobian vanishes at 0
+    x2 = [(1.0, (2,), -1)]  # x^2: Jacobian vanishes at 0
     sys_ = PolySystem([x2], num_unknowns=1, num_params=0)
     with pytest.raises(SingularJacobianError):
         newton_refine(sys_, (), [0.0], tol=1e-12, max_iters=3)
@@ -207,7 +207,7 @@ def test_round_trip_permutes_solution_set():
 
 def test_newton_refine_non_finite_jacobian_raises():
     # x^3 - 1 at 1e200: the powers overflow, so the scaled Jacobian is nan
-    p = MPoly(1, {(3,): 1.0, (0,): -1.0})
+    p = [(1.0, (3,), -1), (-1.0, (0,), -1)]
     sys_ = PolySystem([p], num_unknowns=1, num_params=0)
     with np.errstate(over="ignore", invalid="ignore"):
         _, scales, jac = sys_.full_state([1e200], ())

@@ -32,8 +32,8 @@ def test_monomials_counts_and_order():
 
 
 def test_mpoly_arithmetic_roundtrip():
-    x = MPoly.variable(2, 0)
-    y = MPoly.variable(2, 1)
+    x = MPoly(2, {(1, 0): 1.0})
+    y = MPoly(2, {(0, 1): 1.0})
     p = (x + 2 * y) * (x - 2 * y)
     assert p.terms == {(2, 0): 1.0 + 0j, (0, 2): -4.0 + 0j}
     q = p - p
@@ -41,8 +41,8 @@ def test_mpoly_arithmetic_roundtrip():
 
 
 def test_mpoly_evaluate_matches_hand_value():
-    x = MPoly.variable(2, 0)
-    y = MPoly.variable(2, 1)
+    x = MPoly(2, {(1, 0): 1.0})
+    y = MPoly(2, {(0, 1): 1.0})
     p = 3 * x * x * y + 1.5
     val = p.evaluate([2.0, -1.0 + 1j])
     assert val == pytest.approx(3 * 4 * (-1 + 1j) + 1.5)
@@ -52,73 +52,97 @@ def test_mpoly_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         MPoly(2, {(1, 0, 0): 1.0})
     with pytest.raises(DimensionMismatchError):
-        MPoly.variable(2, 0) + MPoly.variable(3, 0)
+        MPoly(2, {(1, 0): 1.0}) + MPoly(3, {(1, 0, 0): 1.0})
+
+
+def _expand(rows, n_unknowns, n_params):
+    """Each term row as an MPoly over the unknowns followed by the parameters."""
+    nv = n_unknowns + n_params
+    polys = []
+    for row in rows:
+        poly = MPoly(nv)
+        for c, mono, k in row:
+            pexp = [0] * n_params
+            if k >= 0:
+                pexp[k] = 1
+            poly = poly + MPoly(nv, {mono + tuple(pexp): c})
+        polys.append(poly)
+    return polys
 
 
 def _random_parametric_system(rng, n_unknowns=3, n_params=2, n_eqs=3, degree=3):
-    """Random system linear in its parameters: each term has random unknown
-    exponents and at most one parameter, to the first power."""
-    polys = []
-    nv = n_unknowns + n_params
+    """Random term rows: each term has random unknown exponents and at most
+    one parameter.  Returns the PolySystem and its MPoly expansion."""
+    rows = []
     for _ in range(n_eqs):
-        terms = {}
+        row = []
         for _ in range(6):
-            pexp = [0] * n_params
             k = int(rng.integers(-1, n_params))
-            if k >= 0:
-                pexp[k] = 1
-            mono = rng.integers(0, degree, size=n_unknowns)
-            terms[tuple(int(e) for e in mono) + tuple(pexp)] = complex(
-                rng.standard_normal(), rng.standard_normal()
-            )
-        polys.append(MPoly(nv, terms))
-    return PolySystem(polys, num_unknowns=n_unknowns, num_params=n_params)
+            mono = tuple(int(e) for e in rng.integers(0, degree, size=n_unknowns))
+            row.append((complex(rng.standard_normal(), rng.standard_normal()), mono, k))
+        rows.append(row)
+    sys_ = PolySystem(rows, num_unknowns=n_unknowns, num_params=n_params)
+    return sys_, _expand(rows, n_unknowns, n_params)
+
+
+def _evaluate(polys, x, p):
+    return np.array([f.evaluate([*x, *p]) for f in polys])
 
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
-    sys_ = _random_parametric_system(rng)
+    sys_, polys = _random_parametric_system(rng)
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     p = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    jac = sys_.jacobian(x, p)
+    vals, _, jac = sys_.full_state(x, p)
+    assert np.allclose(vals, _evaluate(polys, x, p), rtol=1e-14, atol=1e-14)
     h = 1e-6
     for k in range(3):
         e = np.zeros(3, dtype=complex)
         e[k] = h
-        fd = (sys_.evaluate(x + e, p) - sys_.evaluate(x - e, p)) / (2 * h)
+        fd = (_evaluate(polys, x + e, p) - _evaluate(polys, x - e, p)) / (2 * h)
         denom = 1.0 + np.abs(jac[:, k])
         assert np.max(np.abs(fd - jac[:, k]) / denom) < 1e-5
 
 
 def test_param_tangent_matches_finite_differences():
     rng = np.random.default_rng(4)
-    sys_ = _random_parametric_system(rng)
+    sys_, polys = _random_parametric_system(rng)
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     p = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     dp = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     tang = sys_.param_tangent(x, dp)
     h = 1e-7
-    fd = (sys_.evaluate(x, p + h * dp) - sys_.evaluate(x, p - h * dp)) / (2 * h)
+    fd = (_evaluate(polys, x, p + h * dp) - _evaluate(polys, x, p - h * dp)) / (2 * h)
     assert np.max(np.abs(fd - tang)) < 1e-5 * (1 + np.max(np.abs(tang)))
 
 
 def test_scaled_residual_zero_at_root():
-    x = MPoly.variable(1, 0)
-    sys_ = PolySystem([x * x - 4.0], num_unknowns=1, num_params=0)
-    assert sys_.scaled_residual([2.0]) < 1e-15
-    assert sys_.scaled_residual([2.1]) > 1e-3
+    sys_ = PolySystem([[(1.0, (2,), -1), (-4.0, (0,), -1)]], num_unknowns=1, num_params=0)
+
+    def scaled_residual(x):
+        vals, scales, _ = sys_.full_state(x)
+        return float(np.max(np.abs(vals) / (1.0 + scales)))
+
+    assert scaled_residual([2.0]) < 1e-15
+    assert scaled_residual([2.1]) > 1e-3
 
 
 def test_polysystem_matches_mpoly_with_zero_and_parameter_rows():
-    # unknowns x, y; parameters p, q
-    x, y, p, q = (MPoly.variable(4, i) for i in range(4))
-    polys = [x * x * y * p - 3.0 * y + q + 2.0, x - x, 2.0 * q, x * y]
-    sys_ = PolySystem(polys, num_unknowns=2, num_params=2)
+    # unknowns x, y; parameters p, q: x^2 y p - 3 y + q + 2, 0, 2 q, x y
+    rows = [
+        [(1.0, (2, 1), 0), (-3.0, (0, 1), -1), (1.0, (0, 0), 1), (2.0, (0, 0), -1)],
+        [],
+        [(2.0, (0, 0), 1)],
+        [(1.0, (1, 1), -1)],
+    ]
+    polys = _expand(rows, 2, 2)
+    sys_ = PolySystem(rows, num_unknowns=2, num_params=2)
     rng = np.random.default_rng(5)
     pt = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     par = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     vals, scales, jac = sys_.full_state(pt, par)
-    want = np.array([f.evaluate([*pt, *par]) for f in polys])
+    want = _evaluate(polys, pt, par)
     assert np.allclose(vals, want, rtol=1e-14, atol=1e-14)
     # the zero row is an empty segment of every table
     assert vals[1] == 0 and scales[1] == 0
@@ -129,17 +153,36 @@ def test_polysystem_matches_mpoly_with_zero_and_parameter_rows():
     for k in range(2):
         e = np.zeros(2, dtype=complex)
         e[k] = h
-        fd = (sys_.evaluate(pt + e, par) - sys_.evaluate(pt - e, par)) / (2 * h)
+        fd = (sys_.full_state(pt + e, par)[0] - sys_.full_state(pt - e, par)[0]) / (2 * h)
         assert np.max(np.abs(fd - jac[:, k])) < 1e-6 * (1 + np.max(np.abs(jac)))
     dp = np.array([1.0 - 2.0j, 0.5j])
     tang = sys_.param_tangent(pt, dp)
     assert np.allclose(tang, [pt[0] ** 2 * pt[1] * dp[0] + dp[1], 0, 2 * dp[1], 0])
 
 
-def test_polysystem_rejects_nonlinear_parameters():
-    x, p = MPoly.variable(2, 0), MPoly.variable(2, 1)
-    with pytest.raises(ValueError, match=r"\(1, 2\)"):
-        PolySystem([x * p * p - 1.0], num_unknowns=1, num_params=1)
+def test_polysystem_rejects_malformed_terms():
+    with pytest.raises(DimensionMismatchError, match=r"\(1, 0\) has 2 entries"):
+        PolySystem([[(1.0, (1, 0), -1)]], num_unknowns=1, num_params=1)
+    for k in (1, -2):
+        with pytest.raises(DimensionMismatchError, match=f"parameter index {k}"):
+            PolySystem([[(1.0, (1,), k)]], num_unknowns=1, num_params=1)
+
+
+def test_polysystem_sorts_rows_by_exponent():
+    rng = np.random.default_rng(7)
+    row = [
+        (complex(*rng.standard_normal(2)), mono, k)
+        for mono, k in (((0, 2), 0), ((1, 1), -1), ((2, 0), 1), ((0, 0), -1), ((1, 0), 0))
+    ]
+    given = PolySystem([row, row[::-1]], num_unknowns=2, num_params=2)
+    ordered = PolySystem([sorted(row, key=lambda t: t[1])] * 2, num_unknowns=2, num_params=2)
+    x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    p, dp = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+    vals, scales, _ = given.full_state(x, p)
+    want_vals, want_scales, _ = ordered.full_state(x, p)
+    assert np.array_equal(vals, want_vals) and np.array_equal(scales, want_scales)
+    assert vals[0] == vals[1]
+    assert np.array_equal(given.param_tangent(x, dp), ordered.param_tangent(x, dp))
 
 
 @pytest.mark.parametrize("dnr", [(7, 2, 12), (5, 1, 3)])

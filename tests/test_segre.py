@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tensorid import homotopy
+from tensorid import homotopy, segre
 from tensorid.elliptic import projective_distance
 from tensorid.homotopy import PathStatus
 from tensorid.segre import (
@@ -161,6 +161,18 @@ def test_search_signature_validates_target():
         search_signature(P2xP2, (3, 2), max_attempts=1)
     with pytest.raises(ValueError):
         search_signature(P2xP2, (3, 3), max_attempts=1)
+
+
+def test_search_signature_rejects_impossible_requests(monkeypatch):
+    # (-1, 16) passes the degree and parity checks of (2,4) but no section
+    # has a negative count; both requests fail before any section is solved
+    solved = []
+    monkeypatch.setattr(segre, "solve_section", lambda *args, **kwargs: solved.append(1))
+    with pytest.raises(ValueError, match="non-negative"):
+        search_signature(P2xP4, (-1, 16))
+    with pytest.raises(ValueError, match="max_attempts"):
+        search_signature(P2xP2, (6, 0), max_attempts=0)
+    assert solved == []
 
 
 def test_search_signature_span_strategy():
