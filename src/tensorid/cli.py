@@ -13,6 +13,7 @@ attempts.
 """
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -49,8 +50,8 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.real_tol <= 0:
-            raise ValueError("real_tol must be positive")
+        if not 0 < self.real_tol < math.inf:
+            raise ValueError("real_tol must be positive and finite")
 
     def serialize(self) -> dict:
         return {

@@ -154,9 +154,10 @@ def plane_basis(plane) -> np.ndarray:
     a = np.asarray(plane, dtype=float).reshape(1, 4)
     if not np.isfinite(a).all():
         raise ValueError(f"plane coefficients {a.ravel().tolist()} are not all finite")
-    if np.linalg.norm(a) < 1e-12:
+    scale = np.abs(a).max()
+    if scale == 0 or scale * np.linalg.norm(a / scale) < 1e-12:
         raise ValueError("zero plane")
-    _, _, vt = np.linalg.svd(a)
+    _, _, vt = np.linalg.svd(a / scale)
     return vt[1:].T
 
 

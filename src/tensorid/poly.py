@@ -11,8 +11,8 @@ so a PolySystem is given directly as term rows: equation i is a list
 of terms (coeff, m, k), read as ``coeff * x^m * p_k`` with m the
 exponents of the unknowns and k a parameter index, or -1 for a term
 with no parameter.  A row cannot express a term nonlinear in p.  The
-rows are compiled into term tables of flat numpy index arrays, one for
-the equations, one for their parameter terms and one for the Jacobian
+rows are compiled into term tables of numpy index arrays, one for the
+equations, one for their parameter terms and one for the Jacobian
 cells, so path trackers evaluate residuals, Jacobians and the
 parameter tangent M(x) dp in vectorized form.
 """
@@ -155,43 +155,48 @@ class MPoly:
 
 
 class _TermTable:
-    """Rows of terms ``coeff * x^m * (p_k or 1)`` as flat index arrays.
+    """Rows of terms ``coeff * x^m * (p_k or 1)`` as index arrays.
 
     A term is (coeff, m, k): m holds the exponents of the unknowns and k
     indexes the parameter vector, whose last slot is the constant that
-    stands in for "no parameter" (k = -1).  Each monomial x^m is a run of
-    (unknown, exponent) factors multiplied by ``np.multiply.reduceat``,
-    and rows are summed by ``np.add.reduceat``.  Both need non-empty
-    segments, so x^0 is the factor (0, 0) and an empty row holds one
-    zero term.
+    stands in for "no parameter" (k = -1).  Each monomial x^m is a column
+    of the (F, T) matrix ``fidx`` of indices into the flattened (E+1, N)
+    powers table, index e*N + v for the factor x_v^e: its factors in
+    variable order, padded at the end with index 0, the power x_0^0 = 1.
+    So a table evaluates with one gather and F - 1 elementwise multiplies.
+    Rows are summed by ``np.add.reduceat``, which needs non-empty segments,
+    so an empty row holds one zero term; when every row holds exactly one
+    term there is nothing to sum.
     """
 
-    def __init__(self, rows):
-        fvar, fexp, tptr, coef, pidx, rptr = [], [], [], [], [], []
+    def __init__(self, rows, num_unknowns: int):
+        factors, coef, pidx, rptr = [], [], [], []
         for terms in rows:
             rptr.append(len(coef))
             for c, mono, k in terms or [(0j, (), -1)]:
-                tptr.append(len(fvar))
-                for v, e in [(v, e) for v, e in enumerate(mono) if e] or [(0, 0)]:
-                    fvar.append(v)
-                    fexp.append(e)
+                factors.append([e * num_unknowns + v for v, e in enumerate(mono) if e])
                 coef.append(c)
                 pidx.append(k)
-        self.fvar = np.asarray(fvar, dtype=np.intp)
-        self.fexp = np.asarray(fexp, dtype=np.intp)
-        self.tptr = np.asarray(tptr, dtype=np.intp)
+        self.fidx = np.zeros((max([1, *map(len, factors)]), len(coef)), dtype=np.intp)
+        for t, fac in enumerate(factors):
+            self.fidx[: len(fac), t] = fac
         self.coef = np.asarray(coef, dtype=np.complex128)
         self.pidx = np.asarray(pidx, dtype=np.intp)
-        self.rptr = np.asarray(rptr, dtype=np.intp)
+        self.rptr = None if len(rptr) == len(coef) else np.asarray(rptr, dtype=np.intp)
 
     def terms(self, pw, pv):
-        """coeff * (x^m * pv[k]) for every term, from the powers table of
-        the unknowns and the parameter vector with its constant slot."""
-        mono = np.multiply.reduceat(pw[self.fvar, self.fexp], self.tptr)
-        return self.coef * (mono * pv[self.pidx])
+        """coeff * (x^m * pv[k]) for every term, from the flattened powers
+        table of the unknowns and the parameter vector with its constant
+        slot."""
+        fac = pw[self.fidx]
+        mono = fac[0]
+        for row in fac[1:]:
+            mono *= row
+        mono *= pv[self.pidx]
+        return np.multiply(self.coef, mono, out=mono)
 
     def sum_rows(self, values):
-        return np.add.reduceat(values, self.rptr)
+        return values if self.rptr is None else np.add.reduceat(values, self.rptr)
 
 
 class PolySystem:
@@ -200,9 +205,12 @@ class PolySystem:
 
     The equation table sums each row sorted by m; the Jacobian table has
     one row per (equation, unknown) cell, its entries in the given term
-    order.  These orders fix the rounding, and so every tracked path.
-    The tangent table keeps the parameter terms of each equation row, in
-    the same order; evaluated at the velocity dp it gives M(x) dp.
+    order.  The tangent table keeps the parameter terms of each equation
+    row, in the same order; evaluated at the velocity dp it gives M(x) dp.
+    These orders fix every sum and product, so results are bitwise
+    reproducible with one numpy build on one CPU; numpy's vectorized
+    complex multiply may round differently on another, and so may the
+    paths tracked through it.
     """
 
     def __init__(self, rows, num_unknowns: int, num_params: int):
@@ -226,10 +234,10 @@ class PolySystem:
                         dmono = mono[:col] + (e - 1,) + mono[col + 1 :]
                         cells.setdefault(i * nu + col, []).append((c * e, dmono, k))
         eq_rows = [sorted(row, key=lambda term: term[1]) for row in rows]
-        self._equations = _TermTable(eq_rows)
-        self._tangent = _TermTable([[t for t in row if t[2] >= 0] for row in eq_rows])
-        self._jacobian = _TermTable([cells.get(cell, []) for cell in range(len(rows) * nu)])
-        self._max_exp = max(1, int(self._equations.fexp.max()))
+        self._equations = _TermTable(eq_rows, nu)
+        self._tangent = _TermTable([[t for t in row if t[2] >= 0] for row in eq_rows], nu)
+        self._jacobian = _TermTable([cells.get(cell, []) for cell in range(len(rows) * nu)], nu)
+        self._max_exp = max(1, int(self._equations.fidx.max()) // nu)
 
     def _check(self, point, params):
         if len(point) != self.num_unknowns:
@@ -242,12 +250,13 @@ class PolySystem:
             )
 
     def _powers(self, point):
+        """The flattened (E+1, N) table whose row e holds x**e."""
         x = np.asarray(point, dtype=np.complex128)
-        pw = np.empty((self.num_unknowns, self._max_exp + 1), dtype=np.complex128)
-        pw[:, 0] = 1.0
-        for k in range(1, self._max_exp + 1):
-            pw[:, k] = pw[:, k - 1] * x
-        return pw
+        pw = np.empty((self._max_exp + 1, self.num_unknowns), dtype=np.complex128)
+        pw[0] = 1.0
+        for e in range(1, self._max_exp + 1):
+            np.multiply(pw[e - 1], x, out=pw[e])
+        return pw.ravel()
 
     def full_state(self, point, params=()):
         """(values, scales, jacobian) sharing one powers table.
@@ -266,7 +275,7 @@ class PolySystem:
         return (
             self._equations.sum_rows(terms),
             self._equations.sum_rows(np.abs(terms)),
-            jac.reshape(len(self._equations.rptr), self.num_unknowns),
+            jac.reshape(-1, self.num_unknowns),
         )
 
     def param_tangent(self, point, dparams) -> np.ndarray:

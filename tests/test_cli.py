@@ -259,3 +259,12 @@ def test_default_output_dir_env(tmp_path, monkeypatch):
     assert main(["segre", "profile", "--dims", "2,2"]) == 0
     assert (tmp_path / "segre_profile.json").is_file()
 
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_real_tol_exit_1(tmp_path, capsys, tol):
+    out = tmp_path / "section.json"
+    args = ["segre", "section", "--dims", "2,2", "--span-real", "5", "--real-tol", tol]
+    assert main([*args, "--output", str(out)]) == 1
+    assert "real_tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -19,6 +19,7 @@ from tensorid.elliptic import (
     intersect_plane,
     normalize_projective,
     pencil_scan,
+    plane_basis,
     projective_distance,
     real_representative,
     sample_real_points,
@@ -41,6 +42,12 @@ def test_projective_helpers():
     assert is_real_point(normalize_projective((1 + 1j) * x))  # common phase is projectively real
     rep = real_representative((1 + 1j) * x)
     assert np.max(np.abs(rep.imag)) == 0.0
+
+
+def test_plane_basis_of_huge_coefficients():
+    """Coefficients near the largest double span the plane they scale."""
+    huge, unit = plane_basis([1e308, 1e308, 1, 0]), plane_basis([1, 1, 0, 0])
+    assert np.allclose(huge @ huge.T, unit @ unit.T, rtol=0, atol=1e-12)
 
 
 def test_curve_points_satisfy_both_quadrics(pencil):

@@ -196,3 +196,31 @@ def test_waring(dnr):
         for m in (spec.num_unknowns, spec.num_coeffs, spec.num_coeffs)
     )
     assert np.array_equal(sys_.param_tangent(x, dp), dp)
+
+
+@pytest.mark.parametrize("dnr", [(7, 2, 12), (8, 2, 15), (5, 1, 3)])
+def test_waring_jacobian_closed_form(dnr):
+    """Every Waring Jacobian cell is one term: with unknowns (l^i, lambda_i)
+    per summand, J[alpha, lambda_i] = -mult(alpha) l_i^alpha' and
+    J[alpha, l_ih] = -mult(alpha) alpha_h lambda_i l_i^(alpha' - e_h)."""
+    spec = WaringSpec(*dnr)
+    n = spec.n
+    rng = np.random.default_rng(8)
+    x, p = (
+        rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for m in (spec.num_unknowns, spec.num_coeffs)
+    )
+    _, _, jac = build_system(spec).full_state(x, p)
+    want = np.zeros_like(jac)
+    for a_idx, alpha in enumerate(monomials(n + 1, spec.d)):
+        for i in range(spec.r):
+            l, lam = x[i * (n + 1) : i * (n + 1) + n], x[i * (n + 1) + n]
+            want[a_idx, i * (n + 1) + n] = -multinomial(alpha) * np.prod(l ** np.array(alpha[1:]))
+            for h in range(n):
+                dalpha = np.array(alpha[1:]) - np.eye(n, dtype=int)[h]
+                if alpha[h + 1]:
+                    want[a_idx, i * (n + 1) + h] = (
+                        -multinomial(alpha) * alpha[h + 1] * lam * np.prod(l**dalpha)
+                    )
+    assert np.all((jac == 0) == (want == 0))
+    assert np.all(np.abs(jac - want) <= 1e-13 * np.abs(want))
