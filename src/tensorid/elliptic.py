@@ -155,7 +155,7 @@ def plane_basis(plane) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"plane coefficients {a.ravel().tolist()} are not all finite")
     scale = np.abs(a).max()
-    if scale == 0 or scale * np.linalg.norm(a / scale) < 1e-12:
+    if scale == 0:
         raise ValueError("zero plane")
     _, _, vt = np.linalg.svd(a / scale)
     return vt[1:].T

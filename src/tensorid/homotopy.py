@@ -9,6 +9,9 @@ predictor on the induced ODE  J dx/dt = -dF/dp * dp/dt  followed by a
 short Newton corrector at the new t.  Step control doubles the step
 after three consecutive accepted steps, halves it on corrector failure
 and declares the path singular once the step falls below ``min_step``.
+``track_paths`` advances all starts of one homotopy in lockstep, each
+with its own t and step, through stacked evaluations; ``track`` is its
+one-start call.
 
 All residuals in this module are term-magnitude scaled: an equation's
 residual is divided by one plus the sum of the absolute values of its
@@ -19,6 +22,8 @@ serves as the condition estimate.
 
 import cmath
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,8 +59,14 @@ class TrackSettings:
     def __post_init__(self):
         if not (0 < self.min_step <= self.initial_step <= self.max_step <= 1.0):
             raise ValueError("need 0 < min_step <= initial_step <= max_step <= 1")
-        if self.corrector_tol <= 0 or self.max_steps < 1:
-            raise ValueError("bad tolerance or step limit")
+        for name in ("corrector_tol", "divergence_norm"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("max_corrector_iters", "max_steps"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -107,80 +118,127 @@ _SINGULAR_RATIO = 1e14
 _GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
-def _pivoted_lu(a):
-    """LAPACK LU factors of a square matrix and their pivot ratio.
+def _pivoted_lu(lu):
+    """Factor each matrix of a (K, N, N) stack in place with LAPACK getrf;
+    every lu[i] must be Fortran-ordered.
 
-    Returns (lu, piv, ratio) with ratio = max|U_ii| / min|U_ii|; the
-    factors are None and the ratio inf when the matrix is empty or not
-    finite, or a pivot is zero.
+    Returns (pivots, ratios) with ratio = max|U_ii| / min|U_ii|, inf where
+    a pivot is zero or the factors are not finite, which they are not
+    for a matrix with a non-finite entry.
     """
-    if a.size == 0 or not np.isfinite(a).all():
-        return None, None, np.inf
-    lu, piv, _ = _GETRF(a)
-    diag = np.abs(np.diag(lu))
-    dmin = diag.min()
-    if not dmin > 0.0:
-        return None, None, np.inf
-    return lu, piv, float(diag.max() / dmin)
+    pivots = [_GETRF(a, overwrite_a=True)[1] for a in lu]
+    finite = np.isfinite(lu).all(axis=(1, 2)).tolist()
+    ratios = []
+    for i, diag in enumerate(np.abs(lu.diagonal(0, 1, 2)).tolist()):
+        small = min(diag)
+        ratios.append(max(diag) / small if finite[i] and small > 0.0 else math.inf)
+    return pivots, ratios
 
 
 def _lu_solve_scaled(jac, rhs, scales):
-    """Row-scaled LU solve; returns None when the factorization looks singular."""
+    """Row-scaled LU solves of a (K, N, N) stack of Jacobians.
+
+    Returns (out, ok): out[k] solves jac[k] out[k] = rhs[k], and the
+    list entry ok[k] is False, with out[k] zero, where that matrix is not
+    finite, has a zero pivot or a pivot ratio above 1e14, or the solution
+    is not finite.  Each matrix gets its own LAPACK getrf and getrs, so a
+    path sees the pivots and the gate it would see alone.
+    """
     weights = 1.0 / (1.0 + scales)
-    lu, piv, ratio = _pivoted_lu(jac * weights[:, None])
-    if ratio > _SINGULAR_RATIO:
-        return None
-    out, _ = _GETRS(lu, piv, rhs * weights)
+    # the transposes of the row-scaled matrices, C-ordered, so that each
+    # lu[i] is Fortran-ordered
+    lu = np.multiply(jac.transpose(0, 2, 1), weights[:, None, :], order="C").transpose(0, 2, 1)
+    b = rhs * weights
+    pivots, ratios = _pivoted_lu(lu)
+    out = np.zeros(b.shape, dtype=np.complex128)
+    ok = []
+    for i, ratio in enumerate(ratios):
+        ok.append(not ratio > _SINGULAR_RATIO)
+        if ok[i]:
+            out[i] = _GETRS(lu[i], pivots[i], b[i])[0]
     if not np.isfinite(out).all():
-        return None
-    return out
+        bad = ~np.isfinite(out).all(axis=1)
+        out[bad] = 0.0
+        ok = [good and not worse for good, worse in zip(ok, bad.tolist())]
+    return out, ok
 
 
 def condition_estimate(jac, scales=None) -> float:
     """Pivot-ratio condition estimate of a (row-scaled) Jacobian; inf
     when the scaled Jacobian is singular or not finite."""
-    a = np.asarray(jac, dtype=np.complex128)
+    a = np.array(jac, dtype=np.complex128, order="F")
     if scales is not None:
-        a = a * (1.0 / (1.0 + scales))[:, None]
-    return _pivoted_lu(a)[2]
+        a *= (1.0 / (1.0 + scales))[:, None]
+    return _pivoted_lu(a[None])[1][0] if a.size else math.inf
 
 
-def _newton(system, params, point, tol, max_iters, max_move=None):
-    """Newton iteration at fixed parameters.
+def _residuals(vals, scales):
+    """Term-magnitude scaled residual of each row of a stack."""
+    return np.maximum.reduce(np.abs(vals) / (1.0 + scales), axis=-1)
 
-    Returns (best_point, best_residual, best_state), where best_state is
-    the (values, scales, jacobian) of ``system.full_state`` at
-    best_point.  Stops early on tolerance, a singular linear solve, a
-    residual increase past the best seen, or (when ``max_move`` is
-    given) an update larger than ``max_move`` in the sup norm.  The move
-    cap rejects corrector overshoots: near an ill-conditioned point the
-    computed step can be orders of magnitude longer than the Newton
-    basin, and applying it would land on an unrelated sheet or in a
-    region where the residual explodes.
+
+def _newton(system, params, points, tol, max_iters, max_move=None):
+    """Newton iteration at fixed parameters for a (K, N) stack of points.
+
+    ``params`` is one parameter vector or a (K, P) stack, and
+    ``max_move`` None or a (K,) array.  Returns (best_points,
+    best_residuals, best_state), where best_state is the (values,
+    scales, jacobian) stack of ``system.full_state`` at best_points.
+
+    Each row iterates as it would alone and stops on tolerance, a
+    singular linear solve, a residual increase past the best seen, or
+    (when ``max_move`` is given) an update larger than its ``max_move``
+    in the sup norm; the rows still iterating share each evaluation.
+    The move cap rejects corrector overshoots: near an ill-conditioned
+    point the computed step can be orders of magnitude longer than the
+    Newton basin, and applying it would land on an unrelated sheet or in
+    a region where the residual explodes.
     """
-    x = np.asarray(point, dtype=np.complex128).copy()
-    state = system.full_state(x, params)
-    res = float(np.max(np.abs(state[0]) / (1.0 + state[1])))
-    best_x, best_res, best_state = x, res, state
+    x = np.array(points, dtype=np.complex128)
+    k = len(x)
+    if params.ndim == 1:
+        params = np.broadcast_to(params, (k, len(params)))
+    best = [x, *system.full_state(x, params)]
+    best_res = _residuals(best[1], best[2]).tolist()
+    rows = [i for i in range(k) if not best_res[i] < tol]
+    cur, move = best, max_move
+    if len(rows) < k:
+        cur, params = [a[rows] for a in best], params[rows]
+        move = None if move is None else move[rows]
     for _ in range(max_iters):
-        if best_res < tol:
+        if not rows:
             break
-        vals, scales, jac = state
-        dx = _lu_solve_scaled(jac, -vals, scales)
-        if dx is None:
-            break
-        if max_move is not None and float(np.max(np.abs(dx))) > max_move:
-            break
-        x = x + dx
-        state = system.full_state(x, params)
-        res = float(np.max(np.abs(state[0]) / (1.0 + state[1])))
-        if not np.isfinite(res):
-            break
-        if res < best_res:
-            best_x, best_res, best_state = x, res, state
-        elif res > 10.0 * best_res:
-            break
-    return best_x, best_res, best_state
+        dx, ok = _lu_solve_scaled(cur[3], cur[1], cur[2])
+        if move is not None:
+            far = (np.maximum.reduce(np.abs(dx), axis=1) > move).tolist()
+            ok = [good and not too_far for good, too_far in zip(ok, far)]
+        if not all(ok):
+            rows = [i for i, go in zip(rows, ok) if go]
+            if not rows:
+                break
+            cur, dx, params = [a[ok] for a in cur], dx[ok], params[ok]
+            move = None if move is None else move[ok]
+        x = cur[0] - dx
+        cur = [x, *system.full_state(x, params)]
+        better, keep = [], []
+        for j, (i, r) in enumerate(zip(rows, _residuals(cur[1], cur[2]).tolist())):
+            if r < best_res[i]:
+                best_res[i] = r
+                better.append(j)
+            keep.append(math.isfinite(r) and not best_res[i] < tol and not r > 10.0 * best_res[i])
+        if len(better) == k:
+            best = cur
+        elif better:
+            at = [rows[j] for j in better]
+            for b, c in zip(best, cur):
+                b[at] = c[better]
+        if not all(keep):
+            rows = [i for i, go in zip(rows, keep) if go]
+            if not rows:
+                break
+            cur, params = [a[keep] for a in cur], params[keep]
+            move = None if move is None else move[keep]
+    return best[0], np.array(best_res), tuple(best[1:])
 
 
 def newton_refine(system, params, point, tol=1e-10, max_iters=20):
@@ -206,7 +264,8 @@ def newton_refine(system, params, point, tol=1e-10, max_iters=20):
     _, scales, jac = system.full_state(x, params)
     if condition_estimate(jac, scales) > 1e12:
         raise SingularJacobianError("Jacobian numerically singular at input point")
-    return _newton(system, params, x, tol, max_iters)[:2]
+    x, res, _ = _newton(system, params, x[None], tol, max_iters)
+    return x[0], float(res[0])
 
 
 def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = None) -> PathResult:
@@ -219,78 +278,136 @@ def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = Non
 
     Returns:
         PathResult with the endpoint at t=1 on success; otherwise the
-        last accepted point and the reason tracking stopped.
+        last accepted point and the reason tracking stopped.  This is
+        ``track_paths`` on one start.
+    """
+    return track_paths(homotopy, [start], settings)[0]
+
+
+def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | None = None) -> list:
+    """Track every start of one segment homotopy from t=0 to t=1 in lockstep.
+
+    Each path keeps its own t, step, streak, step count and status, and
+    makes exactly the accept and reject decisions it makes when tracked
+    alone; the live paths share each evaluation of the system and of its
+    parameter tangent, as one (K, N) stack.  A rejected step keeps its
+    predictor tangent, since the point, the Jacobian and the parameter
+    velocity it was computed from are unchanged.  A path leaves the
+    stack when it ends.
+
+    Returns one PathResult per start, in start order.  Raises ValueError
+    when a start is not a solution at t=0.
     """
     st = settings or TrackSettings()
     sys_ = homotopy.system
-    x = np.asarray(start, dtype=np.complex128).copy()
+    tol = st.corrector_tol
+    starts = list(starts)
+    if not starts:
+        return []
+    x = np.array(starts, dtype=np.complex128)
+    k = len(x)
     dp = homotopy.dparams
 
     params0 = homotopy.params_at(0.0)
     vals, scales, jac = sys_.full_state(x, params0)
-    res = float(np.max(np.abs(vals) / (1.0 + scales)))
-    if not res < 10.0 * st.corrector_tol:
-        x, res, (vals, scales, jac) = _newton(
-            sys_, params0, x, st.corrector_tol, st.max_corrector_iters
-        )
-        if not res < st.corrector_tol:
-            raise ValueError(f"start point is not a solution at t=0 (residual {res:.3e})")
+    res = _residuals(vals, scales)
+    redo = [i for i, r in enumerate(res.tolist()) if not r < 10.0 * tol]
+    if redo:
+        fixed = _newton(sys_, params0, x[redo], tol, st.max_corrector_iters)
+        for r in fixed[1].tolist():
+            if not r < tol:
+                raise ValueError(f"start point is not a solution at t=0 (residual {r:.3e})")
+        x[redo], res[redo] = fixed[0], fixed[1]
+        scales[redo], jac[redo] = fixed[2][1:]
 
-    t = 0.0
-    step = st.initial_step
-    streak = 0
-    steps_taken = 0
-    while t < 1.0:
-        if steps_taken >= st.max_steps:
-            return PathResult(PathStatus.STEP_LIMIT, x, res, steps_taken)
-        hitting_end = step >= (1.0 - t)
-        t_next = 1.0 if hitting_end else t + step
-        h = t_next - t
+    results = [None] * k
+    paths = list(range(k))  # the start of each live row
+    t = [0.0] * k
+    step = [st.initial_step] * k
+    streak = [0] * k
+    steps = [0] * k
+    stale = [True] * k  # the row's predictor tangent needs computing
+    size = np.maximum.reduce(np.abs(x), axis=1)  # max |x| of each row
+    back_dt = np.zeros_like(x)  # -dx/dt at x
+    speed = np.zeros(k)  # max |dx/dt|, inf without a tangent
+    floor = np.zeros(k)  # the corrector's move floor
+
+    def end(j, status, point, residual):
+        results[paths[j]] = PathResult(status, point.copy(), float(residual), steps[j])
+
+    while paths:
+        t_next = [1.0 if s >= 1.0 - u else u + s for u, s in zip(t, step)]
+        h = [v - u for v, u in zip(t_next, t)]
+        hs = np.array(h)
 
         # Euler predictor along the parameter velocity.
-        rhs = -sys_.param_tangent(x, dp)
-        dxdt = _lu_solve_scaled(jac, rhs, scales)
-        if dxdt is None:
-            x_pred = x
-            max_move = None
-        else:
-            x_pred = x + h * dxdt
+        fresh = [j for j, f in enumerate(stale) if f]
+        if fresh:
+            sel = fresh if len(fresh) < len(paths) else slice(None)
+            # back is -dx/dt; rows without a tangent are zero
+            back, ok = _lu_solve_scaled(jac[sel], sys_.param_tangent(x[sel], dp), scales[sel])
+            back_dt[sel] = back
+            speed[sel] = np.maximum.reduce(np.abs(back), axis=1)
             # The corrector only has to undo the predictor's curvature
             # error; budget it one predictor length plus a floor, and
             # treat anything larger as a failed step so that h halves.
-            max_move = h * float(np.max(np.abs(dxdt))) + 1.5e-8 * (
-                1.0 + float(np.max(np.abs(x)))
-            )
-
-        params_next = homotopy.params_at(t_next)
+            # Without a tangent the corrector starts at x, uncapped.
+            floor[sel] = 1.5e-8 * (1.0 + size[sel])
+            if not all(ok):
+                speed[[j for j, good in zip(fresh, ok) if not good]] = np.inf
+            stale = [False] * len(paths)
         x_new, res_new, state_new = _newton(
             sys_,
-            params_next,
-            x_pred,
-            st.corrector_tol,
+            homotopy.params_at(np.array(t_next)[:, None]),
+            x - hs[:, None] * back_dt,
+            tol,
             st.max_corrector_iters,
-            max_move=max_move,
+            max_move=hs * speed + floor,
         )
-        steps_taken += 1
 
-        if res_new < st.corrector_tol:
-            t = t_next
-            x = x_new
-            res = res_new
-            if float(np.max(np.abs(x))) > st.divergence_norm:
-                return PathResult(PathStatus.DIVERGED, x, res, steps_taken)
-            vals, scales, jac = state_new
-            streak += 1
-            if streak >= 3:
-                step = min(step * 2.0, st.max_step)
-                streak = 0
-        else:
-            streak = 0
-            step = h / 2.0
-            if step < st.min_step:
-                return PathResult(PathStatus.SINGULAR, x, res, steps_taken)
+        accepted = [r < tol for r in res_new.tolist()]
+        size_new = np.maximum.reduce(np.abs(x_new), axis=1)
+        norms = size_new.tolist()
+        for j, acc in enumerate(accepted):
+            steps[j] += 1
+            if acc:
+                t[j] = t_next[j]
+                stale[j] = True
+                if norms[j] > st.divergence_norm:
+                    end(j, PathStatus.DIVERGED, x_new[j], res_new[j])
+                elif not t[j] < 1.0:
+                    end(j, PathStatus.SUCCESS, x_new[j], res_new[j])
+                streak[j] += 1
+                if streak[j] >= 3:
+                    step[j] = min(step[j] * 2.0, st.max_step)
+                    streak[j] = 0
+            else:
+                streak[j] = 0
+                step[j] = h[j] / 2.0
+                if step[j] < st.min_step:
+                    end(j, PathStatus.SINGULAR, x[j], res[j])
+        if all(accepted):
+            x, res, size, (_, scales, jac) = x_new, res_new, size_new, state_new
+        elif any(accepted):
+            new = (x_new, res_new, size_new, *state_new[1:])
+            for a, b in zip((x, res, size, scales, jac), new):
+                a[accepted] = b[accepted]
 
-    return PathResult(PathStatus.SUCCESS, x, res, steps_taken)
+        live = []
+        for j, i in enumerate(paths):
+            if results[i] is None and steps[j] >= st.max_steps:
+                end(j, PathStatus.STEP_LIMIT, x[j], res[j])
+            if results[i] is None:
+                live.append(j)
+        if len(live) < len(paths):
+            paths, t, step, streak, steps, stale = (
+                [v[j] for j in live] for v in (paths, t, step, streak, steps, stale)
+            )
+            x, res, size, scales, jac, back_dt, speed, floor = (
+                a[live] for a in (x, res, size, scales, jac, back_dt, speed, floor)
+            )
+
+    return results
 
 
 def solve_total_degree(
@@ -373,29 +490,29 @@ def track_and_polish(
     starts,
     salvage_singular: bool = False,
 ):
-    """Track every start to t=1 with the default TrackSettings and
-    Newton-polish each endpoint at ``params_end``; ``salvage_singular``
-    is as in ``solve_total_degree``.
+    """Track every start to t=1 in lockstep with the default
+    TrackSettings and Newton-polish the endpoints at ``params_end``, as
+    one stack; ``salvage_singular`` is as in ``solve_total_degree``.
 
     Returns the (endpoint, residual) pairs that passed polish, in start
     order.
     """
     st = TrackSettings()
     system, p_end = homotopy.system, homotopy.params_end
-    found = []
-    for start in starts:
-        result = track(homotopy, start, st)
-        if result.success:
-            x, res, _ = _newton(system, p_end, result.endpoint, 1e-13, 30)
-            if res < st.corrector_tol:
-                found.append((x, res))
-        elif salvage_singular and result.status in (
-            PathStatus.SINGULAR,
-            PathStatus.STEP_LIMIT,
-        ):
-            if float(np.max(np.abs(result.endpoint))) > st.divergence_norm:
-                continue
-            x, res, _ = _newton(system, p_end, result.endpoint, 1e-13, 60)
-            if res < 1e-8:
-                found.append((x, res))
-    return found
+    results = track_paths(homotopy, starts, st)
+    polished = [None] * len(results)
+    success = [i for i, r in enumerate(results) if r.success]
+    salvage = [
+        i
+        for i, r in enumerate(results)
+        if salvage_singular
+        and r.status in (PathStatus.SINGULAR, PathStatus.STEP_LIMIT)
+        and not float(np.max(np.abs(r.endpoint))) > st.divergence_norm
+    ]
+    for rows, iters, gate in ((success, 30, st.corrector_tol), (salvage, 60, 1e-8)):
+        if rows:
+            x, res, _ = _newton(system, p_end, [results[i].endpoint for i in rows], 1e-13, iters)
+            for i, xi, r in zip(rows, x, res.tolist()):
+                if r < gate:
+                    polished[i] = (xi, r)
+    return [p for p in polished if p is not None]

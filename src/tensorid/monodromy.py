@@ -146,10 +146,10 @@ class SolutionRegistry:
             vec = candidate.to_vector()
         else:
             vec = np.asarray(candidate, dtype=np.complex128)
-        vec, res, _ = _newton(self.system, self.base_params, vec, 5e-14, 25)
-        if not res < RESIDUAL_TOL:
+        vec, res, _ = _newton(self.system, self.base_params, vec[None], 5e-14, 25)
+        if not res[0] < RESIDUAL_TOL:
             return False
-        dec = Decomposition.from_vector(vec, self.n)
+        dec = Decomposition.from_vector(vec[0], self.n)
         if any(abs(s.lam) < LAMBDA_TOL for s in dec.summands):
             return False
         for stored in self.solutions:

@@ -12,9 +12,9 @@ of terms (coeff, m, k), read as ``coeff * x^m * p_k`` with m the
 exponents of the unknowns and k a parameter index, or -1 for a term
 with no parameter.  A row cannot express a term nonlinear in p.  The
 rows are compiled into term tables of numpy index arrays, one for the
-equations, one for their parameter terms and one for the Jacobian
-cells, so path trackers evaluate residuals, Jacobians and the
-parameter tangent M(x) dp in vectorized form.
+equations and the Jacobian cells and one for the parameter terms, so
+path trackers evaluate residuals, Jacobians and the parameter tangent
+M(x) dp in vectorized form, for one point or a stack of them.
 """
 
 import math
@@ -158,56 +158,93 @@ class _TermTable:
     """Rows of terms ``coeff * x^m * (p_k or 1)`` as index arrays.
 
     A term is (coeff, m, k): m holds the exponents of the unknowns and k
-    indexes the parameter vector, whose last slot is the constant that
-    stands in for "no parameter" (k = -1).  Each monomial x^m is a column
-    of the (F, T) matrix ``fidx`` of indices into the flattened (E+1, N)
-    powers table, index e*N + v for the factor x_v^e: its factors in
-    variable order, padded at the end with index 0, the power x_0^0 = 1.
-    So a table evaluates with one gather and F - 1 elementwise multiplies.
-    Rows are summed by ``np.add.reduceat``, which needs non-empty segments,
-    so an empty row holds one zero term; when every row holds exactly one
-    term there is nothing to sum.
+    indexes the parameter vector, or is -1 for "no parameter".  A point
+    is evaluated from its block: the flattened (E+1, N) powers table,
+    index e*N + v for x_v^e, then the P parameters.  Each monomial x^m is
+    a column of the (F, T) matrix ``fidx`` of block indices, its factors
+    in variable order padded at the end with index 0, the power
+    x_0^0 = 1, and its parameter is the block index ``pidx`` (index 0 for
+    k = -1).  So a table evaluates with one gather, F - 1 elementwise
+    multiplies and one multiply by the gathered parameters.  The rows
+    come in parts, each part's terms after the previous part's; a part's
+    rows are summed by ``np.add.reduceat``, which needs non-empty
+    segments, so an empty row holds one zero term, and when every row of
+    a part holds exactly one term there is nothing to sum.
+
+    A stack of K points is evaluated as K copies of the table, part by
+    part: a block-diagonal table over the K blocks laid end to end, whose
+    index arrays are built once per K.  So a stack costs the numpy calls
+    of one point, and the copy for one point is the table itself.
     """
 
-    def __init__(self, rows, num_unknowns: int):
-        factors, coef, pidx, rptr = [], [], [], []
-        for terms in rows:
-            rptr.append(len(coef))
-            for c, mono, k in terms or [(0j, (), -1)]:
-                factors.append([e * num_unknowns + v for v, e in enumerate(mono) if e])
-                coef.append(c)
-                pidx.append(k)
-        self.fidx = np.zeros((max([1, *map(len, factors)]), len(coef)), dtype=np.intp)
+    def __init__(self, parts, num_unknowns: int, powers: int):
+        factors, coef, pidx, bounds = [], [], [], []
+        for rows in parts:
+            first, rptr = len(coef), []
+            for terms in rows:
+                rptr.append(len(coef) - first)
+                for c, mono, k in terms or [(0j, (), -1)]:
+                    factors.append([e * num_unknowns + v for v, e in enumerate(mono) if e])
+                    coef.append(c)
+                    pidx.append(powers + k if k >= 0 else 0)
+            whole = len(rptr) == len(coef) - first
+            bounds.append((first, len(coef), None if whole else np.asarray(rptr, dtype=np.intp)))
+        fidx = np.zeros((max([1, *map(len, factors)]), len(coef)), dtype=np.intp)
         for t, fac in enumerate(factors):
-            self.fidx[: len(fac), t] = fac
-        self.coef = np.asarray(coef, dtype=np.complex128)
-        self.pidx = np.asarray(pidx, dtype=np.intp)
-        self.rptr = None if len(rptr) == len(coef) else np.asarray(rptr, dtype=np.intp)
+            fidx[: len(fac), t] = fac
+        pidx = np.asarray(pidx, dtype=np.intp)
+        self._copies = {1: (fidx, pidx, np.asarray(coef, dtype=np.complex128), bounds)}
 
-    def terms(self, pw, pv):
-        """coeff * (x^m * pv[k]) for every term, from the flattened powers
-        table of the unknowns and the parameter vector with its constant
-        slot."""
-        fac = pw[self.fidx]
+    def _copy(self, k, block):
+        """(fidx, pidx, coef, part bounds) of k copies, for points whose
+        blocks are ``block`` long."""
+        fidx, pidx, coef, bounds = self._copies[1]
+        copy = np.arange(k)[:, None]
+        parts = [slice(a, b) for a, b, _ in bounds]
+        self._copies[k] = (
+            np.concatenate(
+                [(fidx[:, None, part] + block * copy).reshape(len(fidx), -1) for part in parts],
+                axis=1,
+            ),
+            np.concatenate([(pidx[part] + block * copy).ravel() for part in parts]),
+            np.concatenate([np.tile(coef[part], k) for part in parts]),
+            [
+                (k * a, k * b, None if rptr is None else (rptr + (b - a) * copy).ravel())
+                for a, b, rptr in bounds
+            ],
+        )
+        return self._copies[k]
+
+    def terms(self, blocks, k):
+        """coeff * (x^m * p_k) for every term of k copies, from the blocks
+        of k points laid end to end.  Returns (terms, row starts) for each
+        part, the row starts None when every row holds one term."""
+        fidx, pidx, coef, bounds = self._copies.get(k) or self._copy(k, len(blocks) // k)
+        fac = blocks[fidx]
         mono = fac[0]
         for row in fac[1:]:
             mono *= row
-        mono *= pv[self.pidx]
-        return np.multiply(self.coef, mono, out=mono)
+        mono *= blocks[pidx]
+        np.multiply(coef, mono, out=mono)
+        return [(mono[a:b], rptr) for a, b, rptr in bounds]
 
-    def sum_rows(self, values):
-        return values if self.rptr is None else np.add.reduceat(values, self.rptr)
+
+def _sum_rows(values, rptr):
+    """Row sums of one part's terms, given its row starts."""
+    return values if rptr is None else np.add.reduceat(values, rptr)
 
 
 class PolySystem:
     """Square system F(x; p) = M(x) p + c(x) from rows of (coeff, m, k)
     terms, m a tuple of ``num_unknowns`` exponents and -1 <= k < num_params.
 
-    The equation table sums each row sorted by m; the Jacobian table has
-    one row per (equation, unknown) cell, its entries in the given term
-    order.  The tangent table keeps the parameter terms of each equation
-    row, in the same order; evaluated at the velocity dp it gives M(x) dp.
-    These orders fix every sum and product, so results are bitwise
+    The state table has two parts: the equations, each row summed sorted
+    by m, then one row per (equation, unknown) Jacobian cell, its entries
+    in the given term order; the cells run down each column, so each
+    Jacobian comes out Fortran-ordered, the layout LAPACK factors.  The
+    tangent table keeps the parameter terms of each equation row, in the
+    same order; evaluated at the velocity dp it gives M(x) dp.  These
+    orders fix every sum and product, so results are bitwise
     reproducible with one numpy build on one CPU; numpy's vectorized
     complex multiply may round differently on another, and so may the
     paths tracked through it.
@@ -232,31 +269,38 @@ class PolySystem:
                 for col, e in enumerate(mono):
                     if e:
                         dmono = mono[:col] + (e - 1,) + mono[col + 1 :]
-                        cells.setdefault(i * nu + col, []).append((c * e, dmono, k))
+                        cells.setdefault(col * len(rows) + i, []).append((c * e, dmono, k))
         eq_rows = [sorted(row, key=lambda term: term[1]) for row in rows]
-        self._equations = _TermTable(eq_rows, nu)
-        self._tangent = _TermTable([[t for t in row if t[2] >= 0] for row in eq_rows], nu)
-        self._jacobian = _TermTable([cells.get(cell, []) for cell in range(len(rows) * nu)], nu)
-        self._max_exp = max(1, int(self._equations.fidx.max()) // nu)
+        jac_rows = [cells.get(cell, []) for cell in range(len(rows) * nu)]
+        self._max_exp = max([1, *(e for row in rows for _, mono, _ in row for e in mono)])
+        powers = (self._max_exp + 1) * nu
+        self._state = _TermTable([eq_rows, jac_rows], nu, powers)
+        self._tangent = _TermTable([[[t for t in row if t[2] >= 0] for row in eq_rows]], nu, powers)
 
-    def _check(self, point, params):
-        if len(point) != self.num_unknowns:
-            raise DimensionMismatchError(
-                f"point has {len(point)} coordinates, expected {self.num_unknowns}"
-            )
-        if len(params) != self.num_params:
-            raise DimensionMismatchError(
-                f"got {len(params)} parameters, expected {self.num_params}"
-            )
-
-    def _powers(self, point):
-        """The flattened (E+1, N) table whose row e holds x**e."""
+    def _blocks(self, point, params):
+        """(points, number of points, blocks): each point's flattened (E+1, N)
+        powers table, whose row e holds x**e, then its parameters (one
+        vector for all points or one per point), laid end to end; checks
+        the lengths."""
         x = np.asarray(point, dtype=np.complex128)
-        pw = np.empty((self._max_exp + 1, self.num_unknowns), dtype=np.complex128)
-        pw[0] = 1.0
-        for e in range(1, self._max_exp + 1):
-            np.multiply(pw[e - 1], x, out=pw[e])
-        return pw.ravel()
+        p = np.asarray(params, dtype=np.complex128)
+        if x.shape[-1] != self.num_unknowns:
+            raise DimensionMismatchError(
+                f"point has {x.shape[-1]} coordinates, expected {self.num_unknowns}"
+            )
+        if p.shape[-1] != self.num_params:
+            raise DimensionMismatchError(
+                f"got {p.shape[-1]} parameters, expected {self.num_params}"
+            )
+        k = 1 if x.ndim == 1 else len(x)
+        if p.ndim < x.ndim:
+            p = p[None].repeat(k, axis=0)
+        block = [np.empty_like(x), x]
+        block[0].fill(1.0)
+        for _ in range(1, self._max_exp):
+            block.append(block[-1] * x)
+        block.append(p)
+        return x, k, np.concatenate(block, axis=-1).ravel()
 
     def full_state(self, point, params=()):
         """(values, scales, jacobian) sharing one powers table.
@@ -266,21 +310,24 @@ class PolySystem:
         convergence relative to the size of the arithmetic that produced
         them, which is the only meaningful notion once coefficients span
         many orders of magnitude.
+
+        ``point`` may be a (K, N) stack of points, with one parameter
+        vector or a (K, P) stack; the results then carry the leading K
+        axis, and row k equals the call on row k alone.
         """
-        self._check(point, params)
-        pw = self._powers(point)
-        pv = np.concatenate((params, (1.0,)), dtype=np.complex128)
-        terms = self._equations.terms(pw, pv)
-        jac = self._jacobian.sum_rows(self._jacobian.terms(pw, pv))
+        x, k, blocks = self._blocks(point, params)
+        (eq, eq_rows), (jac, jac_rows) = self._state.terms(blocks, k)
+        shape = x.shape[:-1] + (-1,)
         return (
-            self._equations.sum_rows(terms),
-            self._equations.sum_rows(np.abs(terms)),
-            jac.reshape(-1, self.num_unknowns),
+            _sum_rows(eq, eq_rows).reshape(shape),
+            _sum_rows(np.abs(eq), eq_rows).reshape(shape),
+            _sum_rows(jac, jac_rows).reshape(shape[:-1] + (self.num_unknowns, -1)).swapaxes(-1, -2),
         )
 
     def param_tangent(self, point, dparams) -> np.ndarray:
         """Directional derivative M(x) dp of the system along a parameter
-        velocity dp; it does not depend on the parameters."""
-        self._check(point, dparams)
-        dpv = np.concatenate((dparams, (0.0,)), dtype=np.complex128)
-        return self._tangent.sum_rows(self._tangent.terms(self._powers(point), dpv))
+        velocity dp; it does not depend on the parameters.  ``point`` may
+        be a (K, N) stack, as in ``full_state``."""
+        x, k, blocks = self._blocks(point, dparams)
+        ((values, rows),) = self._tangent.terms(blocks, k)
+        return _sum_rows(values, rows).reshape(x.shape[:-1] + (-1,))

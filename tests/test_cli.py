@@ -108,6 +108,20 @@ def test_elliptic_plane_tangent(tmp_path):
     assert "double_point" in report
 
 
+def test_elliptic_plane_is_judged_by_direction_not_scale(tmp_path):
+    # x0 = 0 at two scales is one projective plane; only all-zero
+    # coefficients are no plane
+    reports = []
+    for coeffs in ("1,0,0,0", "1e-13,0,0,0"):
+        out = tmp_path / f"plane_{coeffs}.json"
+        assert main(["elliptic", "plane", "--coeffs", coeffs, "--output", str(out)]) == 0
+        reports.append(read_report(out))
+    assert reports[0]["status"] == reports[1]["status"] == "tangent"
+    assert reports[0]["double_point"] == reports[1]["double_point"]
+    out = tmp_path / "zero.json"
+    assert main(["elliptic", "plane", "--coeffs", "0,0,0,0", "--output", str(out)]) == 1
+
+
 def test_elliptic_point_construct(tmp_path):
     out = tmp_path / "point.json"
     code = main(

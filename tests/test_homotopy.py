@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
+from tensorid import homotopy, segre
 from tensorid.homotopy import (
     PathStatus,
     SegmentHomotopy,
@@ -16,6 +17,7 @@ from tensorid.homotopy import (
     newton_refine,
     solve_total_degree,
     track,
+    track_paths,
 )
 from tensorid.poly import MPoly, PolySystem
 
@@ -82,14 +84,15 @@ def test_newton_returns_state_at_its_point(max_move):
     # first update (about 0.12) exceeds max_move
     sys_ = _square_root_system()
     params = np.array([2.0 + 0j])
-    x, res, state = _newton(sys_, params, [1.3], 1e-12, 8, max_move=max_move)
+    move = None if max_move is None else np.array([max_move])
+    x, res, state = _newton(sys_, params, [[1.3]], 1e-12, 8, max_move=move)
     if max_move is None:
-        assert res < 1e-12
+        assert res[0] < 1e-12
     else:
-        assert x[0] == 1.3
+        assert x[0, 0] == 1.3
     for got, want in zip(state, sys_.full_state(x, params)):
         assert np.array_equal(got, want)
-    assert res == float(np.max(np.abs(state[0]) / (1.0 + state[1])))
+    assert res[0] == float(np.max(np.abs(state[0][0]) / (1.0 + state[1][0])))
 
 
 def test_track_reports_divergence():
@@ -216,9 +219,124 @@ def test_newton_refine_non_finite_jacobian_raises():
             newton_refine(sys_, (), [1e200])
 
 
+def test_lu_solve_gates_each_matrix_of_a_stack_on_its_factors():
+    # the second matrix has a unit diagonal, but its second LU pivot is
+    # 2^-50, a pivot ratio above 1e14; the first is well conditioned
+    jac = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0 + 2.0**-50]]], dtype=complex)
+    rhs = np.array([[1.0, 2.0], [1.0, 2.0]], dtype=complex)
+    out, ok = _lu_solve_scaled(jac, rhs, np.zeros((2, 2)))
+    assert ok == [True, False]
+    assert np.allclose(out[0], np.linalg.solve(jac[0], rhs[0]), rtol=1e-15, atol=0)
+    assert not out[1].any()
+
+
 def test_lu_solve_rejects_non_finite_imaginary_part():
     # the solution 1e310j overflows in its imaginary part only
-    out = _lu_solve_scaled(np.array([[1e-300 + 0j]]), np.array([1e10j]), np.zeros(1))
-    assert out is None
+    out, ok = _lu_solve_scaled(np.array([[[1e-300 + 0j]]]), np.array([[1e10j]]), np.zeros((1, 1)))
+    assert not ok[0] and out[0, 0] == 0
     jac = np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]])
     assert condition_estimate(jac) == np.inf
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_corrector_iters", 0),
+        ("max_corrector_iters", -3),
+        ("max_corrector_iters", 2.5),
+        ("max_steps", 0),
+        ("divergence_norm", float("nan")),
+        ("divergence_norm", -1.0),
+        ("divergence_norm", float("inf")),
+        ("corrector_tol", float("nan")),
+        ("corrector_tol", 0.0),
+    ],
+)
+def test_track_settings_name_the_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrackSettings(**{field: value})
+
+
+def test_rejected_step_keeps_its_tangent(monkeypatch):
+    # x^2 - p from p = 1 to just above p = -1 passes near the branch point
+    # p = 0, where the corrector rejects steps; the tangent is recomputed
+    # only after an accepted step, so once per accepted step
+    tangents = []
+    param_tangent = PolySystem.param_tangent
+    monkeypatch.setattr(
+        PolySystem,
+        "param_tangent",
+        lambda self, point, dp: tangents.append(1) or param_tangent(self, point, dp),
+    )
+    corrected = []
+    newton = homotopy._newton
+
+    def recording_newton(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        if kwargs.get("max_move") is not None:
+            corrected.extend(out[1].tolist())
+        return out
+
+    monkeypatch.setattr(homotopy, "_newton", recording_newton)
+    st = TrackSettings()
+    result = track(SegmentHomotopy(_square_root_system(), [1.0], [-1.0 + 1e-3j]), [1.0], st)
+    accepted = sum(r < st.corrector_tol for r in corrected)
+    assert result.success
+    assert len(corrected) == result.steps_taken > accepted
+    assert len(tangents) == accepted
+
+
+def _captured(monkeypatch, module, run):
+    """The (homotopy, starts) that ``run`` hands to ``module.track_and_polish``."""
+    seen = []
+    real = homotopy.track_and_polish
+
+    def capture(hom, starts, salvage_singular=False):
+        starts = list(starts)
+        seen.append((hom, starts))
+        return real(hom, starts, salvage_singular)
+
+    monkeypatch.setattr(module, "track_and_polish", capture)
+    run()
+    return seen[0]
+
+
+def _assert_batch_matches_solo(hom, starts, settings=None):
+    batch = track_paths(hom, starts, settings)
+    assert len(batch) == len(starts)
+    for start, got in zip(starts, batch):
+        alone = track(hom, start, settings)
+        assert got.status is alone.status
+        assert got.steps_taken == alone.steps_taken
+        assert got.final_residual == pytest.approx(alone.final_residual, rel=1e-6, abs=1e-18)
+        scale = max(1.0, float(np.max(np.abs(alone.endpoint))))
+        assert float(np.max(np.abs(got.endpoint - alone.endpoint))) <= 1e-12 * scale
+    return batch
+
+
+def test_section_batch_matches_solo_tracks(monkeypatch):
+    spec = segre.SegreSpec((2, 4))
+    space = segre.random_section_space(spec, seed=2)
+    hom, starts = _captured(monkeypatch, segre, lambda: segre.solve_section(spec, space, seed=2))
+    assert len(starts) == 15
+    batch = _assert_batch_matches_solo(hom, starts)
+    assert all(r.success for r in batch)
+
+
+def test_total_degree_batch_with_surplus_paths_matches_solo(monkeypatch):
+    # x*y - 1 and x*y + x - 2: Bezout count 4, one finite root (1, 1); the
+    # three surplus paths run off to infinity and end singular or diverged
+    polys = [
+        MPoly(2, {(1, 1): 1.0, (0, 0): -1.0}),
+        MPoly(2, {(1, 1): 1.0, (1, 0): 1.0, (0, 0): -2.0}),
+    ]
+    hom, starts = _captured(
+        monkeypatch, homotopy, lambda: solve_total_degree(polys, rng=np.random.default_rng(3))
+    )
+    batch = _assert_batch_matches_solo(hom, starts, TrackSettings(divergence_norm=1e4))
+    statuses = {r.status for r in batch}
+    assert statuses == {PathStatus.SUCCESS, PathStatus.SINGULAR, PathStatus.DIVERGED}
+
+
+def test_track_paths_of_no_starts():
+    assert track_paths(SegmentHomotopy(_square_root_system(), [1.0], [4.0]), []) == []

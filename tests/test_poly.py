@@ -12,6 +12,7 @@ from tensorid.poly import (
     monomials,
     multinomial,
 )
+from tensorid.segre import SegreSpec, _section_system
 from tensorid.waring import WaringSpec, build_system
 
 
@@ -224,3 +225,43 @@ def test_waring_jacobian_closed_form(dnr):
                     )
     assert np.all((jac == 0) == (want == 0))
     assert np.all(np.abs(jac - want) <= 1e-13 * np.abs(want))
+
+
+def _total_degree_system():
+    # two quadrics in 2 unknowns, every coefficient a parameter, as
+    # solve_total_degree writes them
+    mons = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
+    rows = [[(1.0, m, 6 * i + k) for k, m in enumerate(mons)] for i in range(2)]
+    return PolySystem(rows, num_unknowns=2, num_params=12)
+
+
+def _segre_section_system():
+    rng = np.random.default_rng(4)
+    alpha = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    beta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return _section_system(SegreSpec((2, 2)), alpha, beta)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_system(WaringSpec(d=5, n=1, r=3)), _segre_section_system, _total_degree_system],
+    ids=["waring(5,1,3)", "segre(2,2)", "total-degree"],
+)
+def test_stacked_evaluation_equals_single_calls(make):
+    system = make()
+    rng = np.random.default_rng(5)
+    k, n, p = 4, system.num_unknowns, system.num_params
+    x = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    params = rng.standard_normal((k, p)) + 1j * rng.standard_normal((k, p))
+    dp = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    for stack, rows in (
+        (system.full_state(x, params), [system.full_state(x[i], params[i]) for i in range(k)]),
+        (system.full_state(x, params[0]), [system.full_state(x[i], params[0]) for i in range(k)]),
+    ):
+        for got, want in zip(stack, zip(*rows)):
+            assert np.array_equal(got, np.stack(want))
+    tangent = system.param_tangent(x, dp)
+    assert np.array_equal(tangent, np.stack([system.param_tangent(x[i], dp) for i in range(k)]))
+    one = system.full_state(x[:1], params[:1])
+    for got, want in zip(one, system.full_state(x[0], params[0])):
+        assert np.array_equal(got, want[None])

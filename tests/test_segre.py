@@ -93,14 +93,14 @@ def test_solve_section_tracks_one_path_per_point(monkeypatch, dims):
     # path of a generic section reaches a distinct point
     spec = SegreSpec(dims=dims)
     statuses = []
-    real_track = homotopy.track
+    real_track_paths = homotopy.track_paths
 
-    def counting_track(*args, **kwargs):
-        result = real_track(*args, **kwargs)
-        statuses.append(result.status)
-        return result
+    def counting_track_paths(*args, **kwargs):
+        results = real_track_paths(*args, **kwargs)
+        statuses.extend(r.status for r in results)
+        return results
 
-    monkeypatch.setattr(homotopy, "track", counting_track)
+    monkeypatch.setattr(homotopy, "track_paths", counting_track_paths)
     result = solve_section(spec, random_section_space(spec, seed=2), seed=2)
     assert statuses == [PathStatus.SUCCESS] * degree(spec)
     assert len(result.points) == degree(spec)
