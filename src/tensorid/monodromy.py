@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homotopy import SegmentHomotopy, TrackSettings, _newton, track
+from .homotopy import (
+    _SINGULAR_RATIO,
+    SegmentHomotopy,
+    SingularJacobianError,
+    TrackSettings,
+    _newton,
+    condition_estimate,
+    track_paths,
+)
 from .waring import Decomposition
 
 DEDUP_TOL = 1e-6
@@ -199,34 +207,30 @@ def triangle_loop(
     settings: TrackSettings | None = None,
 ) -> int:
     """Carry every stored solution around one triangle; returns how many
-    endpoints were new.  A transport whose leg fails is dropped and
-    counted in ``registry.transports_lost``."""
+    endpoints were new.
+
+    The stored solutions travel as one stack, one ``track_paths`` call
+    per leg, and the transports that finish a leg go on to the next.
+    Each loop carries a snapshot of the registry, so no transport depends
+    on an insert; the endpoints are inserted in stored order.  A
+    transport whose leg fails is dropped and counted in
+    ``registry.transports_lost``."""
     st = settings or TrackSettings()
     sys_ = registry.system
     p0 = registry.base_params
     q1, q2 = loop.aux_params
     gamma = loop.gamma_out
-    leg0 = SegmentHomotopy(sys_, p0, q1, gamma=gamma)
-    leg1 = SegmentHomotopy(sys_, q1, q2)
-    leg2 = SegmentHomotopy(sys_, q2, p0)
-
-    def transport(vec):
-        x = _scale_lambdas(vec, registry.n, gamma)
-        for leg in (leg0, leg1, leg2):
-            result = track(leg, x, st)
-            if not result.success:
-                return None
-            x = result.endpoint
-        return x
-
-    new = 0
-    for dec in registry.solutions[:]:
-        endpoint = transport(dec.to_vector())
-        if endpoint is None:
-            registry.transports_lost += 1
-        elif registry.insert(endpoint):
-            new += 1
-    return new
+    legs = (
+        SegmentHomotopy(sys_, p0, q1, gamma=gamma),
+        SegmentHomotopy(sys_, q1, q2),
+        SegmentHomotopy(sys_, q2, p0),
+    )
+    xs = [_scale_lambdas(dec.to_vector(), registry.n, gamma) for dec in registry.solutions]
+    carried = len(xs)
+    for leg in legs:
+        xs = [result.endpoint for result in track_paths(leg, xs, st) if result.success]
+    registry.transports_lost += carried - len(xs)
+    return sum(registry.insert(x) for x in xs)
 
 
 def solve(
@@ -252,6 +256,12 @@ def solve(
     Returns:
         SolutionRegistry; its ``warning`` field is set when the loop
         budget ran out before the count stabilized.
+
+    Raises:
+        ValueError: if the start does not solve the base system.
+        SingularJacobianError: if the start's Jacobian at the base
+            parameters fails the tracker's 1e14 pivot-ratio gate (for
+            example two equal summands); every transport would be lost.
     """
     policy = policy or StopPolicy()
     st = settings or TrackSettings()
@@ -259,6 +269,13 @@ def solve(
     registry = SolutionRegistry(system, base, n=start.n)
     if not registry.insert(start):
         raise ValueError("start decomposition does not solve the base system")
+    _, scales, jac = system.full_state(registry.solutions[0].to_vector(), base)
+    ratio = condition_estimate(jac, scales)
+    if not ratio <= _SINGULAR_RATIO:
+        raise SingularJacobianError(
+            f"start decomposition is a singular solution: its Jacobian's pivot ratio "
+            f"{ratio:.1e} exceeds {_SINGULAR_RATIO:.0e}, so no path can leave it"
+        )
 
     scale = float(np.max(np.abs(base))) if base.size else 1.0
     real_base = float(np.max(np.abs(base.imag))) <= 1e-12 * (1.0 + scale)

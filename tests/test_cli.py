@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tensorid import segre
+from tensorid import segre, waring
 from tensorid.cli import main
 
 
@@ -67,6 +67,24 @@ def test_waring_missing_fixture():
         ["waring", "--d", "7", "--n", "2", "--r", "12", "--fixture", "nope.json"]
     )
     assert code == 1
+
+
+def test_waring_singular_start_exit_1(tmp_path, capsys):
+    # two equal summands: the start is a singular solution, and no loop
+    # could leave it, so the run must not report "identifiable over C"
+    with open(waring.bundled_fixture_path("deg7_rank12.json")) as fh:
+        summands = json.load(fh)
+    summands[1] = summands[0]
+    fixture = tmp_path / "double_summand.json"
+    fixture.write_text(json.dumps(summands))
+    out = tmp_path / "double_summand_report.json"
+    code = main(
+        ["waring", "--d", "7", "--n", "2", "--r", "12", "--fixture", str(fixture),
+         "--output", str(out)]
+    )
+    assert code == 1
+    assert "pivot ratio" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1():

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from tensorid import monodromy
-from tensorid.homotopy import PathResult, PathStatus
+from tensorid.homotopy import (
+    PathResult,
+    PathStatus,
+    SegmentHomotopy,
+    SingularJacobianError,
+    track,
+)
 from tensorid.monodromy import (
     SolutionRegistry,
     StopPolicy,
@@ -22,6 +28,7 @@ from tensorid.waring import (
     enumerate_decompositions,
     random_real_start,
     sylvester_oracle,
+    tensor_from_decomposition,
     tracking_settings,
 )
 
@@ -192,22 +199,105 @@ def test_registry_rejects_non_finite_residual(value):
     assert len(reg) == 1
 
 
-def test_triangle_loop_counts_lost_transports(monkeypatch):
+def _quintic_registry(copies):
+    """A (5,1,3) registry holding the start and ``copies - 1`` reorderings
+    of its summands, so that a loop carries ``copies`` transports; every
+    endpoint is the one decomposition again."""
     spec = WaringSpec(5, 1, 3)
     start, tensor = random_real_start(spec, seed=6)
     base = np.asarray(tensor.coeffs)
     reg = SolutionRegistry(build_system(spec), base, n=1)
     reg.insert(start)
-    # a second stored entry (the start, reordered) for the loop to carry
-    reg.solutions.append(Decomposition(tuple(reversed(start.summands))))
-    stored = len(reg)
-
-    def failing_track(homotopy, x, settings=None):
-        return PathResult(PathStatus.SINGULAR, np.asarray(x), 1.0, 1)
-
-    monkeypatch.setattr(monodromy, "track", failing_track)
+    summands = start.summands
+    for shift in range(1, copies):
+        reg.solutions.append(Decomposition(summands[shift:] + summands[:shift]))
     rng = np.random.default_rng(0)
     loop = draw_loop(base, rng, twist_exit=True, sampler=decomposition_sampler(spec, start))
+    return reg, loop
+
+
+def test_triangle_loop_matches_solo_transports(monkeypatch):
+    # the stacked legs give every transport the endpoint that chaining
+    # one-path track calls over the same three legs gives, bit for bit
+    reg, loop = _quintic_registry(3)
+    st = tracking_settings()
+    q1, q2 = loop.aux_params
+    legs = (
+        SegmentHomotopy(reg.system, reg.base_params, q1, gamma=loop.gamma_out),
+        SegmentHomotopy(reg.system, q1, q2),
+        SegmentHomotopy(reg.system, q2, reg.base_params),
+    )
+    solo = []
+    for dec in reg.solutions:
+        x = dec.to_vector()
+        x[1::2] *= loop.gamma_out
+        for leg in legs:
+            result = track(leg, x, st)
+            assert result.success
+            x = result.endpoint
+        solo.append(x)
+    expected = SolutionRegistry(reg.system, reg.base_params, n=1)
+    expected.solutions = reg.solutions[:]
+    expected_new = sum(expected.insert(x) for x in solo)
+
+    inserted = []
+    insert = reg.insert
+
+    def recording_insert(candidate):
+        inserted.append(candidate)
+        return insert(candidate)
+
+    monkeypatch.setattr(reg, "insert", recording_insert)
+    assert triangle_loop(reg, loop, st) == expected_new
+    assert len(inserted) == len(solo) == 3
+    for got, want in zip(inserted, solo):
+        assert np.array_equal(got, want)
+    assert reg.transports_lost == expected.transports_lost == 0
+    assert [d.to_vector().tobytes() for d in reg.solutions] == [
+        d.to_vector().tobytes() for d in expected.solutions
+    ]
+
+
+def test_triangle_loop_counts_lost_transports(monkeypatch):
+    reg, loop = _quintic_registry(2)
+    stored = len(reg)
+
+    def failing_track_paths(homotopy, starts, settings=None):
+        return [PathResult(PathStatus.SINGULAR, np.asarray(x), 1.0, 1) for x in starts]
+
+    monkeypatch.setattr(monodromy, "track_paths", failing_track_paths)
     assert triangle_loop(reg, loop, tracking_settings()) == 0
     assert reg.transports_lost == stored == 2
     assert reg.serialize(d=5)["transports_lost"] == stored
+
+
+def test_triangle_loop_drops_a_transport_lost_mid_loop(monkeypatch):
+    # row 0 fails on leg 1; row 1 finishes alone and comes back home
+    reg, loop = _quintic_registry(2)
+    carried = []
+    track_paths = monodromy.track_paths
+
+    def leg1_loses_row0(homotopy, starts, settings=None):
+        carried.append(len(starts))
+        results = track_paths(homotopy, starts, settings)
+        if len(carried) == 2:
+            results[0] = PathResult(PathStatus.SINGULAR, results[0].endpoint, 1.0, 1)
+        return results
+
+    monkeypatch.setattr(monodromy, "track_paths", leg1_loses_row0)
+    assert triangle_loop(reg, loop, tracking_settings()) == 0
+    assert carried == [2, 2, 1]
+    assert reg.transports_lost == 1
+    assert len(reg) == 2
+
+
+def test_solve_rejects_singular_start():
+    # two equal summands: the form has the start as a solution, but a
+    # singular one, so every transport would be lost
+    spec = WaringSpec(5, 1, 3)
+    start, _ = random_real_start(spec, seed=6)
+    double = Decomposition((start.summands[0],) * 2 + start.summands[2:])
+    tensor = tensor_from_decomposition(spec, double)
+    with pytest.raises(SingularJacobianError, match="pivot ratio"):
+        solve(build_system(spec), np.asarray(tensor.coeffs), double,
+              decomposition_sampler(spec, double))
