@@ -15,7 +15,6 @@ from .homotopy import (
     SingularJacobianError,
     TrackSettings,
     condition_estimate,
-    newton_refine,
     solve_total_degree,
     track,
 )
@@ -52,7 +51,6 @@ from .waring import (
     reconstruction_error,
     sylvester_oracle,
     tensor_from_decomposition,
-    tracking_settings,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +87,6 @@ __all__ = [
     "load_start",
     "monomials",
     "multinomial",
-    "newton_refine",
     "random_real_start",
     "reconstruction_error",
     "solve",
@@ -97,6 +94,5 @@ __all__ = [
     "sylvester_oracle",
     "tensor_from_decomposition",
     "track",
-    "tracking_settings",
     "triangle_loop",
 ]

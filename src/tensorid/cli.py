@@ -13,7 +13,6 @@ attempts.
 """
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -22,7 +21,6 @@ import numpy as np
 
 from . import elliptic as ell
 from . import segre as seg
-from .homotopy import TrackSettings
 from .monodromy import StopPolicy
 from .realcert import UnpairedDecompositionError, classify
 from .waring import (
@@ -33,7 +31,6 @@ from .waring import (
     load_start,
     random_real_start,
     reconstruction_error,
-    tracking_settings,
 )
 
 SCHEMA = "tensorid/report/v1"
@@ -44,21 +41,13 @@ class RunConfig:
     """Everything a run needs to be reproduced from its own report."""
 
     seed: int = 0
-    settings: TrackSettings = field(default_factory=TrackSettings)
     stop: StopPolicy = field(default_factory=StopPolicy)
-    real_tol: float = 1e-8
     output_path: str | None = None
-
-    def __post_init__(self):
-        if not 0 < self.real_tol < math.inf:
-            raise ValueError("real_tol must be positive and finite")
 
     def serialize(self) -> dict:
         return {
             "seed": self.seed,
-            "settings": asdict(self.settings),
             "stop": asdict(self.stop),
-            "real_tol": self.real_tol,
             "output_path": self.output_path,
         }
 
@@ -118,19 +107,17 @@ def _common_options(f):
             default=None,
             help="Report path (default: TENSORID_OUTPUT_DIR or cwd).",
         ),
-        click.option("--real-tol", type=float, default=1e-8, show_default=True),
     ]
     for opt in reversed(opts):
         f = opt(f)
     return f
 
 
-def _make_config(seed, output_path, real_tol, **stop_kwargs) -> RunConfig:
+def _make_config(seed, output_path, **stop_kwargs) -> RunConfig:
     try:
         return RunConfig(
             seed=seed,
             stop=StopPolicy(**stop_kwargs) if stop_kwargs else StopPolicy(),
-            real_tol=real_tol,
             output_path=output_path,
         )
     except ValueError as err:
@@ -151,12 +138,11 @@ def cli():
 @click.option("--stable-loops", type=int, default=8, show_default=True)
 @click.option("--target-count", type=int, default=None)
 @_common_options
-def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, output_path, real_tol):
+def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, output_path):
     """Enumerate all rank-r decompositions of a start form and classify them."""
     config = _make_config(
         seed,
         output_path,
-        real_tol,
         max_loops=max_loops,
         stable_loops=stable_loops,
         target_count=target_count,
@@ -184,7 +170,6 @@ def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, ou
         start, tensor = random_real_start(spec, seed=config.seed)
         source = {"random_seed": config.seed}
 
-    config.settings = tracking_settings()  # what enumerate_decompositions tracks with
     registry = enumerate_decompositions(
         spec,
         start,
@@ -193,7 +178,7 @@ def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, ou
         seed=config.seed,
     )
     try:
-        classified = classify(registry, real_tol=config.real_tol)
+        classified = classify(registry)
     except UnpairedDecompositionError as err:
         raise click.ClickException(str(err))
     worst = max(reconstruction_error(spec, dec, tensor) for dec in registry.solutions)
@@ -227,30 +212,19 @@ def elliptic_group():
 @elliptic_group.command("plane")
 @click.option("--coeffs", required=True, help="Four plane coefficients, comma separated.")
 @_common_options
-def elliptic_plane(coeffs, seed, output_path, real_tol):
+def elliptic_plane(coeffs, seed, output_path):
     """Intersect one real plane with the curve and report the signature."""
-    config = _make_config(seed, output_path, real_tol)
+    config = _make_config(seed, output_path)
     plane = _parse_csv(coeffs, float, 4, "--coeffs")
-    pencil = ell.example_pencil()
-    payload: dict = {"command": "elliptic plane", "plane": plane}
-    try:
-        points, sig = ell.intersect_plane(
-            pencil, plane, seed=config.seed, real_tol=config.real_tol
-        )
-        payload["status"] = "transverse"
-        payload["signature"] = list(sig.as_tuple())
-        payload["points"] = [p for p in points]
-        summary = f"signature={sig.as_tuple()}"
-    except ell.TangentPlaneError as err:
-        payload["status"] = "tangent"
-        payload["double_point"] = err.double_point
-        summary = "tangent plane (double contact)"
-    except ell.DegeneratePlaneError as err:
-        payload["status"] = "degenerate"
-        payload["detail"] = str(err)
-        summary = "degenerate section"
+    record = ell.plane_record(ell.example_pencil(), plane, seed=config.seed)
+    payload = {"command": "elliptic plane", "plane": plane, **record}
     out = _write_report(config, payload, "elliptic_plane.json")
-    click.echo(summary)
+    if record["status"] == "transverse":
+        click.echo(f"signature={record['signature']}")
+    elif record["status"] == "tangent":
+        click.echo("tangent plane (double contact)")
+    else:
+        click.echo("degenerate section")
     click.echo(f"report: {out}")
     return 0
 
@@ -259,9 +233,9 @@ def elliptic_plane(coeffs, seed, output_path, real_tol):
 @click.option("--construct", type=click.Choice([ell.S1, ell.S2, ell.S3, ell.S4]), default=None)
 @click.option("--coords", default=None, help="Four real coordinates, comma separated.")
 @_common_options
-def elliptic_point(construct, coords, seed, output_path, real_tol):
+def elliptic_point(construct, coords, seed, output_path):
     """Classify a real point (given or constructed) by its secant lines."""
-    config = _make_config(seed, output_path, real_tol)
+    config = _make_config(seed, output_path)
     if (construct is None) == (coords is None):
         raise click.UsageError("give exactly one of --construct or --coords")
     pencil = ell.example_pencil()
@@ -269,7 +243,7 @@ def elliptic_point(construct, coords, seed, output_path, real_tol):
         point = ell.construct_point_of_type(pencil, construct, seed=config.seed)
     else:
         point = np.asarray(_parse_csv(coords, float, 4, "--coords"))
-    tag = ell.classify_point(pencil, point, seed=config.seed, real_tol=config.real_tol)
+    tag = ell.classify_point(pencil, point, seed=config.seed)
     payload = {
         "command": "elliptic point",
         "point": [float(v) for v in np.asarray(point, dtype=float)],
@@ -287,14 +261,14 @@ def elliptic_point(construct, coords, seed, output_path, real_tol):
 @click.option("--to", "to_k", type=float, required=True)
 @click.option("--steps", type=int, required=True)
 @_common_options
-def elliptic_pencil_scan(from_k, to_k, steps, seed, output_path, real_tol):
+def elliptic_pencil_scan(from_k, to_k, steps, seed, output_path):
     """Signatures of the plane family x2 = k*x3 over a range of k."""
-    config = _make_config(seed, output_path, real_tol)
+    config = _make_config(seed, output_path)
     if steps < 1:
         raise click.BadParameter("--steps must be at least 1")
     ks = np.linspace(from_k, to_k, steps)
     pencil = ell.example_pencil()
-    records = ell.pencil_scan(pencil, ks, seed=config.seed, real_tol=config.real_tol)
+    records = ell.pencil_scan(pencil, ks, seed=config.seed)
     counts: dict = {}
     for rec in records:
         counts[rec["status"]] = counts.get(rec["status"], 0) + 1
@@ -326,9 +300,9 @@ def _segre_spec(dims_text: str) -> seg.SegreSpec:
 @segre_group.command("profile")
 @click.option("--dims", required=True, help="Two factor dimensions, e.g. 2,4.")
 @_common_options
-def segre_profile(dims, seed, output_path, real_tol):
+def segre_profile(dims, seed, output_path):
     """Almost-unbalanced rank, section degree and their parity gap."""
-    config = _make_config(seed, output_path, real_tol)
+    config = _make_config(seed, output_path)
     spec = _segre_spec(dims)
     prof = seg.almost_unbalanced_profile(spec)
     payload = {"command": "segre profile", "spec": list(spec.dims), **prof}
@@ -342,9 +316,9 @@ def segre_profile(dims, seed, output_path, real_tol):
 @click.option("--dims", required=True)
 @click.option("--span-real", type=int, default=None, help="Span of this many real rank-one points.")
 @_common_options
-def segre_section(dims, span_real, seed, output_path, real_tol):
+def segre_section(dims, span_real, seed, output_path):
     """Solve one linear section and report its realness signature."""
-    config = _make_config(seed, output_path, real_tol)
+    config = _make_config(seed, output_path)
     spec = _segre_spec(dims)
     if span_real is not None:
         space = seg.span_through_points(spec, span_real, seed=config.seed)
@@ -356,12 +330,7 @@ def segre_section(dims, span_real, seed, output_path, real_tol):
             f"at codimension {spec.variety_dim}"
         )
     try:
-        result = seg.solve_section(
-            spec,
-            space,
-            seed=config.seed,
-            real_tol=config.real_tol,
-        )
+        result = seg.solve_section(spec, space, seed=config.seed)
     except seg.DeficientSectionError as err:
         raise click.ClickException(str(err))
     payload = {
@@ -383,9 +352,9 @@ def segre_section(dims, span_real, seed, output_path, real_tol):
 @click.option("--target", required=True, help="real,nonreal counts, e.g. 9,6.")
 @click.option("--max-attempts", type=int, default=50, show_default=True)
 @_common_options
-def segre_search(dims, target, max_attempts, seed, output_path, real_tol):
+def segre_search(dims, target, max_attempts, seed, output_path):
     """Search for a real section with the requested realness signature."""
-    config = _make_config(seed, output_path, real_tol)
+    config = _make_config(seed, output_path)
     spec = _segre_spec(dims)
     goal = tuple(_parse_csv(target, int, 2, "--target"))
     payload: dict = {
@@ -396,11 +365,7 @@ def segre_search(dims, target, max_attempts, seed, output_path, real_tol):
     }
     try:
         space, result = seg.search_signature(
-            spec,
-            goal,
-            max_attempts=max_attempts,
-            seed=config.seed,
-            real_tol=config.real_tol,
+            spec, goal, max_attempts=max_attempts, seed=config.seed
         )
     except ValueError as err:
         raise click.BadParameter(str(err))

@@ -24,10 +24,11 @@ import numpy as np
 
 from .homotopy import solve_total_degree
 from .poly import MPoly
-from .realcert import is_real_point
+from .realcert import REAL_TOL, is_real_point
 
 TANGENT_TOL = 1e-6
 DEDUP_TOL = 1e-6
+PLANE_ATTEMPTS = 400  # random planes drawn before a sampler gives up
 
 S1 = "s1"
 S2 = "s2"
@@ -135,7 +136,7 @@ def projective_distance(x, y) -> float:
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, c * c))))
 
 
-def real_representative(x, real_tol: float = 1e-8) -> np.ndarray:
+def real_representative(x, real_tol: float = REAL_TOL) -> np.ndarray:
     """Real coordinate vector of a conjugation-fixed projective point."""
     w = normalize_projective(x)
     if not is_real_point(w, real_tol):
@@ -147,6 +148,23 @@ def real_representative(x, real_tol: float = 1e-8) -> np.ndarray:
 def _point_key(x) -> tuple:
     w = normalize_projective(x)
     return tuple((round(float(c.real), 9), round(float(c.imag), 9)) for c in w)
+
+
+def merge_section_points(vectors):
+    """Merge the endpoints of one section solve into its points.
+
+    Each vector is normalized projectively; one closer than ``DEDUP_TOL``
+    to a point already kept repeats it and is dropped.  Returns (points,
+    real_count): the points real first, each part in a deterministic
+    order, so that the first real_count of them are the real ones.
+    """
+    found: list = []
+    for x in vectors:
+        p = normalize_projective(x)
+        if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
+            found.append(p)
+    found.sort(key=lambda p: (not is_real_point(p), _point_key(p)))
+    return found, sum(is_real_point(p) for p in found)
 
 
 def plane_basis(plane) -> np.ndarray:
@@ -182,12 +200,7 @@ def _random_unitary(rng: np.random.Generator) -> np.ndarray:
     return np.linalg.qr(z)[0]
 
 
-def intersect_plane(
-    pencil: QuadricPencil,
-    plane,
-    seed: int = 0,
-    real_tol: float = 1e-8,
-):
+def intersect_plane(pencil: QuadricPencil, plane, seed: int = 0):
     """The four intersection points of a real transverse plane with the curve.
 
     Parametrizes the plane, restricts both quadrics to a pair of conics
@@ -219,11 +232,10 @@ def intersect_plane(
     # conic gradients (a transverse root has independent ones).
     rot = _random_unitary(rng)
     polys = [_conic_chart(rot.T @ m @ rot) for m in (m1, m2)]
-    found: list = []
-    for x, _ in solve_total_degree(polys, rng, salvage_singular=True):
-        p = normalize_projective(basis @ rot @ np.concatenate(([1.0 + 0j], x)))
-        if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
-            found.append(p)
+    found, real_count = merge_section_points(
+        basis @ rot @ np.concatenate(([1.0 + 0j], x))
+        for x, _ in solve_total_degree(polys, rng, salvage_singular=True)
+    )
 
     if len(found) == 3:
         for p in found:
@@ -241,25 +253,30 @@ def intersect_plane(
             f"expected 4 intersection points, found {len(found)}"
         )
 
-    real_flags = [is_real_point(p, real_tol) for p in found]
-    nonreal = [p for p, f in zip(found, real_flags) if not f]
+    nonreal = found[real_count:]
     for p in nonreal:
         partner = min(
             (projective_distance(np.conjugate(p), q) for q in nonreal), default=np.inf
         )
         if partner >= DEDUP_TOL:
             raise DegeneratePlaneError("non-real points are not conjugation-closed")
-    found.sort(key=lambda p: (not is_real_point(p, real_tol), _point_key(p)))
-    real_count = sum(real_flags)
     return found, PlaneSignature(real_count, 4 - real_count)
 
 
-def pencil_scan(
-    pencil: QuadricPencil,
-    k_values,
-    seed: int = 0,
-    real_tol: float = 1e-8,
-):
+def plane_record(pencil: QuadricPencil, plane, seed: int = 0) -> dict:
+    """The section of one plane as a report record: status "transverse"
+    with the signature and the points, "tangent" with the double point,
+    or "degenerate" with the reason."""
+    try:
+        points, sig = intersect_plane(pencil, plane, seed)
+    except TangentPlaneError as err:
+        return {"status": "tangent", "double_point": err.double_point}
+    except DegeneratePlaneError as err:
+        return {"status": "degenerate", "detail": str(err)}
+    return {"status": "transverse", "signature": sig.as_tuple(), "points": points}
+
+
+def pencil_scan(pencil: QuadricPencil, k_values, seed: int = 0):
     """Signatures of the planes x2 = k*x3 for each requested k.
 
     The planes of this family share the base line x2 = x3 = 0, which
@@ -281,31 +298,13 @@ def pencil_scan(
     if abs(b * b - a * c) < 1e-12 * (a * a + b * b + c * c):
         raise ValueError("base line is tangent to the curve")
 
-    records = []
-    for k in k_values:
-        plane = np.array([0.0, 0.0, 1.0, -float(k)])
-        record: dict = {"k": float(k)}
-        try:
-            points, sig = intersect_plane(pencil, plane, seed, real_tol)
-            record["status"] = "transverse"
-            record["signature"] = sig.as_tuple()
-            record["points"] = points
-        except TangentPlaneError as err:
-            record["status"] = "tangent"
-            record["double_point"] = err.double_point
-        except DegeneratePlaneError as err:
-            record["status"] = "degenerate"
-            record["detail"] = str(err)
-        records.append(record)
-    return records
+    return [
+        {"k": float(k), **plane_record(pencil, np.array([0.0, 0.0, 1.0, -float(k)]), seed)}
+        for k in k_values
+    ]
 
 
-def secant_lines_through(
-    pencil: QuadricPencil,
-    point,
-    seed: int = 0,
-    real_tol: float = 1e-8,
-):
+def secant_lines_through(pencil: QuadricPencil, point, seed: int = 0):
     """The two secant lines of the curve through a generic real point.
 
     Returns a list of exactly two SecantLine records; the contact
@@ -323,7 +322,7 @@ def secant_lines_through(
         raise ValueError(
             f"point coordinates {np.ravel(point).tolist()} are not all finite"
         )
-    if not is_real_point(p, real_tol):
+    if not is_real_point(p):
         raise ValueError("base point must be real")
     p = np.real(normalize_projective(p))
     p = p / np.linalg.norm(p)
@@ -380,7 +379,7 @@ def secant_lines_through(
                 t2=complex(t2),
                 points=tuple(pts),
                 is_real_line=projective_distance(d, np.conjugate(d)) < TANGENT_TOL,
-                points_real=tuple(is_real_point(x, real_tol) for x in pts),
+                points_real=tuple(is_real_point(x) for x in pts),
             )
         )
 
@@ -402,12 +401,7 @@ def secant_lines_through(
     return lines
 
 
-def classify_point(
-    pencil: QuadricPencil,
-    point,
-    seed: int = 0,
-    real_tol: float = 1e-8,
-) -> str:
+def classify_point(pencil: QuadricPencil, point, seed: int = 0) -> str:
     """Type s1..s4 of a real point from its two secant lines.
 
     s1: both lines real, all four contacts real.
@@ -416,7 +410,7 @@ def classify_point(
     s4: the two lines themselves form a conjugate pair.
     """
     try:
-        lines = secant_lines_through(pencil, point, seed, real_tol)
+        lines = secant_lines_through(pencil, point, seed)
     except DegeneratePointError:
         return DEGENERATE
     flags = [ln.is_real_line for ln in lines]
@@ -436,16 +430,11 @@ def classify_point(
     return DEGENERATE
 
 
-def sample_real_points(
-    pencil: QuadricPencil,
-    count: int,
-    seed: int = 0,
-    max_attempts: int = 400,
-):
+def sample_real_points(pencil: QuadricPencil, count: int, seed: int = 0):
     """Real curve points harvested from random real plane sections."""
     rng = np.random.default_rng(seed)
     found: list = []
-    for _ in range(max_attempts):
+    for _ in range(PLANE_ATTEMPTS):
         if len(found) >= count:
             return found[:count]
         normal = rng.standard_normal(4)
@@ -460,15 +449,10 @@ def sample_real_points(
                     found.append(rep)
     if len(found) >= count:
         return found[:count]
-    raise RuntimeError(f"found only {len(found)} real curve points in {max_attempts} attempts")
+    raise RuntimeError(f"found only {len(found)} real curve points in {PLANE_ATTEMPTS} attempts")
 
 
-def find_plane_with_signature(
-    pencil: QuadricPencil,
-    target: tuple,
-    seed: int = 0,
-    max_attempts: int = 400,
-):
+def find_plane_with_signature(pencil: QuadricPencil, target: tuple, seed: int = 0):
     """A real plane whose section has the requested realness signature.
 
     (4,0) planes are built through triples of sampled real curve points
@@ -479,35 +463,23 @@ def find_plane_with_signature(
     """
     target = tuple(target)
     rng = np.random.default_rng(seed)
-    if target == (4, 0):
-        pool = sample_real_points(pencil, 8, seed=seed)
-        for _ in range(max_attempts):
+    pool = sample_real_points(pencil, 8, seed=seed) if target == (4, 0) else None
+    for _ in range(PLANE_ATTEMPTS):
+        if pool is None:
+            plane = rng.standard_normal(4)
+        else:
             idx = rng.choice(len(pool), size=3, replace=False)
-            stack = np.array([pool[i] for i in idx])
-            _, svals, vt = np.linalg.svd(stack)
+            _, svals, vt = np.linalg.svd(np.array([pool[i] for i in idx]))
             if svals[-1] < 1e-8:
                 continue
             plane = vt[-1]
-            try:
-                points, sig = intersect_plane(
-                    pencil, plane, seed=int(rng.integers(2**31))
-                )
-            except (TangentPlaneError, DegeneratePlaneError):
-                continue
-            if sig.as_tuple() == target:
-                return plane, points
-    else:
-        for _ in range(max_attempts):
-            plane = rng.standard_normal(4)
-            try:
-                points, sig = intersect_plane(
-                    pencil, plane, seed=int(rng.integers(2**31))
-                )
-            except (TangentPlaneError, DegeneratePlaneError):
-                continue
-            if sig.as_tuple() == target:
-                return plane, points
-    raise RuntimeError(f"no plane with signature {target} in {max_attempts} attempts")
+        try:
+            points, sig = intersect_plane(pencil, plane, seed=int(rng.integers(2**31)))
+        except (TangentPlaneError, DegeneratePlaneError):
+            continue
+        if sig.as_tuple() == target:
+            return plane, points
+    raise RuntimeError(f"no plane with signature {target} in {PLANE_ATTEMPTS} attempts")
 
 
 def _line_intersection(x1, x2, x3, x4) -> np.ndarray:
@@ -529,7 +501,7 @@ def _line_intersection(x1, x2, x3, x4) -> np.ndarray:
     )
 
 
-def _conjugate_pairs(points, tol: float = 1e-6):
+def _conjugate_pairs(points):
     """Split section points into real ones and conjugate pairs."""
     reals = [p for p in points if is_real_point(p)]
     nonreal = [p for p in points if not is_real_point(p)]
@@ -541,7 +513,7 @@ def _conjugate_pairs(points, tol: float = 1e-6):
         for j in range(i + 1, len(nonreal)):
             if j in used:
                 continue
-            if projective_distance(np.conjugate(p), nonreal[j]) < tol:
+            if projective_distance(np.conjugate(p), nonreal[j]) < DEDUP_TOL:
                 pairs.append((p, nonreal[j]))
                 used.add(i)
                 used.add(j)

@@ -44,29 +44,26 @@ class PathStatus(Enum):
     STEP_LIMIT = "step_limit"
 
 
-@dataclass
-class TrackSettings:
-    """Step-control and corrector settings for path tracking."""
+INITIAL_STEP = 0.05
+MAX_STEP = 0.1
+CORRECTOR_TOL = 1e-10
+MAX_CORRECTOR_ITERS = 4
+DIVERGENCE_NORM = 1e8
 
-    initial_step: float = 0.05
+
+@dataclass(frozen=True)
+class TrackSettings:
+    """The step floor and the step budget, the two settings whose values
+    differ between callers; the rest of step control is module constants."""
+
     min_step: float = 1e-7
-    max_step: float = 0.1
-    corrector_tol: float = 1e-10
-    max_corrector_iters: int = 4
     max_steps: int = 10000
-    divergence_norm: float = 1e8
 
     def __post_init__(self):
-        if not (0 < self.min_step <= self.initial_step <= self.max_step <= 1.0):
-            raise ValueError("need 0 < min_step <= initial_step <= max_step <= 1")
-        for name in ("corrector_tol", "divergence_norm"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("max_corrector_iters", "max_steps"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0 < self.min_step <= INITIAL_STEP:
+            raise ValueError(f"need 0 < min_step <= {INITIAL_STEP}, got {self.min_step!r}")
+        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 @dataclass
@@ -241,40 +238,13 @@ def _newton(system, params, points, tol, max_iters, max_move=None):
     return best[0], np.array(best_res), tuple(best[1:])
 
 
-def newton_refine(system, params, point, tol=1e-10, max_iters=20):
-    """Polish an approximate solution at fixed parameters.
-
-    Args:
-        system: square PolySystem.
-        params: parameter values.
-        point: initial approximation of the unknowns.
-        tol: target scaled residual.
-        max_iters: iteration cap.
-
-    Returns:
-        (point, residual): the best iterate found and its scaled
-        residual, which is <= tol when the iteration converged.
-
-    Raises:
-        SingularJacobianError: if the Jacobian at the input point has a
-            pivot-ratio condition estimate above 1e12.
-    """
-    params = np.asarray(params, dtype=np.complex128)
-    x = np.asarray(point, dtype=np.complex128)
-    _, scales, jac = system.full_state(x, params)
-    if condition_estimate(jac, scales) > 1e12:
-        raise SingularJacobianError("Jacobian numerically singular at input point")
-    x, res, _ = _newton(system, params, x[None], tol, max_iters)
-    return x[0], float(res[0])
-
-
 def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = None) -> PathResult:
     """Track one solution of a segment homotopy from t=0 to t=1.
 
     Args:
         homotopy: the parameter segment to follow.
         start: solution of the system at ``params_at(0)``.
-        settings: step-control settings (defaults used when omitted).
+        settings: step floor and budget (defaults used when omitted).
 
     Returns:
         PathResult with the endpoint at t=1 on success; otherwise the
@@ -300,7 +270,7 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
     """
     st = settings or TrackSettings()
     sys_ = homotopy.system
-    tol = st.corrector_tol
+    tol = CORRECTOR_TOL
     starts = list(starts)
     if not starts:
         return []
@@ -313,7 +283,7 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
     res = _residuals(vals, scales)
     redo = [i for i, r in enumerate(res.tolist()) if not r < 10.0 * tol]
     if redo:
-        fixed = _newton(sys_, params0, x[redo], tol, st.max_corrector_iters)
+        fixed = _newton(sys_, params0, x[redo], tol, MAX_CORRECTOR_ITERS)
         for r in fixed[1].tolist():
             if not r < tol:
                 raise ValueError(f"start point is not a solution at t=0 (residual {r:.3e})")
@@ -323,7 +293,7 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
     results = [None] * k
     paths = list(range(k))  # the start of each live row
     t = [0.0] * k
-    step = [st.initial_step] * k
+    step = [INITIAL_STEP] * k
     streak = [0] * k
     steps = [0] * k
     stale = [True] * k  # the row's predictor tangent needs computing
@@ -361,7 +331,7 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
             homotopy.params_at(np.array(t_next)[:, None]),
             x - hs[:, None] * back_dt,
             tol,
-            st.max_corrector_iters,
+            MAX_CORRECTOR_ITERS,
             max_move=hs * speed + floor,
         )
 
@@ -373,13 +343,13 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
             if acc:
                 t[j] = t_next[j]
                 stale[j] = True
-                if norms[j] > st.divergence_norm:
+                if norms[j] > DIVERGENCE_NORM:
                     end(j, PathStatus.DIVERGED, x_new[j], res_new[j])
                 elif not t[j] < 1.0:
                     end(j, PathStatus.SUCCESS, x_new[j], res_new[j])
                 streak[j] += 1
                 if streak[j] >= 3:
-                    step[j] = min(step[j] * 2.0, st.max_step)
+                    step[j] = min(step[j] * 2.0, MAX_STEP)
                     streak[j] = 0
             else:
                 streak[j] = 0
@@ -497,9 +467,8 @@ def track_and_polish(
     Returns the (endpoint, residual) pairs that passed polish, in start
     order.
     """
-    st = TrackSettings()
     system, p_end = homotopy.system, homotopy.params_end
-    results = track_paths(homotopy, starts, st)
+    results = track_paths(homotopy, starts)
     polished = [None] * len(results)
     success = [i for i, r in enumerate(results) if r.success]
     salvage = [
@@ -507,9 +476,9 @@ def track_and_polish(
         for i, r in enumerate(results)
         if salvage_singular
         and r.status in (PathStatus.SINGULAR, PathStatus.STEP_LIMIT)
-        and not float(np.max(np.abs(r.endpoint))) > st.divergence_norm
+        and not float(np.max(np.abs(r.endpoint))) > DIVERGENCE_NORM
     ]
-    for rows, iters, gate in ((success, 30, st.corrector_tol), (salvage, 60, 1e-8)):
+    for rows, iters, gate in ((success, 30, CORRECTOR_TOL), (salvage, 60, 1e-8)):
         if rows:
             x, res, _ = _newton(system, p_end, [results[i].endpoint for i in rows], 1e-13, iters)
             for i, xi, r in zip(rows, x, res.tolist()):

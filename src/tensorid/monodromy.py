@@ -34,6 +34,12 @@ from .waring import Decomposition
 DEDUP_TOL = 1e-6
 RESIDUAL_TOL = 1e-10
 LAMBDA_TOL = 1e-10
+# Coefficient-matching Jacobians of degree-7 and degree-8 forms are ill
+# conditioned (condition numbers near 1e9 at generic points), so paths
+# leaving a loop vertex move fast at first and the step has to shrink far
+# below the generic floor before the corrector basin is reached; the
+# budget is raised to match.
+TRACK_SETTINGS = TrackSettings(min_step=1e-13, max_steps=200000)
 
 
 def _has_perfect_matching(allowed: np.ndarray) -> bool:
@@ -201,11 +207,7 @@ def _scale_lambdas(vec: np.ndarray, n: int, factor: complex) -> np.ndarray:
     return out
 
 
-def triangle_loop(
-    registry: SolutionRegistry,
-    loop: LoopSpec,
-    settings: TrackSettings | None = None,
-) -> int:
+def triangle_loop(registry: SolutionRegistry, loop: LoopSpec) -> int:
     """Carry every stored solution around one triangle; returns how many
     endpoints were new.
 
@@ -214,8 +216,8 @@ def triangle_loop(
     Each loop carries a snapshot of the registry, so no transport depends
     on an insert; the endpoints are inserted in stored order.  A
     transport whose leg fails is dropped and counted in
-    ``registry.transports_lost``."""
-    st = settings or TrackSettings()
+    ``registry.transports_lost``.  Every leg tracks with
+    ``TRACK_SETTINGS``."""
     sys_ = registry.system
     p0 = registry.base_params
     q1, q2 = loop.aux_params
@@ -228,7 +230,7 @@ def triangle_loop(
     xs = [_scale_lambdas(dec.to_vector(), registry.n, gamma) for dec in registry.solutions]
     carried = len(xs)
     for leg in legs:
-        xs = [result.endpoint for result in track_paths(leg, xs, st) if result.success]
+        xs = [r.endpoint for r in track_paths(leg, xs, TRACK_SETTINGS) if r.success]
     registry.transports_lost += carried - len(xs)
     return sum(registry.insert(x) for x in xs)
 
@@ -239,7 +241,6 @@ def solve(
     start: Decomposition,
     sampler,
     policy: StopPolicy | None = None,
-    settings: TrackSettings | None = None,
     seed: int = 0,
 ) -> SolutionRegistry:
     """Monodromy enumeration of the solutions through one start point.
@@ -250,7 +251,6 @@ def solve(
         start: known decomposition at the base parameters.
         sampler: sampler(rng) for the auxiliary parameter tuples.
         policy: stop conditions (defaults: 8 fruitless loops, cap 200).
-        settings: path-tracking settings.
         seed: randomness for the loop instances.
 
     Returns:
@@ -264,7 +264,6 @@ def solve(
             example two equal summands); every transport would be lost.
     """
     policy = policy or StopPolicy()
-    st = settings or TrackSettings()
     base = np.asarray(base_params, dtype=np.complex128)
     registry = SolutionRegistry(system, base, n=start.n)
     if not registry.insert(start):
@@ -288,7 +287,7 @@ def solve(
         if fruitless >= policy.stable_loops:
             return registry
         loop = draw_loop(base, rng, twist_exit=real_base, sampler=sampler)
-        new = triangle_loop(registry, loop, st)
+        new = triangle_loop(registry, loop)
         registry.history.append((loop_index, new))
         fruitless = fruitless + 1 if new == 0 else 0
 

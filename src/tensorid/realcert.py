@@ -1,9 +1,9 @@
 """Realness classification of a set of decompositions.
 
-A decomposition of a real form is Real (all coordinates real up to a
-relative tolerance), Autoconjugate (equal to its own conjugate as a
-multiset of summands, without being real entry-wise), or one member of
-a ConjugatePair.  A non-real decomposition whose conjugate is missing
+A decomposition of a real form is Real (every coordinate real up to
+``REAL_TOL`` relative to its own size), Autoconjugate (equal to its own
+conjugate as a multiset of summands, without being real entry-wise), or
+one member of a ConjugatePair.  A non-real decomposition whose conjugate is missing
 from the set signals that the enumeration is incomplete; that is an
 error, not a fourth class.
 
@@ -21,19 +21,29 @@ from .waring import Decomposition
 REAL = "real"
 AUTOCONJUGATE = "autoconjugate"
 CONJUGATE_PAIR_MEMBER = "conjugate_pair_member"
+REAL_TOL = 1e-8
 
 
 class UnpairedDecompositionError(RuntimeError):
     """A non-real decomposition has no conjugate partner in the set."""
 
 
-def is_real_point(values, real_tol: float = 1e-8) -> bool:
+def is_real_point(values, real_tol: float = REAL_TOL) -> bool:
     """Componentwise realness relative to the largest coordinate."""
     v = np.asarray(values, dtype=np.complex128).ravel()
     if v.size == 0:
         return True
     scale = 1.0 + float(np.max(np.abs(v)))
     return float(np.max(np.abs(v.imag))) < real_tol * scale
+
+
+def _is_real_decomposition(dec: Decomposition) -> bool:
+    """Every coordinate v has |Im v| < REAL_TOL * (1 + |v|), the
+    coordinate-wise scale ``canonical_distance`` compares by; a bound
+    relative to the largest coordinate would let weights of size 1e6
+    hide slopes with imaginary parts of 1e-5."""
+    v = dec.to_vector()
+    return bool((np.abs(v.imag) < REAL_TOL * (1.0 + np.abs(v))).all())
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,7 @@ class ClassifiedSet:
         }
 
 
-def classify(registry_or_list, real_tol: float = 1e-8) -> ClassifiedSet:
+def classify(registry_or_list) -> ClassifiedSet:
     """Assign each decomposition its realness class.
 
     Accepts a SolutionRegistry or a plain sequence of Decomposition.
@@ -94,7 +104,7 @@ def classify(registry_or_list, real_tol: float = 1e-8) -> ClassifiedSet:
     tags: list = [None] * len(decs)
     partners: list = [None] * len(decs)
     for i, dec in enumerate(decs):
-        if is_real_point(dec.to_vector(), real_tol):
+        if _is_real_decomposition(dec):
             tags[i] = REAL
         elif canonical_distance(dec, dec.conjugate()) < DEDUP_TOL:
             tags[i] = AUTOCONJUGATE

@@ -15,12 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import normalize_projective, projective_distance, _point_key
+from .elliptic import merge_section_points
 from .homotopy import SegmentHomotopy, track_and_polish
 from .poly import PolySystem
-from .realcert import is_real_point
-
-DEDUP_TOL = 1e-6
 
 
 class DeficientSectionError(RuntimeError):
@@ -183,12 +180,7 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def solve_section(
-    spec: SegreSpec,
-    space: LinearSpace,
-    seed: int = 0,
-    real_tol: float = 1e-8,
-) -> SectionResult:
+def solve_section(spec: SegreSpec, space: LinearSpace, seed: int = 0) -> SectionResult:
     """All intersection points of the Segre variety with a linear space.
 
     One 2-homogeneous linear-product homotopy in one random complex
@@ -225,11 +217,9 @@ def solve_section(
     hom = SegmentHomotopy(_section_system(spec, alpha, beta), p_start, space.equations.ravel(), gamma)
     endpoints = track_and_polish(hom, starts)
 
-    found: list = []
-    for x, _ in endpoints:
-        p = normalize_projective(np.outer(x[: a1 + 1], x[a1 + 1 :]).ravel())
-        if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
-            found.append(p)
+    found, real_count = merge_section_points(
+        np.outer(x[: a1 + 1], x[a1 + 1 :]).ravel() for x, _ in endpoints
+    )
 
     want = degree(spec)
     if len(found) != want:
@@ -238,8 +228,6 @@ def solve_section(
             f"({len(starts) - len(endpoints)} paths failed, "
             f"{len(endpoints) - len(found)} duplicate endpoints)"
         )
-    found.sort(key=lambda p: (not is_real_point(p, real_tol), _point_key(p)))
-    real_count = sum(is_real_point(p, real_tol) for p in found)
     return SectionResult(
         points=tuple(found),
         signature=(real_count, want - real_count),
@@ -252,7 +240,6 @@ def search_signature(
     target: tuple,
     max_attempts: int = 50,
     seed: int = 0,
-    real_tol: float = 1e-8,
 ):
     """Hunt for a real linear space whose section has the given signature.
 
@@ -291,12 +278,7 @@ def search_signature(
         )
         attempts += 1
         try:
-            result = solve_section(
-                spec,
-                space,
-                seed=int(rng.integers(2**31)),
-                real_tol=real_tol,
-            )
+            result = solve_section(spec, space, seed=int(rng.integers(2**31)))
         except DeficientSectionError:
             continue
         if result.signature == target:

@@ -22,7 +22,6 @@ from importlib import resources
 
 import numpy as np
 
-from .homotopy import TrackSettings
 from .poly import PolySystem, monomials, multinomial
 
 
@@ -229,21 +228,19 @@ def reconstruction_error(spec: WaringSpec, dec: Decomposition, target: TensorPar
     return float(np.max(np.abs(built - ref) / (1.0 + np.abs(ref))))
 
 
-def random_real_start(
-    spec: WaringSpec, seed: int = 0, magnitude: float = 5.0
-) -> tuple[Decomposition, TensorParams]:
+def random_real_start(spec: WaringSpec, seed: int = 0) -> tuple[Decomposition, TensorParams]:
     """Draw a real decomposition and expand it into its own target form.
 
-    The l entries are uniform in [-magnitude, magnitude]; the lambda
-    entries are scaled by magnitude**d so the form's coefficients span a
-    realistic dynamic range.  The pair (start, T) satisfies the system
-    by construction.
+    The l entries are uniform in [-5, 5]; the lambda entries are uniform
+    in [-5, 5] times 5**(d-1), so the form's coefficients span a realistic
+    dynamic range.  The pair (start, T) satisfies the system by
+    construction.
     """
     rng = np.random.default_rng(seed)
     summands = []
     for _ in range(spec.r):
-        l = tuple(rng.uniform(-magnitude, magnitude, size=spec.n))
-        lam = rng.uniform(-magnitude, magnitude) * magnitude ** (spec.d - 1)
+        l = tuple(rng.uniform(-5.0, 5.0, size=spec.n))
+        lam = rng.uniform(-5.0, 5.0) * 5.0 ** (spec.d - 1)
         summands.append(Summand(l, complex(lam)))
     dec = Decomposition(tuple(summands))
     return dec, tensor_from_decomposition(spec, dec)
@@ -285,18 +282,6 @@ def decomposition_sampler(spec: WaringSpec, base: Decomposition):
     return sampler
 
 
-def tracking_settings() -> TrackSettings:
-    """Path-tracking settings tuned for coefficient-matching systems.
-
-    The Jacobian of a degree-7 or degree-8 instance is genuinely
-    ill conditioned (condition numbers near 1e9 at generic points), so
-    paths leaving the start system move fast at first and the step has
-    to shrink far below the generic-case floor before the corrector
-    basin is reached; the budget is raised to match.
-    """
-    return TrackSettings(min_step=1e-13, max_steps=200000)
-
-
 def enumerate_decompositions(
     spec: WaringSpec,
     start: Decomposition,
@@ -306,9 +291,8 @@ def enumerate_decompositions(
 ):
     """Monodromy enumeration of all rank-r decompositions of a form.
 
-    Wires the coefficient-matching system, the decomposition-image
-    auxiliary sampler and the tuned tracking settings into the loop
-    driver.
+    Wires the coefficient-matching system and the decomposition-image
+    auxiliary sampler into the loop driver.
 
     Args:
         spec: problem size (must be perfect).
@@ -329,7 +313,6 @@ def enumerate_decompositions(
         start,
         decomposition_sampler(spec, start),
         policy=policy,
-        settings=tracking_settings(),
         seed=seed,
     )
 

@@ -115,7 +115,7 @@ def test_criterion_2_degree8_random_real_start(capsys):
         registry = enumerate_decompositions(spec, start, tensor, seed=DEG8_SEED)
         elapsed = time.monotonic() - t0
         assert registry.warning is None
-        classified = classify(registry, real_tol=1e-8)
+        classified = classify(registry)
         assert classified.total == 16
         assert classified.real_count == 1
         worst = max(

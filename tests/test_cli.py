@@ -126,6 +126,21 @@ def test_elliptic_plane_tangent(tmp_path):
     assert "double_point" in report
 
 
+@pytest.mark.parametrize("k", ["2", "1"])
+def test_elliptic_plane_report_is_the_pencil_scan_record(tmp_path, k):
+    # k = 2 is transverse and k = 1 tangent
+    out = tmp_path / "plane.json"
+    assert main(["elliptic", "plane", "--coeffs", f"0,0,1,-{k}", "--output", str(out)]) == 0
+    report = read_report(out)
+    scan = tmp_path / "scan.json"
+    args = ["elliptic", "pencil-scan", "--from", k, "--to", k, "--steps", "1"]
+    assert main([*args, "--output", str(scan)]) == 0
+    (record,) = read_report(scan)["records"]
+    assert record.pop("k") == float(k)
+    assert {key: report[key] for key in record} == record
+    assert set(report) - set(record) == {"command", "config", "plane", "schema"}
+
+
 def test_elliptic_plane_is_judged_by_direction_not_scale(tmp_path):
     # x0 = 0 at two scales is one projective plane; only all-zero
     # coefficients are no plane
@@ -290,13 +305,3 @@ def test_default_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("TENSORID_OUTPUT_DIR", str(tmp_path))
     assert main(["segre", "profile", "--dims", "2,2"]) == 0
     assert (tmp_path / "segre_profile.json").is_file()
-
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_non_finite_real_tol_exit_1(tmp_path, capsys, tol):
-    out = tmp_path / "section.json"
-    args = ["segre", "section", "--dims", "2,2", "--span-real", "5", "--real-tol", tol]
-    assert main([*args, "--output", str(out)]) == 1
-    assert "real_tol must be positive and finite" in capsys.readouterr().err
-    assert not out.exists()

@@ -44,6 +44,20 @@ def test_projective_helpers():
     assert np.max(np.abs(rep.imag)) == 0.0
 
 
+def test_merge_section_points_dedups_and_puts_real_first():
+    z = np.array([1.0, 2.0 + 1.0j, 0.5])
+    real = np.array([0.0, 3.0, -1.0])
+    points, real_count = elliptic.merge_section_points(
+        [z, real, -2.0 * real, np.conjugate(z), (1.0 + 1e-9) * z]
+    )
+    assert real_count == 1
+    assert len(points) == 3
+    assert np.allclose(points[0], real / 3.0)
+    assert {tuple(np.round(p, 12)) for p in points[1:]} == {
+        tuple(np.round(normalize_projective(w), 12)) for w in (z, np.conjugate(z))
+    }
+
+
 def test_plane_basis_of_huge_coefficients():
     """Coefficients near the largest double span the plane they scale."""
     huge, unit = plane_basis([1e308, 1e308, 1, 0]), plane_basis([1, 1, 0, 0])

@@ -1,4 +1,4 @@
-"""Path tracking: segments, Newton refinement, total-degree solving."""
+"""Path tracking: segments, Newton correction, total-degree solving."""
 
 import cmath
 
@@ -9,12 +9,10 @@ from tensorid import homotopy, segre
 from tensorid.homotopy import (
     PathStatus,
     SegmentHomotopy,
-    SingularJacobianError,
     TrackSettings,
     _lu_solve_scaled,
     _newton,
     condition_estimate,
-    newton_refine,
     solve_total_degree,
     track,
     track_paths,
@@ -95,12 +93,13 @@ def test_newton_returns_state_at_its_point(max_move):
     assert res[0] == float(np.max(np.abs(state[0][0]) / (1.0 + state[1][0])))
 
 
-def test_track_reports_divergence():
+def test_track_reports_divergence(monkeypatch):
     # x * p - 1: as p -> 0 the root runs to infinity
     xp = [(1.0, (1,), 0), (-1.0, (0,), -1)]
     sys_ = PolySystem([xp], num_unknowns=1, num_params=1)
     hom = SegmentHomotopy(sys_, [1.0], [0.0])
-    result = track(hom, [1.0], TrackSettings(divergence_norm=1e6))
+    monkeypatch.setattr(homotopy, "DIVERGENCE_NORM", 1e6)
+    result = track(hom, [1.0])
     assert result.status in (PathStatus.DIVERGED, PathStatus.SINGULAR)
 
 
@@ -118,11 +117,13 @@ def test_segment_endpoints_reproduced_exactly():
     assert hom.params_at(1.0)[0] == 4.0 - 1.0j
 
 
-def test_branch_continuity_under_smaller_steps():
+def test_branch_continuity_under_smaller_steps(monkeypatch):
     sys_ = _square_root_system()
     hom = SegmentHomotopy(sys_, [1.0], [4.0 + 3.0j])
-    a = track(hom, [1.0], TrackSettings())
-    b = track(hom, [1.0], TrackSettings(initial_step=0.025, max_step=0.05))
+    a = track(hom, [1.0])
+    monkeypatch.setattr(homotopy, "INITIAL_STEP", 0.025)
+    monkeypatch.setattr(homotopy, "MAX_STEP", 0.05)
+    b = track(hom, [1.0])
     assert a.success and b.success
     assert abs(a.endpoint[0] - b.endpoint[0]) < 1e-6
 
@@ -138,29 +139,6 @@ def test_conjugation_equivariance():
     res_conj = track(hom_conj, [start.conjugate()])
     assert res.success and res_conj.success
     assert abs(res.endpoint[0].conjugate() - res_conj.endpoint[0]) < 1e-6
-
-
-def test_newton_refine_sqrt2():
-    x2 = [(1.0, (2,), -1), (-2.0, (0,), -1)]
-    sys_ = PolySystem([x2], num_unknowns=1, num_params=0)
-    point, res = newton_refine(sys_, (), [1.4], tol=1e-12, max_iters=3)
-    assert point[0] == pytest.approx(np.sqrt(2.0), abs=1e-10)
-    assert res < 1e-12
-
-
-def test_newton_refine_fixed_point():
-    x2 = [(1.0, (2,), -1), (-2.0, (0,), -1)]
-    sys_ = PolySystem([x2], num_unknowns=1, num_params=0)
-    exact = np.sqrt(2.0)
-    point, _ = newton_refine(sys_, (), [exact], tol=1e-12, max_iters=5)
-    assert abs(point[0] - exact) < 1e-14
-
-
-def test_newton_refine_singular_jacobian_raises():
-    x2 = [(1.0, (2,), -1)]  # x^2: Jacobian vanishes at 0
-    sys_ = PolySystem([x2], num_unknowns=1, num_params=0)
-    with pytest.raises(SingularJacobianError):
-        newton_refine(sys_, (), [0.0], tol=1e-12, max_iters=3)
 
 
 def test_solve_total_degree_univariate_roots():
@@ -208,15 +186,13 @@ def test_round_trip_permutes_solution_set():
     assert d < 1e-6
 
 
-def test_newton_refine_non_finite_jacobian_raises():
+def test_condition_estimate_of_non_finite_jacobian_is_inf():
     # x^3 - 1 at 1e200: the powers overflow, so the scaled Jacobian is nan
     p = [(1.0, (3,), -1), (-1.0, (0,), -1)]
     sys_ = PolySystem([p], num_unknowns=1, num_params=0)
     with np.errstate(over="ignore", invalid="ignore"):
         _, scales, jac = sys_.full_state([1e200], ())
         assert condition_estimate(jac, scales) == np.inf
-        with pytest.raises(SingularJacobianError):
-            newton_refine(sys_, (), [1e200])
 
 
 def test_lu_solve_gates_each_matrix_of_a_stack_on_its_factors():
@@ -241,15 +217,11 @@ def test_lu_solve_rejects_non_finite_imaginary_part():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("max_corrector_iters", 0),
-        ("max_corrector_iters", -3),
-        ("max_corrector_iters", 2.5),
         ("max_steps", 0),
-        ("divergence_norm", float("nan")),
-        ("divergence_norm", -1.0),
-        ("divergence_norm", float("inf")),
-        ("corrector_tol", float("nan")),
-        ("corrector_tol", 0.0),
+        ("max_steps", 2.5),
+        ("min_step", 0.0),
+        ("min_step", float("nan")),
+        ("min_step", 0.5),
     ],
 )
 def test_track_settings_name_the_bad_field(field, value):
@@ -278,9 +250,8 @@ def test_rejected_step_keeps_its_tangent(monkeypatch):
         return out
 
     monkeypatch.setattr(homotopy, "_newton", recording_newton)
-    st = TrackSettings()
-    result = track(SegmentHomotopy(_square_root_system(), [1.0], [-1.0 + 1e-3j]), [1.0], st)
-    accepted = sum(r < st.corrector_tol for r in corrected)
+    result = track(SegmentHomotopy(_square_root_system(), [1.0], [-1.0 + 1e-3j]), [1.0])
+    accepted = sum(r < homotopy.CORRECTOR_TOL for r in corrected)
     assert result.success
     assert len(corrected) == result.steps_taken > accepted
     assert len(tangents) == accepted
@@ -301,11 +272,11 @@ def _captured(monkeypatch, module, run):
     return seen[0]
 
 
-def _assert_batch_matches_solo(hom, starts, settings=None):
-    batch = track_paths(hom, starts, settings)
+def _assert_batch_matches_solo(hom, starts):
+    batch = track_paths(hom, starts)
     assert len(batch) == len(starts)
     for start, got in zip(starts, batch):
-        alone = track(hom, start, settings)
+        alone = track(hom, start)
         assert got.status is alone.status
         assert got.steps_taken == alone.steps_taken
         assert got.final_residual == pytest.approx(alone.final_residual, rel=1e-6, abs=1e-18)
@@ -333,7 +304,8 @@ def test_total_degree_batch_with_surplus_paths_matches_solo(monkeypatch):
     hom, starts = _captured(
         monkeypatch, homotopy, lambda: solve_total_degree(polys, rng=np.random.default_rng(3))
     )
-    batch = _assert_batch_matches_solo(hom, starts, TrackSettings(divergence_norm=1e4))
+    monkeypatch.setattr(homotopy, "DIVERGENCE_NORM", 1e4)
+    batch = _assert_batch_matches_solo(hom, starts)
     statuses = {r.status for r in batch}
     assert statuses == {PathStatus.SUCCESS, PathStatus.SINGULAR, PathStatus.DIVERGED}
 

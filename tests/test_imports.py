@@ -6,6 +6,8 @@ import pathlib
 
 import pytest
 
+import tensorid
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tensorid"
 # __init__.py imports names to re-export them
@@ -36,6 +38,17 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_lists_exactly_the_reexported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(tensorid.__all__) == sorted(imported)
 
 
 def referenced_names(source: str) -> set:

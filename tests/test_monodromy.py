@@ -29,7 +29,6 @@ from tensorid.waring import (
     random_real_start,
     sylvester_oracle,
     tensor_from_decomposition,
-    tracking_settings,
 )
 
 
@@ -183,7 +182,7 @@ def test_triangle_loop_transports_all_solutions():
     reg.insert(start)
     rng = np.random.default_rng(0)
     loop = draw_loop(base, rng, twist_exit=True, sampler=decomposition_sampler(spec, start))
-    new = triangle_loop(reg, loop, tracking_settings())
+    new = triangle_loop(reg, loop)
     assert new >= 0
     assert len(reg) >= 1  # the start never disappears
 
@@ -220,7 +219,6 @@ def test_triangle_loop_matches_solo_transports(monkeypatch):
     # the stacked legs give every transport the endpoint that chaining
     # one-path track calls over the same three legs gives, bit for bit
     reg, loop = _quintic_registry(3)
-    st = tracking_settings()
     q1, q2 = loop.aux_params
     legs = (
         SegmentHomotopy(reg.system, reg.base_params, q1, gamma=loop.gamma_out),
@@ -232,7 +230,7 @@ def test_triangle_loop_matches_solo_transports(monkeypatch):
         x = dec.to_vector()
         x[1::2] *= loop.gamma_out
         for leg in legs:
-            result = track(leg, x, st)
+            result = track(leg, x, monodromy.TRACK_SETTINGS)
             assert result.success
             x = result.endpoint
         solo.append(x)
@@ -248,7 +246,7 @@ def test_triangle_loop_matches_solo_transports(monkeypatch):
         return insert(candidate)
 
     monkeypatch.setattr(reg, "insert", recording_insert)
-    assert triangle_loop(reg, loop, st) == expected_new
+    assert triangle_loop(reg, loop) == expected_new
     assert len(inserted) == len(solo) == 3
     for got, want in zip(inserted, solo):
         assert np.array_equal(got, want)
@@ -262,11 +260,11 @@ def test_triangle_loop_counts_lost_transports(monkeypatch):
     reg, loop = _quintic_registry(2)
     stored = len(reg)
 
-    def failing_track_paths(homotopy, starts, settings=None):
+    def failing_track_paths(homotopy, starts, settings):
         return [PathResult(PathStatus.SINGULAR, np.asarray(x), 1.0, 1) for x in starts]
 
     monkeypatch.setattr(monodromy, "track_paths", failing_track_paths)
-    assert triangle_loop(reg, loop, tracking_settings()) == 0
+    assert triangle_loop(reg, loop) == 0
     assert reg.transports_lost == stored == 2
     assert reg.serialize(d=5)["transports_lost"] == stored
 
@@ -277,7 +275,7 @@ def test_triangle_loop_drops_a_transport_lost_mid_loop(monkeypatch):
     carried = []
     track_paths = monodromy.track_paths
 
-    def leg1_loses_row0(homotopy, starts, settings=None):
+    def leg1_loses_row0(homotopy, starts, settings):
         carried.append(len(starts))
         results = track_paths(homotopy, starts, settings)
         if len(carried) == 2:
@@ -285,7 +283,7 @@ def test_triangle_loop_drops_a_transport_lost_mid_loop(monkeypatch):
         return results
 
     monkeypatch.setattr(monodromy, "track_paths", leg1_loses_row0)
-    assert triangle_loop(reg, loop, tracking_settings()) == 0
+    assert triangle_loop(reg, loop) == 0
     assert carried == [2, 2, 1]
     assert reg.transports_lost == 1
     assert len(reg) == 2

@@ -32,6 +32,18 @@ def test_classify_real_decomposition():
     assert out.identifiable_over_R and out.identifiable_over_C
 
 
+def test_classify_judges_each_coordinate_by_its_own_size():
+    # weights of 1e6 once hid the 1e-5 imaginary part of a slope, so this
+    # conjugate pair, 1e-5 apart in canonical distance, counted as two
+    # real decompositions
+    a = Decomposition(
+        (Summand((1 + 1e-5j, 2.0), 1e6), Summand((3.0, -1.0), 2e6))
+    )
+    out = classify([a, a.conjugate()])
+    assert (out.real_count, out.autoconjugate_count, out.conjugate_pair_count) == (0, 0, 1)
+    assert not out.identifiable_over_R
+
+
 def test_classify_autoconjugate():
     auto = _dec((0.5 + 1j, 2.0), (0.5 - 1j, 2.0))
     out = classify([auto])
