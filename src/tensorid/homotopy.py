@@ -11,7 +11,8 @@ after three consecutive accepted steps, halves it on corrector failure
 and declares the path singular once the step falls below ``min_step``.
 ``track_paths`` advances all starts of one homotopy in lockstep, each
 with its own t and step, through stacked evaluations; ``track`` is its
-one-start call.
+one-start call.  The segment is shared by the starts or given per
+start, so one call can carry the paths of many segments.
 
 All residuals in this module are term-magnitude scaled: an equation's
 residual is divided by one plus the sum of the absolute values of its
@@ -74,6 +75,11 @@ class SegmentHomotopy:
     solution set is reachable from the solutions at params_start by an
     exact rescaling whenever the system is jointly linear in parameters
     and one unknown block (the caller supplies the rescaled start).
+
+    The segment is shared by every start, or given per row: each of
+    ``params_start`` and ``params_end`` is one (P,) vector or a (K, P)
+    stack, and ``gamma`` one value or a (K,) array, row k belonging to
+    start k.  A shared field stays one vector.
     """
 
     system: PolySystem
@@ -82,21 +88,45 @@ class SegmentHomotopy:
     gamma: complex = 1.0 + 0j
 
     def __post_init__(self):
-        self.params_start = np.asarray(self.params_start, dtype=np.complex128)
-        self.params_end = np.asarray(self.params_end, dtype=np.complex128)
-        if self.params_start.size != self.system.num_params:
-            raise ValueError("params_start has wrong length")
-        if self.params_end.size != self.system.num_params:
-            raise ValueError("params_end has wrong length")
-        if abs(abs(self.gamma) - 1.0) > 1e-12:
+        p = self.system.num_params
+        for name in ("params_start", "params_end"):
+            value = np.asarray(getattr(self, name), dtype=np.complex128)
+            if value.ndim not in (1, 2) or value.shape[-1] != p:
+                raise ValueError(f"{name} must have shape ({p},) or (K, {p}), got {value.shape}")
+            setattr(self, name, value)
+        if np.ndim(self.gamma) == 1:
+            self.gamma = np.asarray(self.gamma, dtype=np.complex128)
+        elif np.ndim(self.gamma) != 0:
+            raise ValueError(f"gamma must be one value or one per row, got shape {np.shape(self.gamma)}")
+        if not np.all(np.abs(np.abs(self.gamma) - 1.0) <= 1e-12):
             raise ValueError("gamma must have modulus 1")
+        self.rows = next((len(v) for v in self._per_row().values()), None)
+        self.check_rows(self.rows)
 
-    def params_at(self, t: float) -> np.ndarray:
-        return (1.0 - t) * (self.gamma * self.params_start) + t * self.params_end
+    def _per_row(self) -> dict:
+        fields = {"params_start": self.params_start, "params_end": self.params_end}
+        fields = {name: v for name, v in fields.items() if v.ndim == 2}
+        if np.ndim(self.gamma):
+            fields["gamma"] = self.gamma
+        return fields
+
+    def check_rows(self, k):
+        """Raise ValueError naming the first per-row field without k rows."""
+        for name, value in self._per_row().items():
+            if len(value) != k:
+                raise ValueError(f"{name} has {len(value)} rows for {k} starts")
 
     @property
-    def dparams(self) -> np.ndarray:
-        return self.params_end - self.gamma * self.params_start
+    def origin(self) -> np.ndarray:
+        """gamma * params_start; per-row twists are applied row by row, so
+        that each row rounds as the same segment given alone does."""
+        if not np.ndim(self.gamma):
+            return self.gamma * self.params_start
+        starts = np.broadcast_to(self.params_start, (self.rows, self.system.num_params))
+        return np.array([g * s for g, s in zip(self.gamma.tolist(), starts)])
+
+    def params_at(self, t) -> np.ndarray:
+        return (1.0 - t) * self.origin + t * self.params_end
 
 
 @dataclass
@@ -263,10 +293,11 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
     parameter tangent, as one (K, N) stack.  A rejected step keeps its
     predictor tangent, since the point, the Jacobian and the parameter
     velocity it was computed from are unchanged.  A path leaves the
-    stack when it ends.
+    stack when it ends, and so do its rows of a per-row segment.
 
     Returns one PathResult per start, in start order.  Raises ValueError
-    when a start is not a solution at t=0.
+    when a start is not a solution at t=0, or when a per-row field of
+    the segment does not have one row per start.
     """
     st = settings or TrackSettings()
     sys_ = homotopy.system
@@ -276,14 +307,21 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
         return []
     x = np.array(starts, dtype=np.complex128)
     k = len(x)
-    dp = homotopy.dparams
+    homotopy.check_rows(k)
+    # the segment's (P,) or per-row (K, P) arrays, params_at(t) = at(t)
+    origin, target = homotopy.origin, homotopy.params_end
+    dp = target - origin
 
-    params0 = homotopy.params_at(0.0)
+    def at(t):
+        return (1.0 - t) * origin + t * target
+
+    params0 = at(0.0)
     vals, scales, jac = sys_.full_state(x, params0)
     res = _residuals(vals, scales)
     redo = [i for i, r in enumerate(res.tolist()) if not r < 10.0 * tol]
     if redo:
-        fixed = _newton(sys_, params0, x[redo], tol, MAX_CORRECTOR_ITERS)
+        own = params0 if params0.ndim == 1 else params0[redo]
+        fixed = _newton(sys_, own, x[redo], tol, MAX_CORRECTOR_ITERS)
         for r in fixed[1].tolist():
             if not r < tol:
                 raise ValueError(f"start point is not a solution at t=0 (residual {r:.3e})")
@@ -315,7 +353,8 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
         if fresh:
             sel = fresh if len(fresh) < len(paths) else slice(None)
             # back is -dx/dt; rows without a tangent are zero
-            back, ok = _lu_solve_scaled(jac[sel], sys_.param_tangent(x[sel], dp), scales[sel])
+            velocity = dp if dp.ndim == 1 else dp[sel]
+            back, ok = _lu_solve_scaled(jac[sel], sys_.param_tangent(x[sel], velocity), scales[sel])
             back_dt[sel] = back
             speed[sel] = np.maximum.reduce(np.abs(back), axis=1)
             # The corrector only has to undo the predictor's curvature
@@ -328,7 +367,7 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
             stale = [False] * len(paths)
         x_new, res_new, state_new = _newton(
             sys_,
-            homotopy.params_at(np.array(t_next)[:, None]),
+            at(np.array(t_next)[:, None]),
             x - hs[:, None] * back_dt,
             tol,
             MAX_CORRECTOR_ITERS,
@@ -376,6 +415,7 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
             x, res, size, scales, jac, back_dt, speed, floor = (
                 a[live] for a in (x, res, size, scales, jac, back_dt, speed, floor)
             )
+            origin, target, dp = (a if a.ndim == 1 else a[live] for a in (origin, target, dp))
 
     return results
 

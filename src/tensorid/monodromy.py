@@ -13,6 +13,16 @@ a random unit-modulus gamma.  The system is jointly linear in the
 weights and the parameters, so scaling every lambda by gamma turns a
 known solution at p0 into an exact solution at gamma * p0, and the
 segment gamma*p0 -> q1 stays clear of the real discriminant.
+
+The default stop rule, some number of consecutive fruitless loops, fixes
+before a loop runs how many more loops will run whatever they find.
+Those loops run as one batch: their triangles are drawn in order, and
+the registry travels around all of them as one stack, one tracker call
+per leg with each row on its own loop's segment.  The loops are then
+settled in order, each inserting its endpoints and carrying, in one
+extra stack, whatever an earlier loop of the batch found; so every loop
+carries the registry it would carry alone, and the solutions, history
+and lost transports are those of running the loops one at a time.
 """
 
 import cmath
@@ -40,6 +50,10 @@ LAMBDA_TOL = 1e-10
 # below the generic floor before the corrector basin is reached; the
 # budget is raised to match.
 TRACK_SETTINGS = TrackSettings(min_step=1e-13, max_steps=200000)
+# The largest stack a batch of loops is sized to.  Every distinct stack
+# size costs the evaluator a cached copy of its index tables (see
+# poly._TermTable), and per-path cost stops falling beyond about 16 rows.
+MAX_STACK = 16
 
 
 def _has_perfect_matching(allowed: np.ndarray) -> bool:
@@ -142,7 +156,8 @@ class SolutionRegistry:
     no weight of modulus below ``LAMBDA_TOL``, and sits at least
     ``DEDUP_TOL`` from every other entry in canonical distance.
     ``transports_lost`` counts the loop transports dropped because one
-    of their legs failed.
+    of their legs failed, and ``stop_reason`` says why ``solve`` stopped:
+    "stable", "target_count" or "loop_budget".
     """
 
     def __init__(self, system, base_params, n: int):
@@ -153,6 +168,7 @@ class SolutionRegistry:
         self.history: list = []
         self.warning: str | None = None
         self.transports_lost = 0
+        self.stop_reason: str | None = None
 
     def insert(self, candidate) -> bool:
         """Polish, validate and store a candidate; False on duplicate or reject."""
@@ -198,6 +214,7 @@ class SolutionRegistry:
             "solutions": sols,
             "history": [{"loop": i, "new": k} for i, k in self.history],
             "transports_lost": self.transports_lost,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -207,32 +224,70 @@ def _scale_lambdas(vec: np.ndarray, n: int, factor: complex) -> np.ndarray:
     return out
 
 
-def triangle_loop(registry: SolutionRegistry, loop: LoopSpec) -> int:
-    """Carry every stored solution around one triangle; returns how many
-    endpoints were new.
+def _transport(registry: SolutionRegistry, loops, solutions) -> list:
+    """Carry ``solutions`` around the triangle of every loop in ``loops``
+    as one stack: one ``track_paths`` call per leg, each row on the
+    segment of its own loop, with ``TRACK_SETTINGS``.  The transports
+    that finish a leg go on to the next.
 
-    The stored solutions travel as one stack, one ``track_paths`` call
-    per leg, and the transports that finish a leg go on to the next.
-    Each loop carries a snapshot of the registry, so no transport depends
-    on an insert; the endpoints are inserted in stored order.  A
-    transport whose leg fails is dropped and counted in
-    ``registry.transports_lost``.  Every leg tracks with
-    ``TRACK_SETTINGS``."""
-    sys_ = registry.system
+    Returns, per loop, the endpoints of the transports that came back,
+    in the order of ``solutions``, and how many were lost on the way.
+    """
     p0 = registry.base_params
-    q1, q2 = loop.aux_params
-    gamma = loop.gamma_out
-    legs = (
-        SegmentHomotopy(sys_, p0, q1, gamma=gamma),
-        SegmentHomotopy(sys_, q1, q2),
-        SegmentHomotopy(sys_, q2, p0),
-    )
-    xs = [_scale_lambdas(dec.to_vector(), registry.n, gamma) for dec in registry.solutions]
-    carried = len(xs)
-    for leg in legs:
-        xs = [r.endpoint for r in track_paths(leg, xs, TRACK_SETTINGS) if r.success]
-    registry.transports_lost += carried - len(xs)
-    return sum(registry.insert(x) for x in xs)
+    owner = [b for b in range(len(loops)) for _ in solutions]
+    xs = [
+        _scale_lambdas(dec.to_vector(), registry.n, loop.gamma_out)
+        for loop in loops
+        for dec in solutions
+    ]
+    q1, q2 = (np.array([loop.aux_params[i] for loop in loops]) for i in (0, 1))
+    gamma = np.array([loop.gamma_out for loop in loops])
+    for leg, vertices in enumerate(((p0, q1), (q1, q2), (q2, p0))):
+        if not xs:
+            break
+        rows = np.array(owner)
+        start, end = (v if v is p0 else v[rows] for v in vertices)
+        twist = gamma[rows] if leg == 0 else 1.0
+        results = track_paths(SegmentHomotopy(registry.system, start, end, twist), xs, TRACK_SETTINGS)
+        xs = [r.endpoint for r in results if r.success]
+        owner = [b for b, r in zip(owner, results) if r.success]
+    ends = [[] for _ in loops]
+    for b, x in zip(owner, xs):
+        ends[b].append(x)
+    return [(e, len(solutions) - len(e)) for e in ends]
+
+
+def triangle_loops(registry: SolutionRegistry, loops, target_count: int | None = None) -> list:
+    """Carry every stored solution around each loop's triangle, the loops
+    in order; returns how many endpoints were new, per loop.
+
+    Each loop carries the registry as it stands when the loop's turn
+    comes, and inserts its endpoints in stored order.  The snapshot
+    taken before the first loop travels around every triangle as one
+    stack; a solution that an earlier loop of the batch inserted travels
+    around a later loop's triangle in one extra stack.  A transport whose
+    leg fails is dropped and counted in ``registry.transports_lost``.
+    Once the registry holds ``target_count`` solutions, the remaining
+    loops are dropped.
+    """
+    snapshot = len(registry)
+    carried = _transport(registry, loops, registry.solutions[:snapshot])
+    news = []
+    for loop, (xs, lost) in zip(loops, carried):
+        found = registry.solutions[snapshot:]
+        if found:
+            ((more, more_lost),) = _transport(registry, [loop], found)
+            xs, lost = xs + more, lost + more_lost
+        registry.transports_lost += lost
+        news.append(sum(registry.insert(x) for x in xs))
+        if target_count is not None and len(registry) >= target_count:
+            break
+    return news
+
+
+def triangle_loop(registry: SolutionRegistry, loop: LoopSpec) -> int:
+    """``triangle_loops`` on one loop: how many of its endpoints were new."""
+    return triangle_loops(registry, [loop])[0]
 
 
 def solve(
@@ -253,8 +308,16 @@ def solve(
         policy: stop conditions (defaults: 8 fruitless loops, cap 200).
         seed: randomness for the loop instances.
 
+    The stop rule is checked before every batch of loops.  A batch is
+    as many loops as the rule will run whatever they find (the fruitless
+    loops still needed, within the loop budget), at most ``MAX_STACK``
+    transports in all; its loops are drawn in order and carried as one
+    stack by ``triangle_loops``, with the results of running them one
+    at a time.
+
     Returns:
-        SolutionRegistry; its ``warning`` field is set when the loop
+        SolutionRegistry; its ``stop_reason`` says which condition ended
+        the search, and its ``warning`` field is set when the loop
         budget ran out before the count stabilized.
 
     Raises:
@@ -280,22 +343,29 @@ def solve(
     real_base = float(np.max(np.abs(base.imag))) <= 1e-12 * (1.0 + scale)
     rng = np.random.default_rng(seed)
 
-    fruitless = 0
-    for loop_index in range(policy.max_loops):
+    fruitless, loop_index = 0, 0
+    while True:
         if policy.target_count is not None and len(registry) >= policy.target_count:
+            registry.stop_reason = "target_count"
             return registry
         if fruitless >= policy.stable_loops:
+            registry.stop_reason = "stable"
             return registry
-        loop = draw_loop(base, rng, twist_exit=real_base, sampler=sampler)
-        new = triangle_loop(registry, loop)
-        registry.history.append((loop_index, new))
-        fruitless = fruitless + 1 if new == 0 else 0
-
-    if policy.target_count is not None and len(registry) >= policy.target_count:
-        return registry
-    if fruitless < policy.stable_loops:
-        registry.warning = (
-            f"loop budget {policy.max_loops} exhausted before {policy.stable_loops} "
-            f"consecutive fruitless loops"
+        if loop_index == policy.max_loops:
+            registry.stop_reason = "loop_budget"
+            registry.warning = (
+                f"loop budget {policy.max_loops} exhausted before {policy.stable_loops} "
+                f"consecutive fruitless loops"
+            )
+            return registry
+        # the stop rule runs at least this many more loops; they share stacks
+        batch = min(
+            policy.stable_loops - fruitless,
+            policy.max_loops - loop_index,
+            max(1, MAX_STACK // len(registry)),
         )
-    return registry
+        loops = [draw_loop(base, rng, twist_exit=real_base, sampler=sampler) for _ in range(batch)]
+        for new in triangle_loops(registry, loops, policy.target_count):
+            registry.history.append((loop_index, new))
+            loop_index += 1
+            fruitless = fruitless + 1 if new == 0 else 0

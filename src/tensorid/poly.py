@@ -174,7 +174,12 @@ class _TermTable:
     A stack of K points is evaluated as K copies of the table, part by
     part: a block-diagonal table over the K blocks laid end to end, whose
     index arrays are built once per K.  So a stack costs the numpy calls
-    of one point, and the copy for one point is the table itself.
+    of one point, and the copy for one point is the table itself.  The
+    copies are cached for the life of the table, one per distinct K ever
+    seen, each about K times the table's size.  So callers bound K (the
+    monodromy batches are sized to ``monodromy.MAX_STACK`` paths): the
+    two tables of the (8,2,15) Waring system grow the peak RSS by 322 MB
+    over stack sizes 1 to 64, and by 22 MB over 1 to 16.
     """
 
     def __init__(self, parts, num_unknowns: int, powers: int):

@@ -32,6 +32,7 @@ def test_waring_binary_quintic(tmp_path):
     assert report["classification"]["real"] == 1
     assert report["classification"]["identifiable_over_C"] is True
     assert report["warning"] is None
+    assert report["registry"]["stop_reason"] == "stable"
     assert report["max_reconstruction_error"] < 1e-8
     assert report["config"]["seed"] == 1
 
@@ -47,7 +48,9 @@ def test_waring_exit_2_when_not_stabilized(tmp_path):
         ]
     )
     assert code == 2
-    assert read_report(out)["warning"] is not None
+    report = read_report(out)
+    assert report["warning"] is not None
+    assert report["registry"]["stop_reason"] == "loop_budget"
 
 
 def test_waring_rejects_imperfect_rank():

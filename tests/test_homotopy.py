@@ -312,3 +312,91 @@ def test_total_degree_batch_with_surplus_paths_matches_solo(monkeypatch):
 
 def test_track_paths_of_no_starts():
     assert track_paths(SegmentHomotopy(_square_root_system(), [1.0], [4.0]), []) == []
+
+
+def _segments():
+    """Four segments of x^2 - p, each with its own twist, and a start on
+    each; the last start is off by a relative 1e-8, so its residual needs
+    the start-point Newton."""
+    gammas = [cmath.exp(0.7j), cmath.exp(-2.1j), 1.0 + 0j, cmath.exp(2.9j)]
+    p_start = [1.0 + 2.0j, -3.0 + 0.5j, 2.0 + 0j, 0.5 - 1.5j]
+    p_end = [4.0 - 1.0j, 1.0 + 1.0j, -2.0 + 0.3j, 3.0 + 3.0j]
+    starts = [[cmath.sqrt(g * p)] for g, p in zip(gammas, p_start)]
+    starts[-1][0] *= 1.0 + 1e-8
+    return gammas, p_start, p_end, starts
+
+
+def test_per_row_segments_match_one_start_calls(monkeypatch):
+    sys_ = _square_root_system()
+    gammas, p_start, p_end, starts = _segments()
+    hom = SegmentHomotopy(sys_, np.array(p_start)[:, None], np.array(p_end)[:, None], np.array(gammas))
+    assert hom.rows == 4
+    redone = []
+    newton = homotopy._newton
+
+    def recording_newton(system, params, points, *args, **kwargs):
+        if kwargs.get("max_move") is None:
+            redone.append((np.array(params), np.array(points)))
+        return newton(system, params, points, *args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "_newton", recording_newton)
+    batch = track_paths(hom, starts)
+    monkeypatch.undo()
+    # the start-point Newton ran on the last start alone, at its own twist
+    ((params, points),) = redone
+    assert np.array_equal(points, [starts[-1]])
+    assert np.array_equal(params, hom.params_at(0.0)[-1:])
+    for g, ps, pe, start, got in zip(gammas, p_start, p_end, starts, batch):
+        alone = track(SegmentHomotopy(sys_, [ps], [pe], gamma=g), start)
+        assert got.status is alone.status is PathStatus.SUCCESS
+        assert got.steps_taken == alone.steps_taken
+        assert got.final_residual == alone.final_residual
+        assert np.array_equal(got.endpoint, alone.endpoint)
+
+
+def test_shared_and_per_row_fields_mix(monkeypatch):
+    # one shared start vector with a twist per row; rows that end leave
+    # the per-row arrays, and the shared ones stay one vector
+    sys_ = _square_root_system()
+    gammas, _, p_end, _ = _segments()
+    hom = SegmentHomotopy(sys_, [2.0 + 1.0j], [4.0 - 1.0j], gamma=np.array(gammas))
+    assert hom.params_start.shape == hom.params_end.shape == (1,)
+    assert hom.origin.shape == (4, 1)
+    starts = [[cmath.sqrt(g * (2.0 + 1.0j))] for g in gammas]
+    seen = []
+    full_state = PolySystem.full_state
+
+    def recording(self, point, params=()):
+        seen.append((len(point), np.shape(params)))
+        return full_state(self, point, params)
+
+    monkeypatch.setattr(PolySystem, "full_state", recording)
+    batch = track_paths(hom, starts)
+    monkeypatch.undo()
+    assert all(shape in ((k, 1), (1,)) for k, shape in seen)
+    assert min(k for k, _ in seen) < 4  # some paths finished before others
+    for g, start, got in zip(gammas, starts, batch):
+        alone = track(SegmentHomotopy(sys_, [2.0 + 1.0j], [4.0 - 1.0j], gamma=g), start)
+        assert got.steps_taken == alone.steps_taken
+        assert np.array_equal(got.endpoint, alone.endpoint)
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("params_start", dict(params_start=np.ones((3, 1)))),
+        ("params_end", dict(params_end=np.ones((2, 2)))),
+        ("params_end", dict(params_end=np.ones(2))),
+        ("gamma", dict(gamma=np.array([1.0, 1.0j, 1.0001]))),
+        ("gamma", dict(gamma=np.ones((3, 1)))),
+    ],
+)
+def test_segment_names_the_bad_field(field, kwargs):
+    args = dict(system=_square_root_system(), params_start=[1.0], params_end=[4.0]) | kwargs
+    with pytest.raises(ValueError, match=field):
+        track_paths(SegmentHomotopy(**args), [[1.0], [-1.0]])
+
+
+def test_segment_fields_must_agree_on_rows():
+    with pytest.raises(ValueError, match="gamma has 3 rows"):
+        SegmentHomotopy(_square_root_system(), np.ones((2, 1)), [4.0], gamma=np.ones(3))

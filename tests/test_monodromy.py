@@ -18,7 +18,9 @@ from tensorid.monodromy import (
     draw_loop,
     solve,
     triangle_loop,
+    triangle_loops,
 )
+from tensorid.poly import PolySystem
 from tensorid.waring import (
     Decomposition,
     Summand,
@@ -299,3 +301,177 @@ def test_solve_rejects_singular_start():
     with pytest.raises(SingularJacobianError, match="pivot ratio"):
         solve(build_system(spec), np.asarray(tensor.coeffs), double,
               decomposition_sampler(spec, double))
+
+
+def _one_loop_at_a_time(system, base_params, start, sampler, policy, seed):
+    """``solve`` with every loop run alone: the stop rule checked before
+    each loop, and one ``triangle_loop`` per loop."""
+    base = np.asarray(base_params, dtype=complex)
+    registry = SolutionRegistry(system, base, n=start.n)
+    assert registry.insert(start)
+    real_base = float(np.max(np.abs(base.imag))) <= 1e-12 * (1.0 + float(np.max(np.abs(base))))
+    rng = np.random.default_rng(seed)
+    fruitless = 0
+    for loop_index in range(policy.max_loops):
+        if policy.target_count is not None and len(registry) >= policy.target_count:
+            break
+        if fruitless >= policy.stable_loops:
+            break
+        loop = draw_loop(base, rng, twist_exit=real_base, sampler=sampler)
+        new = triangle_loop(registry, loop)
+        registry.history.append((loop_index, new))
+        fruitless = fruitless + 1 if new == 0 else 0
+    return registry
+
+
+def _assert_same_run(got, want):
+    assert got.history == want.history
+    assert got.transports_lost == want.transports_lost
+    assert [d.to_vector().tobytes() for d in got.solutions] == [
+        d.to_vector().tobytes() for d in want.solutions
+    ]
+
+
+def _square_roots():
+    """x^2 - a = 0, lam - b = 0 as a one-summand 'decomposition' (x, lam)
+    at a complex base (a, b): two solutions, swapped by every loop whose
+    triangle winds around a = 0."""
+    rows = [[(1.0, (2, 0), -1), (-1.0, (0, 0), 0)], [(1.0, (0, 1), -1), (-1.0, (0, 0), 1)]]
+    system = PolySystem(rows, num_unknowns=2, num_params=2)
+    base = np.array([1.0 + 0.5j, 2.0 + 1.0j])
+    start = Decomposition((Summand((np.sqrt(base[0]),), base[1]),))
+
+    def sampler(rng):
+        return rng.standard_normal(2) + 1j * rng.standard_normal(2)
+
+    return system, base, start, sampler
+
+
+def _recording_track_paths(monkeypatch):
+    """Record the number of starts of every ``track_paths`` call."""
+    sizes = []
+    track_paths = monodromy.track_paths
+
+    def recording(homotopy, starts, settings):
+        sizes.append(len(starts))
+        return track_paths(homotopy, starts, settings)
+
+    monkeypatch.setattr(monodromy, "track_paths", recording)
+    return sizes
+
+
+def test_batch_carries_what_an_earlier_loop_found(monkeypatch):
+    # seed 3: the first batch is loops 0-3; loop 1 finds the second root,
+    # so loops 2 and 3 carry it in one extra stack each
+    system, base, start, sampler = _square_roots()
+    policy = StopPolicy(stable_loops=4)
+    want = _one_loop_at_a_time(system, base, start, sampler, policy, seed=3)
+    sizes = _recording_track_paths(monkeypatch)
+    got = solve(system, base, start, sampler, policy, seed=3)
+    assert want.history == [(0, 0), (1, 1), (2, 0), (3, 0), (4, 0), (5, 0)]
+    _assert_same_run(got, want)
+    # legs of loops 0-3 as one stack, the extra legs of loops 2 and 3,
+    # then loops 4-5 as one stack of both roots
+    assert sizes == [4] * 3 + [1] * 6 + [4] * 3
+    assert got.stop_reason == "stable"
+
+
+def test_target_count_mid_batch_stops_at_the_same_loop():
+    system, base, start, sampler = _square_roots()
+    policy = StopPolicy(target_count=2)
+    want = _one_loop_at_a_time(system, base, start, sampler, policy, seed=3)
+    got = solve(system, base, start, sampler, policy, seed=3)
+    assert want.history == [(0, 0), (1, 1)]
+    _assert_same_run(got, want)
+    assert got.stop_reason == "target_count" and got.warning is None
+
+
+def test_a_transport_lost_mid_batch_counts_against_its_loop(monkeypatch):
+    # two transports per loop; on leg 1 (q1 -> q2), the first transport
+    # of the loop with the given q1 fails, in a batch and alone
+    reg, _ = _quintic_registry(2)
+    sampler = decomposition_sampler(WaringSpec(5, 1, 3), reg.solutions[0])
+    rng = np.random.default_rng(1)
+    loops = [draw_loop(reg.base_params, rng, twist_exit=True, sampler=sampler) for _ in range(3)]
+    doomed = loops[1].aux_params[0]
+    track_paths = monodromy.track_paths
+
+    def leg1_loses_one(homotopy, starts, settings):
+        results = track_paths(homotopy, starts, settings)
+        if homotopy.params_start.ndim == homotopy.params_end.ndim == 2:
+            for j, q1 in enumerate(homotopy.params_start):
+                if np.array_equal(q1, doomed):
+                    results[j] = PathResult(PathStatus.SINGULAR, results[j].endpoint, 1.0, 1)
+                    break
+        return results
+
+    monkeypatch.setattr(monodromy, "track_paths", leg1_loses_one)
+    alone, _ = _quintic_registry(2)
+    lost_after = []
+    for loop in loops:
+        triangle_loop(alone, loop)
+        lost_after.append(alone.transports_lost)
+    assert lost_after == [0, 1, 1]
+
+    inserted = []
+    insert = reg.insert
+
+    def recording_insert(candidate):
+        inserted.append(reg.transports_lost)
+        return insert(candidate)
+
+    monkeypatch.setattr(reg, "insert", recording_insert)
+    assert triangle_loops(reg, loops) == [0, 0, 0]
+    # loop 0 inserts two endpoints, loop 1 one after its loss, loop 2 two
+    assert inserted == [0, 0, 1, 1, 1]
+    assert reg.transports_lost == alone.transports_lost == 1
+    assert [d.to_vector().tobytes() for d in reg.solutions] == [
+        d.to_vector().tobytes() for d in alone.solutions
+    ]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_binary_forms_match_loops_run_alone(d):
+    # the six forms of the waring-binary benchmark workload, at the
+    # default stop rule: every loop confirms, and form 7001 loses one
+    # transport
+    spec = WaringSpec(d, 1, (d + 1) // 2)
+    for i in range(2):
+        form_seed = 1000 * d + i
+        start, tensor = random_real_start(spec, seed=form_seed)
+        args = (build_system(spec), np.asarray(tensor.coeffs), start,
+                decomposition_sampler(spec, start), StopPolicy(), form_seed)
+        got, want = solve(*args), _one_loop_at_a_time(*args)
+        _assert_same_run(got, want)
+        assert len(got) == 1 and len(got.history) == 8
+        assert got.transports_lost == (1 if form_seed == 7001 else 0)
+
+
+def test_solve_stacks_at_most_max_stack_starts(monkeypatch):
+    # 20 fruitless loops to go: the first batch is cut to 16 loops of one
+    # transport, and once both roots are known, to 8 loops of two
+    system, base, start, sampler = _square_roots()
+    sizes = _recording_track_paths(monkeypatch)
+    reg = solve(system, base, start, sampler, StopPolicy(stable_loops=20), seed=3)
+    assert len(reg) == 2
+    assert max(sizes) == monodromy.MAX_STACK == 16
+    assert sizes[:3] == [16] * 3
+
+
+@pytest.mark.parametrize(
+    "policy, reason",
+    [
+        (StopPolicy(stable_loops=2), "stable"),
+        (StopPolicy(target_count=1), "target_count"),
+        (StopPolicy(stable_loops=3, max_loops=2), "loop_budget"),
+    ],
+)
+def test_solve_records_why_it_stopped(policy, reason):
+    spec = WaringSpec(3, 1, 2)
+    start, tensor = random_real_start(spec, seed=4)
+    reg = solve(build_system(spec), np.asarray(tensor.coeffs), start,
+                decomposition_sampler(spec, start), policy, seed=4)
+    assert reg.stop_reason == reason
+    assert reg.serialize(d=3)["stop_reason"] == reason
+    assert (reg.warning is not None) == (reason == "loop_budget")
+    assert len(reg.history) == {"stable": 2, "target_count": 0, "loop_budget": 2}[reason]
