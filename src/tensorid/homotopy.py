@@ -4,15 +4,24 @@ A segment homotopy moves the parameters of a square PolySystem along
 
     p(t) = (1 - t) * gamma * p_start + t * p_end,      t in [0, 1],
 
-with |gamma| = 1.  The tracker advances solutions with an Euler
-predictor on the induced ODE  J dx/dt = -dF/dp * dp/dt  followed by a
-short Newton corrector at the new t.  Step control doubles the step
-after three consecutive accepted steps, halves it on corrector failure
-and declares the path singular once the step falls below ``min_step``.
+with |gamma| = 1.  The tracker advances solutions along the induced ODE
+J dx/dt = -dF/dp * dp/dt: a cubic Hermite predictor through the last
+two accepted points and their tangents (Euler on a path's first step,
+or where the cubic strays further from the Euler guess than the Euler
+step is long), then a short Newton corrector at the new t.  Step
+control doubles the step after three consecutive accepted steps, halves
+it on corrector failure and declares the path singular once the step
+falls below ``min_step``.
 ``track_paths`` advances all starts of one homotopy in lockstep, each
 with its own t and step, through stacked evaluations; ``track`` is its
 one-start call.  The segment is shared by the starts or given per
 start, so one call can carry the paths of many segments.
+
+A path that reaches t=1 may still end on a singular solution, since the
+predictor can carry it onto a multiple root.  ``track_and_polish``
+decides that at the endpoint: it keeps a root only where Newton
+converges quadratically there, that is where one more Newton step from
+the polished point moves it by at most ``CORRECTOR_TOL`` relative.
 
 All residuals in this module are term-magnitude scaled: an equation's
 residual is divided by one plus the sum of the absolute values of its
@@ -268,6 +277,31 @@ def _newton(system, params, points, tol, max_iters, max_move=None):
     return best[0], np.array(best_res), tuple(best[1:])
 
 
+def _hermite_guess(x, back_dt, speed, h, step_back, back_prev, speed_prev, h_prev):
+    """Predicted points at t + h for a (K, N) stack of points x at t.
+
+    Row k interpolates the cubic Hermite polynomial through its previous
+    accepted point x + step_back, with derivative -back_prev, and through
+    x, with derivative -back_dt, the step h_prev apart, and extrapolates
+    it to t + h; with s = h / h_prev that is
+
+        x + s^2 (3 + 2s) step_back - h s ((1 + s) back_prev + (2 + s) back_dt).
+
+    A row gets the Euler guess x - h * back_dt instead where either
+    tangent failed (``speed`` or ``speed_prev``, max |dx/dt|, is inf; a
+    row without a previous point has ``speed_prev`` inf), or where the
+    cubic moves the guess further from the Euler guess than the Euler
+    step h * speed is long.  ``h``, ``speed``, ``speed_prev`` and
+    ``h_prev`` are (K,) arrays.
+    """
+    hc = h[:, None]
+    euler = x - hc * back_dt
+    s = (h / h_prev)[:, None]
+    corr = s * s * (3.0 + 2.0 * s) * step_back - hc * s * ((1.0 + s) * back_prev + (2.0 + s) * back_dt)
+    cubic = (np.maximum.reduce(np.abs(corr), axis=1) <= h * speed) & np.isfinite(speed + speed_prev)
+    return np.where(cubic[:, None], euler + corr, euler)
+
+
 def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = None) -> PathResult:
     """Track one solution of a segment homotopy from t=0 to t=1.
 
@@ -290,10 +324,13 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
     Each path keeps its own t, step, streak, step count and status, and
     makes exactly the accept and reject decisions it makes when tracked
     alone; the live paths share each evaluation of the system and of its
-    parameter tangent, as one (K, N) stack.  A rejected step keeps its
-    predictor tangent, since the point, the Jacobian and the parameter
-    velocity it was computed from are unchanged.  A path leaves the
-    stack when it ends, and so do its rows of a per-row segment.
+    parameter tangent, as one (K, N) stack.  The predictor of each path
+    is ``_hermite_guess`` from its last two accepted points; their
+    tangents are computed once each, after the step that reached the
+    point.  A rejected step keeps both tangents and the previous point,
+    since the points, the Jacobian and the parameter velocity they came
+    from are unchanged.  A path leaves the stack when it ends, and so do
+    its rows of a per-row segment.
 
     Returns one PathResult per start, in start order.  Raises ValueError
     when a start is not a solution at t=0, or when a per-row field of
@@ -339,6 +376,13 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
     back_dt = np.zeros_like(x)  # -dx/dt at x
     speed = np.zeros(k)  # max |dx/dt|, inf without a tangent
     floor = np.zeros(k)  # the corrector's move floor
+    # the previous accepted point, as the step back to it from x, its
+    # -dx/dt and max |dx/dt|, and the step h between the two points; a
+    # row without a previous point has speed_prev inf
+    step_back = np.zeros_like(x)
+    back_prev = np.zeros_like(x)
+    speed_prev = np.full(k, np.inf)
+    h_prev = np.ones(k)
 
     def end(j, status, point, residual):
         results[paths[j]] = PathResult(status, point.copy(), float(residual), steps[j])
@@ -348,7 +392,8 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
         h = [v - u for v, u in zip(t_next, t)]
         hs = np.array(h)
 
-        # Euler predictor along the parameter velocity.
+        # Cubic Hermite predictor along the parameter velocity, from the
+        # tangents at x and at the previous accepted point.
         fresh = [j for j, f in enumerate(stale) if f]
         if fresh:
             sel = fresh if len(fresh) < len(paths) else slice(None)
@@ -368,7 +413,7 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
         x_new, res_new, state_new = _newton(
             sys_,
             at(np.array(t_next)[:, None]),
-            x - hs[:, None] * back_dt,
+            _hermite_guess(x, back_dt, speed, hs, step_back, back_prev, speed_prev, h_prev),
             tol,
             MAX_CORRECTOR_ITERS,
             max_move=hs * speed + floor,
@@ -396,10 +441,15 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
                 if step[j] < st.min_step:
                     end(j, PathStatus.SINGULAR, x[j], res[j])
         if all(accepted):
+            # every row is stale, so the next tangents overwrite back_dt
+            # and speed whole
+            step_back, h_prev = x - x_new, hs
+            back_prev, back_dt, speed_prev, speed = back_dt, back_prev, speed, speed_prev
             x, res, size, (_, scales, jac) = x_new, res_new, size_new, state_new
         elif any(accepted):
-            new = (x_new, res_new, size_new, *state_new[1:])
-            for a, b in zip((x, res, size, scales, jac), new):
+            step_back[accepted] = x[accepted] - x_new[accepted]
+            new = (back_dt, speed, hs, x_new, res_new, size_new, *state_new[1:])
+            for a, b in zip((back_prev, speed_prev, h_prev, x, res, size, scales, jac), new):
                 a[accepted] = b[accepted]
 
         live = []
@@ -414,6 +464,9 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
             )
             x, res, size, scales, jac, back_dt, speed, floor = (
                 a[live] for a in (x, res, size, scales, jac, back_dt, speed, floor)
+            )
+            step_back, back_prev, speed_prev, h_prev = (
+                a[live] for a in (step_back, back_prev, speed_prev, h_prev)
             )
             origin, target, dp = (a if a.ndim == 1 else a[live] for a in (origin, target, dp))
 
@@ -433,17 +486,21 @@ def solve_total_degree(
     already generic complex, which keeps the straight coefficient
     segment to the target off the discriminant with probability one.
     Surplus paths (targets with fewer roots than the start count)
-    diverge and are dropped.
+    diverge and are dropped, and so are singular endpoints, as decided
+    by ``track_and_polish``: a multiple root is returned only under
+    ``salvage_singular``.
 
     Args:
         targets: list of MPoly, all in the same unknowns, square.
         rng: randomness source for the start system.
-        salvage_singular: also keep paths that stall near t=1 with a
-            singular Jacobian (double roots of the target), accepting
-            their polished endpoints when the residual still clears
-            1e-8.  Double roots converge linearly under Newton, which
-            caps the endpoint accuracy near sqrt(eps); the residual of
-            such a point is quadratically small, so the looser gate
+        salvage_singular: also keep singular endpoints (multiple
+            roots of the target): paths that stall near t=1 with a
+            singular Jacobian, and paths that reach t=1 where Newton
+            converges only linearly.  Their polished endpoints are kept
+            when the residual still clears 1e-8.  A double root caps the
+            endpoint accuracy near sqrt(eps), a triple one near
+            eps^(1/3); the residual there is about the distance to the
+            root to the power of its multiplicity, so the looser gate
             admits exactly the near-multiple roots and nothing else.
 
     Returns:
@@ -504,6 +561,15 @@ def track_and_polish(
     TrackSettings and Newton-polish the endpoints at ``params_end``, as
     one stack; ``salvage_singular`` is as in ``solve_total_degree``.
 
+    A path that reached t=1 ends on a regular root when its polished
+    residual is below ``CORRECTOR_TOL`` and one more Newton step from
+    the polished point succeeds and moves it by at most
+    ``CORRECTOR_TOL`` relative (max |dx| / (1 + max |x|)), as it does
+    where Newton converges quadratically.  Every other endpoint is
+    singular: it is dropped, or under ``salvage_singular`` polished
+    again, with paths that stalled short of t=1, for 60 iterations
+    against the 1e-8 gate.
+
     Returns the (endpoint, residual) pairs that passed polish, in start
     order.
     """
@@ -518,10 +584,20 @@ def track_and_polish(
         and r.status in (PathStatus.SINGULAR, PathStatus.STEP_LIMIT)
         and not float(np.max(np.abs(r.endpoint))) > DIVERGENCE_NORM
     ]
-    for rows, iters, gate in ((success, 30, CORRECTOR_TOL), (salvage, 60, 1e-8)):
-        if rows:
-            x, res, _ = _newton(system, p_end, [results[i].endpoint for i in rows], 1e-13, iters)
-            for i, xi, r in zip(rows, x, res.tolist()):
-                if r < gate:
-                    polished[i] = (xi, r)
+    if success:
+        x, res, (vals, scales, jac) = _newton(system, p_end, [results[i].endpoint for i in success], 1e-13, 30)
+        # one more Newton step from the polished point: at a regular root
+        # it is a rounding-sized move, at a singular one it is not
+        dx, ok = _lu_solve_scaled(jac, vals, scales)
+        moves = np.maximum.reduce(np.abs(dx), axis=1) / (1.0 + np.maximum.reduce(np.abs(x), axis=1))
+        for i, xi, r, good, move in zip(success, x, res.tolist(), ok, moves.tolist()):
+            if good and move <= CORRECTOR_TOL and r < CORRECTOR_TOL:
+                polished[i] = (xi, r)
+            elif salvage_singular:
+                salvage.append(i)
+    if salvage:
+        x, res, _ = _newton(system, p_end, [results[i].endpoint for i in salvage], 1e-13, 60)
+        for i, xi, r in zip(salvage, x, res.tolist()):
+            if r < 1e-8:
+                polished[i] = (xi, r)
     return [p for p in polished if p is not None]

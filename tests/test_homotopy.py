@@ -161,15 +161,26 @@ def test_solve_total_degree_bivariate():
     assert pts == [(-2.0, -1.0), (-1.0, -2.0), (1.0, 2.0), (2.0, 1.0)]
 
 
-def test_solve_total_degree_salvages_double_roots():
-    # (x - 1)^2: a double root; plain tracking ends singular, salvage keeps it
-    p = MPoly(1, {(2,): 1.0, (1,): -2.0, (0,): 1.0})
-    plain = solve_total_degree([p], rng=np.random.default_rng(2))
-    salvaged = solve_total_degree([p], rng=np.random.default_rng(2), salvage_singular=True)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "terms, tol",
+    [
+        ({(2,): 1.0, (1,): -2.0, (0,): 1.0}, 1e-6),
+        ({(3,): 1.0, (2,): -3.0, (1,): 3.0, (0,): -1.0}, 1e-3),
+    ],
+    ids=["double", "triple"],
+)
+def test_solve_total_degree_salvages_double_roots(terms, tol, seed):
+    # (x - 1)^2 and (x - 1)^3: whether a path stalls near the multiple
+    # root or reaches t = 1 on it, Newton converges only linearly there,
+    # so plain solving drops the root and salvage keeps it
+    p = MPoly(1, terms)
+    plain = solve_total_degree([p], rng=np.random.default_rng(seed))
+    salvaged = solve_total_degree([p], rng=np.random.default_rng(seed), salvage_singular=True)
     assert len(plain) == 0
     assert len(salvaged) >= 1
     for x, res in salvaged:
-        assert abs(x[0] - 1.0) < 1e-6
+        assert abs(x[0] - 1.0) < tol
         assert res < 1e-8
 
 
@@ -255,6 +266,58 @@ def test_rejected_step_keeps_its_tangent(monkeypatch):
     assert result.success
     assert len(corrected) == result.steps_taken > accepted
     assert len(tangents) == accepted
+
+
+def _cubic_samples(t):
+    """x(t) and -dx/dt on a cubic curve in C^3, one cubic per coordinate."""
+    c = np.array(
+        [
+            [1.0 + 0.5j, 2.0 - 1.0j, 0.3j, 0.2],
+            [-0.5, 1.0j, -0.4 + 0.1j, 0.25j],
+            [2.0j, -1.5 + 0.5j, 0.2, -0.3 + 0.1j],
+        ]
+    )
+    x = c[:, 0] + t * (c[:, 1] + t * (c[:, 2] + t * c[:, 3]))
+    dx = c[:, 1] + t * (2.0 * c[:, 2] + 3.0 * t * c[:, 3])
+    return x, -dx
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_hermite_guess_extrapolates_a_cubic(s):
+    # two samples of a cubic with their derivatives determine it, so the
+    # guess at t + h is the cubic's value there up to rounding
+    t_prev, h_prev = 0.3, 0.1
+    t, h = t_prev + h_prev, s * h_prev
+    x_prev, back_prev = _cubic_samples(t_prev)
+    x, back = _cubic_samples(t)
+    want, _ = _cubic_samples(t + h)
+    got = homotopy._hermite_guess(
+        x[None], back[None], np.abs(back).max(keepdims=True), np.array([h]),
+        (x_prev - x)[None], back_prev[None], np.abs(back_prev).max(keepdims=True), np.array([h_prev]),
+    )
+    assert np.abs(got[0] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_hermite_guess_falls_back_to_euler():
+    # row 0 has no previous point; row 1's previous point is five times
+    # too far, so its cubic correction (4.4) exceeds the Euler length
+    # h * speed (0.22); row 2's correction (0.006) stays within it
+    x, back = _cubic_samples(0.4)
+    x_prev, back_prev = _cubic_samples(0.3)
+    xs, backs = np.array([x] * 3), np.array([back] * 3)
+    speed = np.abs(backs).max(axis=1)
+    h = np.full(3, 0.1)
+    step_back = np.array([x_prev - x, 5.0 * (x_prev - x), x_prev - x])
+    speed_prev = np.array([np.inf, 1.0, 1.0]) * np.abs(back_prev).max()
+    got = homotopy._hermite_guess(xs, backs, speed, h, step_back, np.array([back_prev] * 3), speed_prev, h)
+    euler = xs - h[:, None] * backs
+    assert np.array_equal(got[:2], euler[:2])
+    assert not np.array_equal(got[2], euler[2])
+    # one row alone gets the bits it gets in the stack
+    alone = homotopy._hermite_guess(
+        xs[:1], backs[:1], speed[:1], h[:1], step_back[:1], back_prev[None], speed_prev[:1], h[:1]
+    )
+    assert np.array_equal(alone[0], x - 0.1 * back)
 
 
 def _captured(monkeypatch, module, run):

@@ -475,3 +475,23 @@ def test_solve_records_why_it_stopped(policy, reason):
     assert reg.serialize(d=3)["stop_reason"] == reason
     assert (reg.warning is not None) == (reason == "loop_budget")
     assert len(reg.history) == {"stable": 2, "target_count": 0, "loop_budget": 2}[reason]
+
+
+def test_binary_septic_form_takes_fewer_path_steps(monkeypatch):
+    # the form of seed 7000 at the default stop rule: its legs took 2,530
+    # path-steps in all under an Euler predictor, and must take at most
+    # 90% of that under the cubic Hermite one
+    steps = []
+    track_paths = monodromy.track_paths
+
+    def counting(homotopy, starts, settings):
+        results = track_paths(homotopy, starts, settings)
+        steps.extend(r.steps_taken for r in results)
+        return results
+
+    monkeypatch.setattr(monodromy, "track_paths", counting)
+    spec = WaringSpec(7, 1, 4)
+    start, tensor = random_real_start(spec, seed=7000)
+    registry = enumerate_decompositions(spec, start, tensor, seed=7000)
+    assert len(registry) == 1
+    assert sum(steps) <= 2277
