@@ -13,7 +13,6 @@ from .homotopy import (
     PathStatus,
     SegmentHomotopy,
     SingularJacobianError,
-    TrackSettings,
     condition_estimate,
     solve_total_degree,
     track,
@@ -25,7 +24,7 @@ from .monodromy import (
     solve,
     triangle_loop,
 )
-from .poly import DimensionMismatchError, MPoly, PolySystem, monomials, multinomial
+from .poly import DimensionMismatchError, PolySystem, monomials, multinomial
 from .realcert import (
     AUTOCONJUGATE,
     CONJUGATE_PAIR_MEMBER,
@@ -61,7 +60,6 @@ __all__ = [
     "ClassifiedSet",
     "Decomposition",
     "DimensionMismatchError",
-    "MPoly",
     "NonGenericFormError",
     "PathStatus",
     "PolySystem",
@@ -72,7 +70,6 @@ __all__ = [
     "StopPolicy",
     "Summand",
     "TensorParams",
-    "TrackSettings",
     "UnpairedDecompositionError",
     "WaringSpec",
     "build_system",

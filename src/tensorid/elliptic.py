@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .homotopy import solve_total_degree
-from .poly import MPoly
 from .realcert import REAL_TOL, is_real_point
 
 TANGENT_TOL = 1e-6
@@ -179,19 +178,33 @@ def plane_basis(plane) -> np.ndarray:
     return vt[1:].T
 
 
-def _conic_chart(m: np.ndarray) -> MPoly:
-    """Restrict w.m.w to the affine chart w[0] = 1 of the plane."""
-    return MPoly(
-        2,
-        {
-            (0, 0): m[0, 0],
-            (1, 0): 2.0 * m[0, 1],
-            (0, 1): 2.0 * m[0, 2],
-            (2, 0): m[1, 1],
-            (1, 1): 2.0 * m[1, 2],
-            (0, 2): m[2, 2],
-        },
-    )
+def _conic_chart(m: np.ndarray) -> dict:
+    """Restrict w.m.w to the affine chart w[0] = 1 of the plane, as
+    {exponents: coefficient}."""
+    return {
+        (0, 0): m[0, 0],
+        (1, 0): 2.0 * m[0, 1],
+        (0, 1): 2.0 * m[0, 2],
+        (2, 0): m[1, 1],
+        (1, 1): 2.0 * m[1, 2],
+        (0, 2): m[2, 2],
+    }
+
+
+def _product(f: dict, g: dict) -> dict:
+    """f * g for polynomials written as {exponents: coefficient}."""
+    out: dict = {}
+    for ef, cf in f.items():
+        for eg, cg in g.items():
+            key = tuple(a + b for a, b in zip(ef, eg))
+            out[key] = out.get(key, 0) + cf * cg
+    return out
+
+
+def _cross(f1: dict, g1: dict, f2: dict, g2: dict) -> dict:
+    """f1 * g1 - f2 * g2."""
+    a, b = _product(f1, g1), _product(f2, g2)
+    return {e: a.get(e, 0) - b.get(e, 0) for e in {**a, **b}}
 
 
 def _random_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -390,9 +403,10 @@ def secant_lines_through(pencil: QuadricPencil, point, seed: int = 0):
     g2 = _conic_chart(e3.T @ q2m @ e3)
     w1 = 2.0 * (p @ q1m @ e3)
     w2 = 2.0 * (p @ q2m @ e3)
-    lin1 = MPoly(2, {(0, 0): w1[0], (1, 0): w1[1], (0, 1): w1[2]})
-    lin2 = MPoly(2, {(0, 0): w2[0], (1, 0): w2[1], (0, 1): w2[2]})
-    for x, _ in solve_total_degree([g1 * lin2 - g2 * lin1, g1 * c2 - g2 * c1], rng):
+    lin1, lin2 = ({(0, 0): w[0], (1, 0): w[1], (0, 1): w[2]} for w in (w1, w2))
+    cubic = _cross(g1, lin2, g2, lin1)
+    conic = _cross(g1, {(0, 0): c2}, g2, {(0, 0): c1})
+    for x, _ in solve_total_degree([cubic, conic], rng):
         consider_direction(e3 @ np.concatenate(([1.0 + 0j], x)))
 
     if len(lines) != 2:

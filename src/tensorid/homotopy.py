@@ -11,7 +11,7 @@ or where the cubic strays further from the Euler guess than the Euler
 step is long), then a short Newton corrector at the new t.  Step
 control doubles the step after three consecutive accepted steps, halves
 it on corrector failure and declares the path singular once the step
-falls below ``min_step``.
+falls below ``MIN_STEP``.
 ``track_paths`` advances all starts of one homotopy in lockstep, each
 with its own t and step, through stacked evaluations; ``track`` is its
 one-start call.  The segment is shared by the starts or given per
@@ -33,14 +33,13 @@ serves as the condition estimate.
 import cmath
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .poly import PolySystem
+from .poly import DimensionMismatchError, PolySystem
 
 
 class SingularJacobianError(RuntimeError):
@@ -59,21 +58,15 @@ MAX_STEP = 0.1
 CORRECTOR_TOL = 1e-10
 MAX_CORRECTOR_ITERS = 4
 DIVERGENCE_NORM = 1e8
-
-
-@dataclass(frozen=True)
-class TrackSettings:
-    """The step floor and the step budget, the two settings whose values
-    differ between callers; the rest of step control is module constants."""
-
-    min_step: float = 1e-7
-    max_steps: int = 10000
-
-    def __post_init__(self):
-        if not 0 < self.min_step <= INITIAL_STEP:
-            raise ValueError(f"need 0 < min_step <= {INITIAL_STEP}, got {self.min_step!r}")
-        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+# Coefficient-matching Jacobians of degree-7 and degree-8 forms are ill
+# conditioned (condition numbers near 1e9 at generic points), so paths
+# leaving a monodromy loop vertex move fast at first and the step has to
+# shrink far below a generic floor before the corrector basin is
+# reached; the step budget is raised to match.
+MIN_STEP = 1e-13
+MAX_STEPS = 200000
+# solve_total_degree drops target coefficients this small
+PRUNE_TOL = 1e-14
 
 
 @dataclass
@@ -302,23 +295,22 @@ def _hermite_guess(x, back_dt, speed, h, step_back, back_prev, speed_prev, h_pre
     return np.where(cubic[:, None], euler + corr, euler)
 
 
-def track(homotopy: SegmentHomotopy, start, settings: TrackSettings | None = None) -> PathResult:
+def track(homotopy: SegmentHomotopy, start) -> PathResult:
     """Track one solution of a segment homotopy from t=0 to t=1.
 
     Args:
         homotopy: the parameter segment to follow.
         start: solution of the system at ``params_at(0)``.
-        settings: step floor and budget (defaults used when omitted).
 
     Returns:
         PathResult with the endpoint at t=1 on success; otherwise the
         last accepted point and the reason tracking stopped.  This is
         ``track_paths`` on one start.
     """
-    return track_paths(homotopy, [start], settings)[0]
+    return track_paths(homotopy, [start])[0]
 
 
-def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | None = None) -> list:
+def track_paths(homotopy: SegmentHomotopy, starts) -> list:
     """Track every start of one segment homotopy from t=0 to t=1 in lockstep.
 
     Each path keeps its own t, step, streak, step count and status, and
@@ -336,7 +328,6 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
     when a start is not a solution at t=0, or when a per-row field of
     the segment does not have one row per start.
     """
-    st = settings or TrackSettings()
     sys_ = homotopy.system
     tol = CORRECTOR_TOL
     starts = list(starts)
@@ -438,7 +429,7 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
             else:
                 streak[j] = 0
                 step[j] = h[j] / 2.0
-                if step[j] < st.min_step:
+                if step[j] < MIN_STEP:
                     end(j, PathStatus.SINGULAR, x[j], res[j])
         if all(accepted):
             # every row is stale, so the next tangents overwrite back_dt
@@ -454,7 +445,7 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
 
         live = []
         for j, i in enumerate(paths):
-            if results[i] is None and steps[j] >= st.max_steps:
+            if results[i] is None and steps[j] >= MAX_STEPS:
                 end(j, PathStatus.STEP_LIMIT, x[j], res[j])
             if results[i] is None:
                 live.append(j)
@@ -471,6 +462,23 @@ def track_paths(homotopy: SegmentHomotopy, starts, settings: TrackSettings | Non
             origin, target, dp = (a if a.ndim == 1 else a[live] for a in (origin, target, dp))
 
     return results
+
+
+def _target_terms(poly: dict, n: int) -> dict:
+    """The terms of one target of ``solve_total_degree`` with |c| above
+    ``PRUNE_TOL``, their exponents checked to be n non-negative integers."""
+    terms = {}
+    for expo, coeff in poly.items():
+        if len(expo) != n:
+            raise DimensionMismatchError(
+                f"exponent {expo} has {len(expo)} entries, expected {n}: "
+                "need n polynomials in n unknowns"
+            )
+        if any(e < 0 for e in expo):
+            raise ValueError(f"negative exponent in {expo}")
+        if abs(coeff) > PRUNE_TOL:
+            terms[tuple(int(e) for e in expo)] = complex(coeff)
+    return terms
 
 
 def solve_total_degree(
@@ -491,7 +499,11 @@ def solve_total_degree(
     ``salvage_singular``.
 
     Args:
-        targets: list of MPoly, all in the same unknowns, square.
+        targets: n polynomials in n unknowns, each a dict mapping an
+            exponent tuple of length n to its coefficient, e.g.
+            ``{(2, 0): 1.0, (0, 1): -2.0}`` for ``x0^2 - 2*x1``.  Terms
+            with |coefficient| <= ``PRUNE_TOL`` are dropped, so a zero
+            leading coefficient does not raise a target's degree.
         rng: randomness source for the start system.
         salvage_singular: also keep singular endpoints (multiple
             roots of the target): paths that stall near t=1 with a
@@ -506,47 +518,35 @@ def solve_total_degree(
     Returns:
         List of (endpoint, residual) pairs for every path that reached
         t=1, polished against the target system.
+
+    Raises:
+        DimensionMismatchError: an exponent tuple whose length is not
+            the number of targets.
+        ValueError: no targets, or a negative exponent.
     """
     rng = rng or np.random.default_rng(0)
     n = len(targets)
-    if n == 0 or any(p.num_vars != n for p in targets):
-        raise ValueError("need a square system: n polynomials in n variables")
-    degrees = [max(1, p.total_degree()) for p in targets]
+    if n == 0:
+        raise ValueError("need a square system: n polynomials in n unknowns")
+    targets = [_target_terms(p, n) for p in targets]
 
-    # Shared coefficient space: one parameter per (equation, monomial).
-    supports = []
+    # Shared coefficient space: one parameter per (equation, monomial),
+    # the monomials of a target's support with its x_i^d_i and 1.
+    zero = (0,) * n
+    rows, p_start, p_end, start_axis_roots = [], [], [], []
     for i, p in enumerate(targets):
-        sup = set(p.terms)
-        diag = tuple(degrees[i] if j == i else 0 for j in range(n))
-        sup.add(diag)
-        sup.add((0,) * n)
-        supports.append(sorted(sup, reverse=True))
-    num_params = sum(len(s) for s in supports)
-
-    rows = []
-    p_start = np.zeros(num_params, dtype=np.complex128)
-    p_end = np.zeros(num_params, dtype=np.complex128)
-    offset = 0
-    start_axis_roots = []
-    for i, p in enumerate(targets):
-        scale = max(abs(c) for c in p.terms.values()) if p.terms else 1.0
+        d = max([1, *map(sum, p)])
+        diag = tuple(d if j == i else 0 for j in range(n))
+        support = sorted({*p, diag, zero}, reverse=True)
+        scale = max(map(abs, p.values())) if p else 1.0
         b = scale * (0.5 + rng.random()) * cmath.exp(2j * cmath.pi * rng.random())
-        diag = tuple(degrees[i] if j == i else 0 for j in range(n))
-        zero = (0,) * n
-        rows.append([(1.0, mono, offset + k) for k, mono in enumerate(supports[i])])
-        for k, mono in enumerate(supports[i]):
-            p_end[offset + k] = p.terms.get(mono, 0j)
-            if mono == diag:
-                p_start[offset + k] = scale
-            elif mono == zero:
-                p_start[offset + k] = -b
-        root = (b / scale) ** (1.0 / degrees[i])
-        start_axis_roots.append(
-            [root * cmath.exp(2j * cmath.pi * k / degrees[i]) for k in range(degrees[i])]
-        )
-        offset += len(supports[i])
+        rows.append([(1.0, mono, len(p_end) + k) for k, mono in enumerate(support)])
+        p_end += [p.get(mono, 0j) for mono in support]
+        p_start += [scale if mono == diag else -b if mono == zero else 0j for mono in support]
+        root = (b / scale) ** (1.0 / d)
+        start_axis_roots.append([root * cmath.exp(2j * cmath.pi * k / d) for k in range(d)])
 
-    system = PolySystem(rows, num_unknowns=n, num_params=num_params)
+    system = PolySystem(rows, num_unknowns=n, num_params=len(p_end))
     hom = SegmentHomotopy(system, p_start, p_end)
     starts = (np.asarray(c, dtype=np.complex128) for c in itertools.product(*start_axis_roots))
     return track_and_polish(hom, starts, salvage_singular)
@@ -557,9 +557,9 @@ def track_and_polish(
     starts,
     salvage_singular: bool = False,
 ):
-    """Track every start to t=1 in lockstep with the default
-    TrackSettings and Newton-polish the endpoints at ``params_end``, as
-    one stack; ``salvage_singular`` is as in ``solve_total_degree``.
+    """Track every start to t=1 in lockstep and Newton-polish the
+    endpoints at ``params_end``, as one stack; ``salvage_singular`` is
+    as in ``solve_total_degree``.
 
     A path that reached t=1 ends on a regular root when its polished
     residual is below ``CORRECTOR_TOL`` and one more Newton step from

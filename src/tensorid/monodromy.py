@@ -34,7 +34,6 @@ from .homotopy import (
     _SINGULAR_RATIO,
     SegmentHomotopy,
     SingularJacobianError,
-    TrackSettings,
     _newton,
     condition_estimate,
     track_paths,
@@ -44,12 +43,6 @@ from .waring import Decomposition
 DEDUP_TOL = 1e-6
 RESIDUAL_TOL = 1e-10
 LAMBDA_TOL = 1e-10
-# Coefficient-matching Jacobians of degree-7 and degree-8 forms are ill
-# conditioned (condition numbers near 1e9 at generic points), so paths
-# leaving a loop vertex move fast at first and the step has to shrink far
-# below the generic floor before the corrector basin is reached; the
-# budget is raised to match.
-TRACK_SETTINGS = TrackSettings(min_step=1e-13, max_steps=200000)
 # The largest stack a batch of loops is sized to.  Every distinct stack
 # size costs the evaluator a cached copy of its index tables (see
 # poly._TermTable), and per-path cost stops falling beyond about 16 rows.
@@ -227,8 +220,8 @@ def _scale_lambdas(vec: np.ndarray, n: int, factor: complex) -> np.ndarray:
 def _transport(registry: SolutionRegistry, loops, solutions) -> list:
     """Carry ``solutions`` around the triangle of every loop in ``loops``
     as one stack: one ``track_paths`` call per leg, each row on the
-    segment of its own loop, with ``TRACK_SETTINGS``.  The transports
-    that finish a leg go on to the next.
+    segment of its own loop.  The transports that finish a leg go on to
+    the next.
 
     Returns, per loop, the endpoints of the transports that came back,
     in the order of ``solutions``, and how many were lost on the way.
@@ -248,7 +241,7 @@ def _transport(registry: SolutionRegistry, loops, solutions) -> list:
         rows = np.array(owner)
         start, end = (v if v is p0 else v[rows] for v in vertices)
         twist = gamma[rows] if leg == 0 else 1.0
-        results = track_paths(SegmentHomotopy(registry.system, start, end, twist), xs, TRACK_SETTINGS)
+        results = track_paths(SegmentHomotopy(registry.system, start, end, twist), xs)
         xs = [r.endpoint for r in results if r.success]
         owner = [b for b, r in zip(owner, results) if r.success]
     ends = [[] for _ in loops]

@@ -1,7 +1,5 @@
-"""Sparse complex multivariate polynomials and square polynomial systems.
+"""Monomial bases and square polynomial systems.
 
-A polynomial is stored as a dict mapping exponent tuples to complex
-coefficients, e.g. ``{(2, 0): 1.0, (0, 1): -2.0}`` for ``x0^2 - 2*x1``.
 Monomial bases are ordered graded lexicographically (by total degree,
 then lexicographically, largest first), which fixes the equation order
 of every system built here.
@@ -21,8 +19,6 @@ import math
 from itertools import combinations_with_replacement
 
 import numpy as np
-
-PRUNE_TOL = 1e-14
 
 
 class DimensionMismatchError(ValueError):
@@ -56,102 +52,6 @@ def monomials(num_vars: int, degree: int) -> list:
         out.append(tuple(expo))
     out.sort(reverse=True)
     return out
-
-
-class MPoly:
-    """Sparse polynomial in ``num_vars`` complex variables."""
-
-    __slots__ = ("num_vars", "terms")
-
-    def __init__(self, num_vars: int, terms: dict | None = None):
-        self.num_vars = int(num_vars)
-        clean = {}
-        if terms:
-            for expo, coeff in terms.items():
-                if len(expo) != self.num_vars:
-                    raise DimensionMismatchError(
-                        f"exponent {expo} has {len(expo)} entries, expected {self.num_vars}"
-                    )
-                c = complex(coeff)
-                if abs(c) <= PRUNE_TOL:
-                    continue
-                key = tuple(int(e) for e in expo)
-                if any(e < 0 for e in key):
-                    raise ValueError("negative exponent")
-                acc = clean.get(key, 0j) + c
-                if abs(acc) <= PRUNE_TOL:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = acc
-        self.terms = clean
-
-    @classmethod
-    def constant(cls, num_vars: int, value) -> "MPoly":
-        return cls(num_vars, {(0,) * num_vars: complex(value)})
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = MPoly.constant(self.num_vars, other)
-        if self.num_vars != other.num_vars:
-            raise DimensionMismatchError("variable counts differ")
-        merged = dict(self.terms)
-        for expo, c in other.terms.items():
-            merged[expo] = merged.get(expo, 0j) + c
-        return MPoly(self.num_vars, merged)
-
-    def __neg__(self):
-        return MPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = MPoly.constant(self.num_vars, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return MPoly(self.num_vars, {e: c * other for e, c in self.terms.items()})
-        if self.num_vars != other.num_vars:
-            raise DimensionMismatchError("variable counts differ")
-        prod: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                prod[key] = prod.get(key, 0j) + ca * cb
-        return MPoly(self.num_vars, prod)
-
-    __rmul__ = __mul__
-    __radd__ = __add__
-
-    def evaluate(self, values) -> complex:
-        """Evaluate at a point given as a sequence of ``num_vars`` scalars."""
-        vals = [complex(v) for v in values]
-        if len(vals) != self.num_vars:
-            raise DimensionMismatchError(
-                f"point has {len(vals)} coordinates, expected {self.num_vars}"
-            )
-        total = 0j
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, expo):
-                if e:
-                    term *= v**e
-            total += term
-        return total
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MPoly)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"MPoly(num_vars={self.num_vars}, terms={len(self.terms)})"
 
 
 class _TermTable:

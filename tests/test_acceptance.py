@@ -26,7 +26,7 @@ from tensorid.elliptic import (
     pencil_scan,
     projective_distance,
 )
-from tensorid.homotopy import SegmentHomotopy, TrackSettings, track
+from tensorid.homotopy import SegmentHomotopy, track
 from tensorid.monodromy import canonical_distance
 from tensorid.poly import PolySystem
 from tensorid.realcert import classify
@@ -255,7 +255,7 @@ def test_criterion_8_property_suite(capsys, quintic_run):
         for root in roots:
             x_cur = root
             for leg in legs:
-                res = track(leg, x_cur, TrackSettings())
+                res = track(leg, x_cur)
                 assert res.success
                 x_cur = res.endpoint
             ends.append(complex(x_cur[0]))

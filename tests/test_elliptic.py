@@ -33,6 +33,20 @@ def pencil():
     return example_pencil()
 
 
+def test_product_helpers_expand_by_hand():
+    # (x + 2y)(x - 2y) = x^2 - 4y^2, and a product minus itself is zero
+    f, g = {(1, 0): 1.0, (0, 1): 2.0}, {(1, 0): 1.0, (0, 1): -2.0}
+    assert elliptic._product(f, g) == {(2, 0): 1.0, (1, 1): 0.0, (0, 2): -4.0}
+    assert elliptic._cross(f, g, f, {(0, 0): 3.0}) == {
+        (2, 0): 1.0,
+        (1, 1): 0.0,
+        (0, 2): -4.0,
+        (1, 0): -3.0,
+        (0, 1): -6.0,
+    }
+    assert set(elliptic._cross(f, g, g, f).values()) == {0.0}
+
+
 def test_projective_helpers():
     x = np.array([2.0, -4.0, 6.0, 0.0])
     nx = normalize_projective(x)

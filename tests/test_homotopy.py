@@ -9,7 +9,6 @@ from tensorid import homotopy, segre
 from tensorid.homotopy import (
     PathStatus,
     SegmentHomotopy,
-    TrackSettings,
     _lu_solve_scaled,
     _newton,
     condition_estimate,
@@ -17,7 +16,7 @@ from tensorid.homotopy import (
     track,
     track_paths,
 )
-from tensorid.poly import MPoly, PolySystem
+from tensorid.poly import DimensionMismatchError, PolySystem
 
 
 def _square_root_system():
@@ -143,7 +142,7 @@ def test_conjugation_equivariance():
 
 def test_solve_total_degree_univariate_roots():
     # x^3 - 1: three cube roots of unity
-    p = MPoly(1, {(3,): 1.0, (0,): -1.0})
+    p = {(3,): 1.0, (0,): -1.0}
     found = solve_total_degree([p], rng=np.random.default_rng(5))
     assert len(found) == 3
     for x, res in found:
@@ -153,8 +152,8 @@ def test_solve_total_degree_univariate_roots():
 
 def test_solve_total_degree_bivariate():
     # x^2 + y^2 - 5 = 0, x*y - 2 = 0: solutions (+-1, +-2), (+-2, +-1) with xy=2
-    f1 = MPoly(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -5.0})
-    f2 = MPoly(2, {(1, 1): 1.0, (0, 0): -2.0})
+    f1 = {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -5.0}
+    f2 = {(1, 1): 1.0, (0, 0): -2.0}
     found = solve_total_degree([f1, f2], rng=np.random.default_rng(1))
     assert len(found) == 4
     pts = sorted((round(x[0].real, 6), round(x[1].real, 6)) for x, _ in found)
@@ -174,14 +173,38 @@ def test_solve_total_degree_salvages_double_roots(terms, tol, seed):
     # (x - 1)^2 and (x - 1)^3: whether a path stalls near the multiple
     # root or reaches t = 1 on it, Newton converges only linearly there,
     # so plain solving drops the root and salvage keeps it
-    p = MPoly(1, terms)
-    plain = solve_total_degree([p], rng=np.random.default_rng(seed))
-    salvaged = solve_total_degree([p], rng=np.random.default_rng(seed), salvage_singular=True)
+    plain = solve_total_degree([terms], rng=np.random.default_rng(seed))
+    salvaged = solve_total_degree([terms], rng=np.random.default_rng(seed), salvage_singular=True)
     assert len(plain) == 0
     assert len(salvaged) >= 1
     for x, res in salvaged:
         assert abs(x[0] - 1.0) < tol
         assert res < 1e-8
+
+
+@pytest.mark.parametrize(
+    "targets, error, match",
+    [
+        ([{(1, 0): 1.0}, {(1, 0, 0): 1.0}], DimensionMismatchError, r"\(1, 0, 0\) has 3 entries"),
+        ([{(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}], DimensionMismatchError, "n polynomials in n unknowns"),
+        ([], ValueError, "square system"),
+        ([{(2,): 1.0, (-1,): 1.0}], ValueError, "negative exponent"),
+        ([{(2,): 0.0, (1,): 1.0, (0,): -2.0}], None, None),
+        ([{(2,): 1e-15, (1,): 1.0, (0,): -2.0}], None, None),
+    ],
+    ids=["exponent-length", "non-square", "empty", "negative-exponent", "zero-leading", "tiny-leading"],
+)
+def test_solve_total_degree_checks_its_targets(monkeypatch, targets, error, match):
+    if error is not None:
+        with pytest.raises(error, match=match):
+            solve_total_degree(targets)
+        return
+    # a leading coefficient of at most PRUNE_TOL is dropped, so x - 2 has
+    # degree 1: one start path, to the root x = 2
+    found = []
+    _, starts = _captured(monkeypatch, homotopy, lambda: found.extend(solve_total_degree(targets)))
+    assert len(starts) == 1
+    assert [complex(x[0]) for x, _ in found] == [pytest.approx(2.0, abs=1e-12)]
 
 
 def test_round_trip_permutes_solution_set():
@@ -223,21 +246,6 @@ def test_lu_solve_rejects_non_finite_imaginary_part():
     assert not ok[0] and out[0, 0] == 0
     jac = np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]])
     assert condition_estimate(jac) == np.inf
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("max_steps", 0),
-        ("max_steps", 2.5),
-        ("min_step", 0.0),
-        ("min_step", float("nan")),
-        ("min_step", 0.5),
-    ],
-)
-def test_track_settings_name_the_bad_field(field, value):
-    with pytest.raises(ValueError, match=field):
-        TrackSettings(**{field: value})
 
 
 def test_rejected_step_keeps_its_tangent(monkeypatch):
@@ -335,11 +343,18 @@ def _captured(monkeypatch, module, run):
     return seen[0]
 
 
+def _row(hom, k):
+    """Row k of a segment homotopy with a shared gamma, as a segment of
+    its own."""
+    start, end = (v if v.ndim == 1 else v[k] for v in (hom.params_start, hom.params_end))
+    return SegmentHomotopy(hom.system, start, end, hom.gamma)
+
+
 def _assert_batch_matches_solo(hom, starts):
     batch = track_paths(hom, starts)
     assert len(batch) == len(starts)
-    for start, got in zip(starts, batch):
-        alone = track(hom, start)
+    for k, (start, got) in enumerate(zip(starts, batch)):
+        alone = track(_row(hom, k), start)
         assert got.status is alone.status
         assert got.steps_taken == alone.steps_taken
         assert got.final_residual == pytest.approx(alone.final_residual, rel=1e-6, abs=1e-18)
@@ -359,18 +374,33 @@ def test_section_batch_matches_solo_tracks(monkeypatch):
 
 def test_total_degree_batch_with_surplus_paths_matches_solo(monkeypatch):
     # x*y - 1 and x*y + x - 2: Bezout count 4, one finite root (1, 1); the
-    # three surplus paths run off to infinity and end singular or diverged
+    # three surplus paths run off to infinity and end diverged.  A fifth
+    # row on the same system has a segment of its own: x^2 - p and
+    # y^2 - 1 with p from 1 to -1, whose path from (1, 1) meets the
+    # branch point x = 0 at t = 1/2 and ends singular
     polys = [
-        MPoly(2, {(1, 1): 1.0, (0, 0): -1.0}),
-        MPoly(2, {(1, 1): 1.0, (1, 0): 1.0, (0, 0): -2.0}),
+        {(1, 1): 1.0, (0, 0): -1.0},
+        {(1, 1): 1.0, (1, 0): 1.0, (0, 0): -2.0},
     ]
     hom, starts = _captured(
         monkeypatch, homotopy, lambda: solve_total_degree(polys, rng=np.random.default_rng(3))
     )
+    # the parameters are the coefficients of x^2, x*y, 1 in the first
+    # equation and of x*y, x, y^2, 1 in the second
+    assert hom.system.num_params == 7
+    branch_start = [1.0, 0.0, -1.0, 0.0, 0.0, 1.0, -1.0]
+    branch_end = [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, -1.0]
+    rows = len(starts)
+    hom = SegmentHomotopy(
+        hom.system,
+        np.vstack([np.broadcast_to(hom.origin, (rows, 7)), branch_start]),
+        np.vstack([np.broadcast_to(hom.params_end, (rows, 7)), branch_end]),
+    )
     monkeypatch.setattr(homotopy, "DIVERGENCE_NORM", 1e4)
-    batch = _assert_batch_matches_solo(hom, starts)
+    batch = _assert_batch_matches_solo(hom, [*starts, np.array([1.0, 1.0])])
     statuses = {r.status for r in batch}
     assert statuses == {PathStatus.SUCCESS, PathStatus.SINGULAR, PathStatus.DIVERGED}
+    assert batch[-1].status is PathStatus.SINGULAR
 
 
 def test_track_paths_of_no_starts():

@@ -1,5 +1,6 @@
 """Every name a tensorid module imports is used in that module, and every
-function, class and method it defines is referenced somewhere."""
+function, class and method it defines, and every UPPER_CASE constant it
+assigns at module level, is referenced somewhere."""
 
 import ast
 import pathlib
@@ -52,10 +53,11 @@ def test_all_lists_exactly_the_reexported_names():
 
 
 def referenced_names(source: str) -> set:
-    """Names read as variables, attributes or imported names."""
+    """Names read as variables, attributes or imported names; assigning a
+    name does not reference it."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -65,19 +67,29 @@ def referenced_names(source: str) -> set:
 
 
 def dead_definitions(source: str, referenced: set) -> list:
-    """Undecorated, non-dunder definitions whose name is not referenced.
+    """Undecorated, non-dunder definitions, and module-level UPPER_CASE
+    constants, whose name is not referenced.
 
     Decorated definitions (click commands, properties, classmethods) are
     reached through their decorator, and dunders through Python itself.
     """
-    return sorted(
+    tree = ast.parse(source)
+    defined = [
         (node.lineno, node.name)
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.decorator_list
         and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in referenced
-    )
+    ]
+    defined += [
+        (name.lineno, name.id)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id.isupper()
+    ]
+    return sorted((line, name) for line, name in defined if name not in referenced)
 
 
 def test_detects_dead_definition():
@@ -93,6 +105,22 @@ def test_detects_dead_definition():
     )
     dead = dead_definitions(source, referenced_names(source))
     assert dead == [(4, "unused"), (11, "dead_method")]
+
+
+def test_detects_dead_constant():
+    # a constant that is only assigned, even twice, is dead; lower-case
+    # names and constants local to a function are not checked
+    source = (
+        "USED = 1\n"
+        "DEAD, ALSO_USED = 2, 3\n"
+        "TYPED: int = 4\n"
+        "TYPED = 5\n"
+        "lower = 6\n"
+        "def f():\n    LOCAL = 7\n    return USED + ALSO_USED\n\n"
+        "f()\n"
+    )
+    dead = dead_definitions(source, referenced_names(source))
+    assert dead == [(2, "DEAD"), (3, "TYPED"), (4, "TYPED")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

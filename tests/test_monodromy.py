@@ -232,7 +232,7 @@ def test_triangle_loop_matches_solo_transports(monkeypatch):
         x = dec.to_vector()
         x[1::2] *= loop.gamma_out
         for leg in legs:
-            result = track(leg, x, monodromy.TRACK_SETTINGS)
+            result = track(leg, x)
             assert result.success
             x = result.endpoint
         solo.append(x)
@@ -262,7 +262,7 @@ def test_triangle_loop_counts_lost_transports(monkeypatch):
     reg, loop = _quintic_registry(2)
     stored = len(reg)
 
-    def failing_track_paths(homotopy, starts, settings):
+    def failing_track_paths(homotopy, starts):
         return [PathResult(PathStatus.SINGULAR, np.asarray(x), 1.0, 1) for x in starts]
 
     monkeypatch.setattr(monodromy, "track_paths", failing_track_paths)
@@ -277,9 +277,9 @@ def test_triangle_loop_drops_a_transport_lost_mid_loop(monkeypatch):
     carried = []
     track_paths = monodromy.track_paths
 
-    def leg1_loses_row0(homotopy, starts, settings):
+    def leg1_loses_row0(homotopy, starts):
         carried.append(len(starts))
-        results = track_paths(homotopy, starts, settings)
+        results = track_paths(homotopy, starts)
         if len(carried) == 2:
             results[0] = PathResult(PathStatus.SINGULAR, results[0].endpoint, 1.0, 1)
         return results
@@ -352,9 +352,9 @@ def _recording_track_paths(monkeypatch):
     sizes = []
     track_paths = monodromy.track_paths
 
-    def recording(homotopy, starts, settings):
+    def recording(homotopy, starts):
         sizes.append(len(starts))
-        return track_paths(homotopy, starts, settings)
+        return track_paths(homotopy, starts)
 
     monkeypatch.setattr(monodromy, "track_paths", recording)
     return sizes
@@ -396,8 +396,8 @@ def test_a_transport_lost_mid_batch_counts_against_its_loop(monkeypatch):
     doomed = loops[1].aux_params[0]
     track_paths = monodromy.track_paths
 
-    def leg1_loses_one(homotopy, starts, settings):
-        results = track_paths(homotopy, starts, settings)
+    def leg1_loses_one(homotopy, starts):
+        results = track_paths(homotopy, starts)
         if homotopy.params_start.ndim == homotopy.params_end.ndim == 2:
             for j, q1 in enumerate(homotopy.params_start):
                 if np.array_equal(q1, doomed):
@@ -484,8 +484,8 @@ def test_binary_septic_form_takes_fewer_path_steps(monkeypatch):
     steps = []
     track_paths = monodromy.track_paths
 
-    def counting(homotopy, starts, settings):
-        results = track_paths(homotopy, starts, settings)
+    def counting(homotopy, starts):
+        results = track_paths(homotopy, starts)
         steps.extend(r.steps_taken for r in results)
         return results
 

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic and system evaluation."""
+"""Monomial bases and system evaluation."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from tensorid.poly import (
     DimensionMismatchError,
-    MPoly,
     PolySystem,
     monomials,
     multinomial,
@@ -32,48 +31,24 @@ def test_monomials_counts_and_order():
     assert mons == sorted(mons, reverse=True)
 
 
-def test_mpoly_arithmetic_roundtrip():
-    x = MPoly(2, {(1, 0): 1.0})
-    y = MPoly(2, {(0, 1): 1.0})
-    p = (x + 2 * y) * (x - 2 * y)
-    assert p.terms == {(2, 0): 1.0 + 0j, (0, 2): -4.0 + 0j}
-    q = p - p
-    assert q.terms == {}
-
-
-def test_mpoly_evaluate_matches_hand_value():
-    x = MPoly(2, {(1, 0): 1.0})
-    y = MPoly(2, {(0, 1): 1.0})
-    p = 3 * x * x * y + 1.5
-    val = p.evaluate([2.0, -1.0 + 1j])
-    assert val == pytest.approx(3 * 4 * (-1 + 1j) + 1.5)
-
-
-def test_mpoly_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        MPoly(2, {(1, 0, 0): 1.0})
-    with pytest.raises(DimensionMismatchError):
-        MPoly(2, {(1, 0): 1.0}) + MPoly(3, {(1, 0, 0): 1.0})
-
-
-def _expand(rows, n_unknowns, n_params):
-    """Each term row as an MPoly over the unknowns followed by the parameters."""
-    nv = n_unknowns + n_params
-    polys = []
+def _evaluate(rows, x, p):
+    """Each term row summed in Python scalars, term by term, as
+    coeff * x^m * p_k; independent of the term tables."""
+    out = []
     for row in rows:
-        poly = MPoly(nv)
+        total = 0j
         for c, mono, k in row:
-            pexp = [0] * n_params
-            if k >= 0:
-                pexp[k] = 1
-            poly = poly + MPoly(nv, {mono + tuple(pexp): c})
-        polys.append(poly)
-    return polys
+            term = complex(c) * (complex(p[k]) if k >= 0 else 1.0)
+            for v, e in zip(x, mono):
+                term *= complex(v) ** e
+            total += term
+        out.append(total)
+    return np.array(out)
 
 
 def _random_parametric_system(rng, n_unknowns=3, n_params=2, n_eqs=3, degree=3):
     """Random term rows: each term has random unknown exponents and at most
-    one parameter.  Returns the PolySystem and its MPoly expansion."""
+    one parameter.  Returns the PolySystem and its rows."""
     rows = []
     for _ in range(n_eqs):
         row = []
@@ -83,38 +58,34 @@ def _random_parametric_system(rng, n_unknowns=3, n_params=2, n_eqs=3, degree=3):
             row.append((complex(rng.standard_normal(), rng.standard_normal()), mono, k))
         rows.append(row)
     sys_ = PolySystem(rows, num_unknowns=n_unknowns, num_params=n_params)
-    return sys_, _expand(rows, n_unknowns, n_params)
-
-
-def _evaluate(polys, x, p):
-    return np.array([f.evaluate([*x, *p]) for f in polys])
+    return sys_, rows
 
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
-    sys_, polys = _random_parametric_system(rng)
+    sys_, rows = _random_parametric_system(rng)
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     p = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     vals, _, jac = sys_.full_state(x, p)
-    assert np.allclose(vals, _evaluate(polys, x, p), rtol=1e-14, atol=1e-14)
+    assert np.allclose(vals, _evaluate(rows, x, p), rtol=1e-14, atol=1e-14)
     h = 1e-6
     for k in range(3):
         e = np.zeros(3, dtype=complex)
         e[k] = h
-        fd = (_evaluate(polys, x + e, p) - _evaluate(polys, x - e, p)) / (2 * h)
+        fd = (_evaluate(rows, x + e, p) - _evaluate(rows, x - e, p)) / (2 * h)
         denom = 1.0 + np.abs(jac[:, k])
         assert np.max(np.abs(fd - jac[:, k]) / denom) < 1e-5
 
 
 def test_param_tangent_matches_finite_differences():
     rng = np.random.default_rng(4)
-    sys_, polys = _random_parametric_system(rng)
+    sys_, rows = _random_parametric_system(rng)
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     p = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     dp = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     tang = sys_.param_tangent(x, dp)
     h = 1e-7
-    fd = (_evaluate(polys, x, p + h * dp) - _evaluate(polys, x, p - h * dp)) / (2 * h)
+    fd = (_evaluate(rows, x, p + h * dp) - _evaluate(rows, x, p - h * dp)) / (2 * h)
     assert np.max(np.abs(fd - tang)) < 1e-5 * (1 + np.max(np.abs(tang)))
 
 
@@ -129,7 +100,7 @@ def test_scaled_residual_zero_at_root():
     assert scaled_residual([2.1]) > 1e-3
 
 
-def test_polysystem_matches_mpoly_with_zero_and_parameter_rows():
+def test_polysystem_matches_scalar_sums_with_zero_and_parameter_rows():
     # unknowns x, y; parameters p, q: x^2 y p - 3 y + q + 2, 0, 2 q, x y
     rows = [
         [(1.0, (2, 1), 0), (-3.0, (0, 1), -1), (1.0, (0, 0), 1), (2.0, (0, 0), -1)],
@@ -137,13 +108,12 @@ def test_polysystem_matches_mpoly_with_zero_and_parameter_rows():
         [(2.0, (0, 0), 1)],
         [(1.0, (1, 1), -1)],
     ]
-    polys = _expand(rows, 2, 2)
     sys_ = PolySystem(rows, num_unknowns=2, num_params=2)
     rng = np.random.default_rng(5)
     pt = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     par = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     vals, scales, jac = sys_.full_state(pt, par)
-    want = _evaluate(polys, pt, par)
+    want = _evaluate(rows, pt, par)
     assert np.allclose(vals, want, rtol=1e-14, atol=1e-14)
     # the zero row is an empty segment of every table
     assert vals[1] == 0 and scales[1] == 0
