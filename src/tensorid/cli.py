@@ -243,7 +243,7 @@ def elliptic_point(construct, coords, seed, output_path):
         point = ell.construct_point_of_type(pencil, construct, seed=config.seed)
     else:
         point = np.asarray(_parse_csv(coords, float, 4, "--coords"))
-    tag = ell.classify_point(pencil, point, seed=config.seed)
+    tag = ell.classify_point(pencil, point)
     payload = {
         "command": "elliptic point",
         "point": [float(v) for v in np.asarray(point, dtype=float)],

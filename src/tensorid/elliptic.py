@@ -7,15 +7,14 @@ point P off the curve pass exactly two secant lines of C, and the
 realness pattern of those lines and of their contact points splits the
 real points of space into four types s1..s4.
 
-Secant directions are found without ever solving for the two contact
-parameters at the same time: a line P + t*d meets both quadrics in the
-same unordered pair of points exactly when the two binary quadratics
-q_j(t) = a_j t^2 + b_j t + c_j (a_j = d.Q_j.d, b_j = 2 P.Q_j.d,
-c_j = P.Q_j.P) are proportional.  On one random complex chart of the
-direction plane this is one cubic and one conic, six tracked paths, of
-which four are the directions hitting C inside the complementary plane
-(a_1 = a_2 = 0) and are discarded exactly; the contact parameters then
-come from one quadratic formula per surviving direction.
+Plane sections are one four-path total-degree homotopy on a random
+complex chart of the plane.  Secant lines need no path: the quadric
+Q_P = (P.Q2.P) Q1 - (P.Q1.P) Q2 of the pencil contains P, and a secant
+through P meets it in three points, P and its two contacts, so it lies
+on Q_P.  The two secants through P are the two lines of Q_P through P,
+read off one 2x2 symmetric eigenproblem on the tangent plane of Q_P at
+P; each line meets the curve where it meets Q1, at the roots of one
+quadratic.
 """
 
 from dataclasses import dataclass
@@ -191,22 +190,6 @@ def _conic_chart(m: np.ndarray) -> dict:
     }
 
 
-def _product(f: dict, g: dict) -> dict:
-    """f * g for polynomials written as {exponents: coefficient}."""
-    out: dict = {}
-    for ef, cf in f.items():
-        for eg, cg in g.items():
-            key = tuple(a + b for a, b in zip(ef, eg))
-            out[key] = out.get(key, 0) + cf * cg
-    return out
-
-
-def _cross(f1: dict, g1: dict, f2: dict, g2: dict) -> dict:
-    """f1 * g1 - f2 * g2."""
-    a, b = _product(f1, g1), _product(f2, g2)
-    return {e: a.get(e, 0) - b.get(e, 0) for e in {**a, **b}}
-
-
 def _random_unitary(rng: np.random.Generator) -> np.ndarray:
     """Q factor of a 3x3 complex Gaussian matrix."""
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -317,16 +300,18 @@ def pencil_scan(pencil: QuadricPencil, k_values, seed: int = 0):
     ]
 
 
-def secant_lines_through(pencil: QuadricPencil, point, seed: int = 0):
+def secant_lines_through(pencil: QuadricPencil, point):
     """The two secant lines of the curve through a generic real point.
 
-    Returns a list of exactly two SecantLine records; the contact
-    parameters of each line are ordered by (real part, imaginary part)
-    and both contact points satisfy both quadrics to 1e-9 (scaled).
+    Returns a list of exactly two SecantLine records, found in closed
+    form as the lines through the point on the quadric of the pencil
+    through it; the contact parameters of each line are ordered by (real
+    part, imaginary part) and both contact points satisfy both quadrics
+    to 1e-9 (scaled).
 
-    Raises DegeneratePointError when the point lies on the curve, a
-    contact is tangential (parameters within 1e-8), or the direction
-    count is not two.
+    Raises DegeneratePointError when the point lies on the curve or is
+    a cone vertex of the pencil, a contact is tangential (parameters
+    within 1e-8), or the direction count is not two.
     """
     p = np.asarray(point, dtype=np.complex128).ravel()
     if p.size != 4:
@@ -349,42 +334,47 @@ def secant_lines_through(pencil: QuadricPencil, point, seed: int = 0):
     if abs(c1) < 1e-10 * s1 and abs(c2) < 1e-10 * s2:
         raise DegeneratePointError("point lies on the curve")
 
-    rng = np.random.default_rng(seed)
-    lines: list = []
+    # A secant meets the quadric qp of the pencil through p in three
+    # points, p and its two contacts, so it lies on qp: the secants are
+    # the two lines of qp through p, inside its tangent plane there.  On
+    # an orthonormal basis of that plane modulo p, qp is the binary form
+    # lam0 y0^2 + lam1 y1^2, zero at y = (sqrt(lam1), +-sqrt(-lam0)): a
+    # real pair of lines when the signs differ, a conjugate pair if not.
+    qp = (c2 * q1m - c1 * q2m) / (s1 * s2)
+    normal = qp @ p
+    if np.linalg.norm(normal) < 1e-10 * np.linalg.norm(qp):
+        raise DegeneratePointError("point is the vertex of a cone of the pencil")
+    basis = np.linalg.svd(np.array([p, normal]))[2][2:].T
+    lam, vecs = np.linalg.eigh(basis.T @ qp @ basis)
+    y0, y1 = np.sqrt(np.array([lam[1], -lam[0]], dtype=np.complex128))
 
-    def consider_direction(d: np.ndarray):
+    lines: list = []
+    for d in (basis @ vecs @ [y0, sign * y1] for sign in (1.0, -1.0)):
         d = normalize_projective(d)  # a real line then has real contact parameters
         a1 = complex(d @ q1m @ d)
         a2 = complex(d @ q2m @ d)
-        nd2 = float(np.linalg.norm(d) ** 2)
-        if abs(a1) < 1e-6 * nd2 * s1 and abs(a2) < 1e-6 * nd2 * s2:
-            return  # line through the curve's trace in the complement plane
-        b1 = complex(2.0 * (p @ q1m @ d))
-        b2 = complex(2.0 * (p @ q2m @ d))
         if abs(a1) / s1 >= abs(a2) / s2:
-            coeffs = (a1, b1, complex(c1))
+            coeffs = (a1, complex(2.0 * (p @ q1m @ d)), complex(c1))
         else:
-            coeffs = (a2, b2, complex(c2))
+            coeffs = (a2, complex(2.0 * (p @ q2m @ d)), complex(c2))
         roots = np.roots(coeffs)
         if roots.size != 2:
-            return
+            continue
         t1, t2 = roots
         if abs(t1 - t2) < 1e-8 * (1.0 + max(abs(t1), abs(t2))):
             raise DegeneratePointError("tangential contact: the two parameters collide")
-        pts = []
-        for t in (t1, t2):
-            x = p + t * d
-            for qm, sq in ((q1m, s1), (q2m, s2)):
-                res = abs(x @ qm @ x) / (float(np.linalg.norm(x)) ** 2 * sq)
-                if res > 1e-9:
-                    return  # not a genuine common intersection
-            pts.append(normalize_projective(x))
-        for existing in lines:
-            if projective_distance(d, existing.direction) < DEDUP_TOL:
-                return
         if (t2.real, t2.imag) < (t1.real, t1.imag):
             t1, t2 = t2, t1
-            pts.reverse()
+        xs = [p + t * d for t in (t1, t2)]
+        if any(
+            abs(x @ qm @ x) / (float(np.linalg.norm(x)) ** 2 * sq) > 1e-9
+            for x in xs
+            for qm, sq in ((q1m, s1), (q2m, s2))
+        ):
+            continue  # not a genuine common intersection
+        if any(projective_distance(d, ln.direction) < DEDUP_TOL for ln in lines):
+            continue
+        pts = [normalize_projective(x) for x in xs]
         lines.append(
             SecantLine(
                 direction=d,
@@ -396,35 +386,24 @@ def secant_lines_through(pencil: QuadricPencil, point, seed: int = 0):
             )
         )
 
-    # Directions d = e3 @ (1, x) in one random complex chart of the
-    # complement plane.
-    e3 = plane_basis(p) @ _random_unitary(rng)
-    g1 = _conic_chart(e3.T @ q1m @ e3)
-    g2 = _conic_chart(e3.T @ q2m @ e3)
-    w1 = 2.0 * (p @ q1m @ e3)
-    w2 = 2.0 * (p @ q2m @ e3)
-    lin1, lin2 = ({(0, 0): w[0], (1, 0): w[1], (0, 1): w[2]} for w in (w1, w2))
-    cubic = _cross(g1, lin2, g2, lin1)
-    conic = _cross(g1, {(0, 0): c2}, g2, {(0, 0): c1})
-    for x, _ in solve_total_degree([cubic, conic], rng):
-        consider_direction(e3 @ np.concatenate(([1.0 + 0j], x)))
-
     if len(lines) != 2:
         raise DegeneratePointError(f"expected 2 secant lines, found {len(lines)}")
     lines.sort(key=lambda ln: _point_key(ln.direction))
     return lines
 
 
-def classify_point(pencil: QuadricPencil, point, seed: int = 0) -> str:
+def classify_point(pencil: QuadricPencil, point) -> str:
     """Type s1..s4 of a real point from its two secant lines.
 
     s1: both lines real, all four contacts real.
     s2: both lines real, one contact pair real, the other conjugate.
     s3: both lines real, both contact pairs conjugate.
     s4: the two lines themselves form a conjugate pair.
+    Any other point, and one that ``secant_lines_through`` rejects, is
+    "degenerate".
     """
     try:
-        lines = secant_lines_through(pencil, point, seed)
+        lines = secant_lines_through(pencil, point)
     except DegeneratePointError:
         return DEGENERATE
     flags = [ln.is_real_line for ln in lines]

@@ -123,22 +123,20 @@ class StopPolicy:
 class LoopSpec:
     """One triangle: two auxiliary parameter tuples and the exit twist."""
 
-    base_params: np.ndarray
     aux_params: tuple
     gamma_out: complex
 
 
-def draw_loop(base_params, rng: np.random.Generator, twist_exit: bool, sampler) -> LoopSpec:
+def draw_loop(rng: np.random.Generator, twist_exit: bool, sampler) -> LoopSpec:
     """Sample the random data of one loop.
 
     The two auxiliary instances come from sampler(rng), which must
     return a parameter tuple drawn from a continuous distribution so the
     loop vertices stay generic.
     """
-    base = np.asarray(base_params, dtype=np.complex128)
     aux = [np.asarray(sampler(rng), dtype=np.complex128) for _ in range(2)]
     gamma = cmath.exp(2j * cmath.pi * rng.random()) if twist_exit else 1.0 + 0j
-    return LoopSpec(base, tuple(aux), gamma)
+    return LoopSpec(tuple(aux), gamma)
 
 
 class SolutionRegistry:
@@ -357,7 +355,7 @@ def solve(
             policy.max_loops - loop_index,
             max(1, MAX_STACK // len(registry)),
         )
-        loops = [draw_loop(base, rng, twist_exit=real_base, sampler=sampler) for _ in range(batch)]
+        loops = [draw_loop(rng, twist_exit=real_base, sampler=sampler) for _ in range(batch)]
         for new in triangle_loops(registry, loops, policy.target_count):
             registry.history.append((loop_index, new))
             loop_index += 1

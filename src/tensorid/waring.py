@@ -326,24 +326,34 @@ def load_start(path, spec: WaringSpec) -> tuple[Decomposition, TensorParams]:
     """Read a decomposition from JSON and expand its target form.
 
     The file holds a list of r objects {"l": [...], "lambda": v}; values
-    are real numbers or [re, im] pairs.
+    are real numbers or [re, im] pairs.  Raises ValueError when it does
+    not, naming the first bad entry.
     """
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError(f"fixture holds a JSON {type(data).__name__}, not a list of summands")
     if len(data) != spec.r:
         raise ValueError(f"fixture has {len(data)} summands, spec wants r={spec.r}")
 
     def _scalar(v):
-        if isinstance(v, (list, tuple)):
-            return complex(v[0], v[1])
+        if isinstance(v, list) and len(v) == 2:
+            return complex(*v)
         return complex(v)
 
     summands = []
-    for entry in data:
-        l = tuple(_scalar(v) for v in entry["l"])
+    for i, entry in enumerate(data):
+        try:
+            l = tuple(_scalar(v) for v in entry["l"])
+            weight = _scalar(entry["lambda"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(
+                f'fixture entry {i} is not {{"l": [...], "lambda": v}} of numbers'
+                f" or [re, im] pairs ({type(err).__name__}: {err})"
+            ) from None
         if len(l) != spec.n:
             raise ValueError(f"summand has {len(l)} slope entries, spec wants n={spec.n}")
-        summands.append(Summand(l, _scalar(entry["lambda"])))
+        summands.append(Summand(l, weight))
     dec = Decomposition(tuple(summands))
     return dec, tensor_from_decomposition(spec, dec)
 

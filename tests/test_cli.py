@@ -72,6 +72,32 @@ def test_waring_missing_fixture():
     assert code == 1
 
 
+GOOD_CUBIC = [{"l": [0.5], "lambda": 1.0}, {"l": [-0.3], "lambda": 2.0}]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([{"l": [0.5], "lambda": [1.0]}, GOOD_CUBIC[1]], "entry 0"),
+        ([GOOD_CUBIC[0], {"lambda": 2.0}], "entry 1"),
+        ({"a": GOOD_CUBIC[0], "b": GOOD_CUBIC[1]}, "not a list"),
+        ([{"l": 1.0, "lambda": 1.0}, GOOD_CUBIC[1]], "entry 0"),
+    ],
+    ids=["short-pair", "no-l", "object", "scalar-l"],
+)
+def test_waring_malformed_fixture_exit_1(tmp_path, capsys, data, message):
+    fixture = tmp_path / "malformed.json"
+    fixture.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    code = main(
+        ["waring", "--d", "3", "--n", "1", "--r", "2", "--fixture", str(fixture),
+         "--output", str(out)]
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_waring_singular_start_exit_1(tmp_path, capsys):
     # two equal summands: the start is a singular solution, and no loop
     # could leave it, so the run must not report "identifiable over C"

@@ -33,20 +33,6 @@ def pencil():
     return example_pencil()
 
 
-def test_product_helpers_expand_by_hand():
-    # (x + 2y)(x - 2y) = x^2 - 4y^2, and a product minus itself is zero
-    f, g = {(1, 0): 1.0, (0, 1): 2.0}, {(1, 0): 1.0, (0, 1): -2.0}
-    assert elliptic._product(f, g) == {(2, 0): 1.0, (1, 1): 0.0, (0, 2): -4.0}
-    assert elliptic._cross(f, g, f, {(0, 0): 3.0}) == {
-        (2, 0): 1.0,
-        (1, 1): 0.0,
-        (0, 2): -4.0,
-        (1, 0): -3.0,
-        (0, 1): -6.0,
-    }
-    assert set(elliptic._cross(f, g, g, f).values()) == {0.0}
-
-
 def test_projective_helpers():
     x = np.array([2.0, -4.0, 6.0, 0.0])
     nx = normalize_projective(x)
@@ -121,8 +107,9 @@ def test_each_query_is_one_solve(pencil, monkeypatch):
         intersect_plane(pencil, np.array([0.0, 0.0, 1.0, -k]))
         assert len(calls) == 1
     calls.clear()
+    # the secant lines through a point come in closed form
     assert len(secant_lines_through(pencil, np.array([1.0, 2.0, 3.0, 4.0]))) == 2
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_tangent_plane_reports_double_point(pencil):
@@ -166,6 +153,15 @@ def test_secant_rejects_point_on_curve(pencil):
         secant_lines_through(pencil, real_representative(on_curve))
 
 
+@pytest.mark.parametrize("vertex", [[0.0, 0.0, 1.0, 0.0], [-1.0, 1.0, 0.0, 0.0]])
+def test_secant_rejects_cone_vertex(pencil, vertex):
+    # each line of the cone through its vertex is a secant: there are
+    # not two of them
+    with pytest.raises(DegeneratePointError, match="vertex of a cone"):
+        secant_lines_through(pencil, np.array(vertex))
+    assert classify_point(pencil, np.array(vertex)) == DEGENERATE
+
+
 @pytest.mark.parametrize("kind", [S1, S2, S3, S4])
 def test_constructed_points_classify_correctly(pencil, kind):
     point = construct_point_of_type(pencil, kind, seed=11)
@@ -189,12 +185,18 @@ def test_find_plane_with_signature(pencil):
     assert sig.as_tuple() == (4, 0)
 
 
-def test_secant_oracle_cross_check(pencil):
+@pytest.mark.parametrize("source", [S1, S2, S3, S4, 0, 1, 2])
+def test_secant_oracle_cross_check(pencil, source):
     """Independent verification of each reported secant line: both contact
     points satisfy both quadrics (the s^2 and t^2 coefficients of the
     restricted quadric vanish, so the line meets each quadric exactly in
-    the two contact points) and the external point is collinear with them."""
-    point = construct_point_of_type(pencil, S1, seed=5)
+    the two contact points) and the external point is collinear with them.
+    The points are one constructed point of each type and three random
+    ones."""
+    if isinstance(source, str):
+        point = construct_point_of_type(pencil, source, seed=5)
+    else:
+        point = np.random.default_rng(source).standard_normal(4)
     lines = secant_lines_through(pencil, point)
     assert len(lines) == 2
     for line in lines:

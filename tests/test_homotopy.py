@@ -447,6 +447,40 @@ def test_per_row_segments_match_one_start_calls(monkeypatch):
         assert np.array_equal(got.endpoint, alone.endpoint)
 
 
+def test_step_limit_ends_a_row_at_its_last_accepted_point(monkeypatch):
+    # the four segments take 12 steps each, and a fifth that ends near
+    # the branch point x = 0 takes 20; a limit of 15 stops the fifth alone
+    sys_ = _square_root_system()
+    gammas, p_start, p_end, starts = _segments()
+    g, ps = cmath.exp(0.7j), 1.0 + 2.0j
+    gammas, p_start, p_end = [*gammas, g], [*p_start, ps], [*p_end, 1e-3 + 0j]
+    starts = [*starts, [cmath.sqrt(g * ps)]]
+    monkeypatch.setattr(homotopy, "MAX_STEPS", 15)
+    hom = SegmentHomotopy(sys_, np.array(p_start)[:, None], np.array(p_end)[:, None], np.array(gammas))
+    batch = track_paths(hom, starts)
+    assert [r.status for r in batch] == [PathStatus.SUCCESS] * 4 + [PathStatus.STEP_LIMIT]
+    assert batch[-1].steps_taken == homotopy.MAX_STEPS
+
+    accepted = []  # the corrector's accepted points of a one-start track
+    newton = homotopy._newton
+
+    def recording_newton(system, params, points, tol, *args, **kwargs):
+        out = newton(system, params, points, tol, *args, **kwargs)
+        if kwargs.get("max_move") is not None and out[1][0] < tol:
+            accepted.append(out[0][0].copy())
+        return out
+
+    monkeypatch.setattr(homotopy, "_newton", recording_newton)
+    for g, ps, pe, start, got in zip(gammas, p_start, p_end, starts, batch):
+        accepted.clear()
+        alone = track(SegmentHomotopy(sys_, [ps], [pe], gamma=g), start)
+        assert got.status is alone.status
+        assert got.steps_taken == alone.steps_taken
+        assert got.final_residual == alone.final_residual
+        assert np.array_equal(got.endpoint, alone.endpoint)
+        assert np.array_equal(got.endpoint, accepted[-1])
+
+
 def test_shared_and_per_row_fields_mix(monkeypatch):
     # one shared start vector with a twist per row; rows that end leave
     # the per-row arrays, and the shared ones stay one vector

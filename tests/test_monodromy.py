@@ -106,18 +106,17 @@ def test_registry_serialize_shape():
 
 def test_draw_loop_uses_sampler_and_twist():
     rng = np.random.default_rng(0)
-    base = np.ones(4, dtype=complex)
     calls = []
 
     def sampler(r):
         calls.append(1)
         return np.full(4, 2.0 + 1.0j)
 
-    loop = draw_loop(base, rng, twist_exit=True, sampler=sampler)
+    loop = draw_loop(rng, twist_exit=True, sampler=sampler)
     assert len(calls) == 2
     assert np.allclose(loop.aux_params[0], 2.0 + 1.0j)
     assert abs(abs(loop.gamma_out) - 1.0) < 1e-12
-    plain = draw_loop(base, rng, twist_exit=False, sampler=sampler)
+    plain = draw_loop(rng, twist_exit=False, sampler=sampler)
     assert plain.gamma_out == 1.0 + 0j
 
 
@@ -183,7 +182,7 @@ def test_triangle_loop_transports_all_solutions():
     reg = SolutionRegistry(sys_, base, n=1)
     reg.insert(start)
     rng = np.random.default_rng(0)
-    loop = draw_loop(base, rng, twist_exit=True, sampler=decomposition_sampler(spec, start))
+    loop = draw_loop(rng, twist_exit=True, sampler=decomposition_sampler(spec, start))
     new = triangle_loop(reg, loop)
     assert new >= 0
     assert len(reg) >= 1  # the start never disappears
@@ -213,7 +212,7 @@ def _quintic_registry(copies):
     for shift in range(1, copies):
         reg.solutions.append(Decomposition(summands[shift:] + summands[:shift]))
     rng = np.random.default_rng(0)
-    loop = draw_loop(base, rng, twist_exit=True, sampler=decomposition_sampler(spec, start))
+    loop = draw_loop(rng, twist_exit=True, sampler=decomposition_sampler(spec, start))
     return reg, loop
 
 
@@ -317,7 +316,7 @@ def _one_loop_at_a_time(system, base_params, start, sampler, policy, seed):
             break
         if fruitless >= policy.stable_loops:
             break
-        loop = draw_loop(base, rng, twist_exit=real_base, sampler=sampler)
+        loop = draw_loop(rng, twist_exit=real_base, sampler=sampler)
         new = triangle_loop(registry, loop)
         registry.history.append((loop_index, new))
         fruitless = fruitless + 1 if new == 0 else 0
@@ -392,7 +391,7 @@ def test_a_transport_lost_mid_batch_counts_against_its_loop(monkeypatch):
     reg, _ = _quintic_registry(2)
     sampler = decomposition_sampler(WaringSpec(5, 1, 3), reg.solutions[0])
     rng = np.random.default_rng(1)
-    loops = [draw_loop(reg.base_params, rng, twist_exit=True, sampler=sampler) for _ in range(3)]
+    loops = [draw_loop(rng, twist_exit=True, sampler=sampler) for _ in range(3)]
     doomed = loops[1].aux_params[0]
     track_paths = monodromy.track_paths
 
