@@ -216,7 +216,7 @@ def elliptic_plane(coeffs, seed, output_path):
     """Intersect one real plane with the curve and report the signature."""
     config = _make_config(seed, output_path)
     plane = _parse_csv(coeffs, float, 4, "--coeffs")
-    record = ell.plane_record(ell.example_pencil(), plane, seed=config.seed)
+    record = ell.plane_record(ell.example_pencil(), plane)
     payload = {"command": "elliptic plane", "plane": plane, **record}
     out = _write_report(config, payload, "elliptic_plane.json")
     if record["status"] == "transverse":
@@ -268,7 +268,7 @@ def elliptic_pencil_scan(from_k, to_k, steps, seed, output_path):
         raise click.BadParameter("--steps must be at least 1")
     ks = np.linspace(from_k, to_k, steps)
     pencil = ell.example_pencil()
-    records = ell.pencil_scan(pencil, ks, seed=config.seed)
+    records = ell.pencil_scan(pencil, ks)
     counts: dict = {}
     for rec in records:
         counts[rec["status"]] = counts.get(rec["status"], 0) + 1

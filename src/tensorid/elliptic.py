@@ -7,8 +7,11 @@ point P off the curve pass exactly two secant lines of C, and the
 realness pattern of those lines and of their contact points splits the
 real points of space into four types s1..s4.
 
-Plane sections are one four-path total-degree homotopy on a random
-complex chart of the plane.  Secant lines need no path: the quadric
+Neither query tracks a path.  On a plane the two quadrics restrict to
+two conics, whose pencil has a real singular member: a pair of lines,
+real or conjugate, read off one 3x3 symmetric eigenproblem, and each
+line meets the other conic at the roots of one quadratic (Richter-Gebert,
+Perspectives on Projective Geometry, ch. 11).  The quadric
 Q_P = (P.Q2.P) Q1 - (P.Q1.P) Q2 of the pencil contains P, and a secant
 through P meets it in three points, P and its two contacts, so it lies
 on Q_P.  The two secants through P are the two lines of Q_P through P,
@@ -17,16 +20,20 @@ P; each line meets the curve where it meets Q1, at the roots of one
 quadratic.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .homotopy import solve_total_degree
 from .realcert import REAL_TOL, is_real_point
 
 TANGENT_TOL = 1e-6
 DEDUP_TOL = 1e-6
 PLANE_ATTEMPTS = 400  # random planes drawn before a sampler gives up
+# sigma2/sigma1 of a section's best singular conic below which it is a double
+# line: 0.02 or more on 3,000 random planes, ~1e-5 at a four-fold contact
+RANK_TWO_TOL = 1e-4
 
 S1 = "s1"
 S2 = "s2"
@@ -177,32 +184,65 @@ def plane_basis(plane) -> np.ndarray:
     return vt[1:].T
 
 
-def _conic_chart(m: np.ndarray) -> dict:
-    """Restrict w.m.w to the affine chart w[0] = 1 of the plane, as
-    {exponents: coefficient}."""
-    return {
-        (0, 0): m[0, 0],
-        (1, 0): 2.0 * m[0, 1],
-        (0, 1): 2.0 * m[0, 2],
-        (2, 0): m[1, 1],
-        (1, 1): 2.0 * m[1, 2],
-        (0, 2): m[2, 2],
-    }
+def _singular_member(a: np.ndarray, b: np.ndarray):
+    """The best conditioned real singular conic of the pencil of a and
+    b (unit Frobenius norms) as the ``eigh`` of its unit-norm matrix,
+    eigenvalues ordered by modulus.
+
+    det(a + t b) = det(a) + t tr(adj(a) b) + t^2 tr(adj(b) a) + t^3 det(b)
+    is a real cubic, so some member is real and singular.  Its roots are
+    found in the chart, t or s = 1/t, with the larger leading coefficient
+    and read in the other chart outside the unit disk.  A member with
+    vertex v and nonzero eigenvalues |lam_1| <= |lam_2| scores
+    |lam_1 / lam_2| (how clearly it is rank 2) times max(|v.a.v|, |v.b.v|),
+    which vanishes at a multiple root, known only to sqrt(eps)."""
+    nxt, lst = [1, 2, 0], [2, 0, 1]  # adjugates of symmetric 3x3 matrices, from cyclic minors
+    adj_a, adj_b = (m[nxt][:, nxt] * m[lst][:, lst] - m[nxt][:, lst] * m[lst][:, nxt] for m in (a, b))
+    cubic = [np.sum(adj_b * b) / 3.0, np.sum(adj_b * a), np.sum(adj_a * b), np.sum(adj_a * a) / 3.0]
+    if max(map(abs, cubic)) < 1e-12:
+        raise DegeneratePlaneError("every conic of the pencil is singular on the plane")
+    first, second = (a, b) if abs(cubic[0]) >= abs(cubic[3]) else (b, a)
+    roots = np.roots(cubic if first is a else cubic[::-1]).tolist()
+    roots += [math.inf] * (3 - len(roots))
+    best, best_score = None, -1.0
+    for x in roots:
+        near = abs(x) <= 1.0
+        r = x if near else 1.0 / x
+        if abs(r.imag) > REAL_TOL * (1.0 + abs(r)):
+            continue
+        m = first + r.real * second if near else r.real * first + second
+        lam, vecs = np.linalg.eigh(m / np.linalg.norm(m))
+        order = np.argsort(np.abs(lam))
+        lam, vecs = lam[order], vecs[:, order]
+        v = vecs[:, 0]
+        score = abs(lam[1] / lam[2]) * max(abs(v @ a @ v), abs(v @ b @ v))
+        if score > best_score:
+            best, best_score = (lam, vecs), score
+    return best
 
 
-def _random_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Q factor of a 3x3 complex Gaussian matrix."""
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    return np.linalg.qr(z)[0]
+def _quadratic_roots(a, b, c) -> list:
+    """The roots (s, t), up to scale, of a s^2 + 2b st + c t^2: (q, a) and
+    (c, q) with q = -(b + r), r = sqrt(b^2 - ac) on the branch that does
+    not cancel.  Where their chordal distance 2|rq| / (|(q, a)| |(c, q)|)
+    is at most ``DEDUP_TOL``, the double root (-b, a) or (c, -b) comes
+    once instead, exact to rounding where each of the pair is good only
+    to sqrt(eps)."""
+    r = cmath.sqrt(b * b - a * c)
+    q = -(b + r) if (b.conjugate() * r).real >= 0 else r - b
+    if 2.0 * abs(r * q) <= DEDUP_TOL * math.hypot(abs(q), abs(a)) * math.hypot(abs(c), abs(q)):
+        return [(-b, a) if abs(a) >= abs(c) else (c, -b)]
+    return [(q, a), (c, q)]
 
 
-def intersect_plane(pencil: QuadricPencil, plane, seed: int = 0):
+def intersect_plane(pencil: QuadricPencil, plane):
     """The four intersection points of a real transverse plane with the curve.
 
-    Parametrizes the plane, restricts both quadrics to a pair of conics
-    in one random complex affine chart of it and tracks the four paths
-    of a diagonal total-degree start system, keeping stalled paths that
-    polish to a double root.
+    Restricts both quadrics to conics a and b on an orthonormal basis of
+    the plane.  A real singular member of their pencil is a pair of
+    lines through its vertex, real or conjugate, read off one ``eigh``;
+    each line meets the one of a, b further from that member at the
+    roots of one quadratic.  No path is tracked.
     Points come back projectively normalized, deterministically ordered,
     real ones first.
 
@@ -212,59 +252,72 @@ def intersect_plane(pencil: QuadricPencil, plane, seed: int = 0):
     Raises:
         TangentPlaneError: two contact points closer than 1e-6; the
             error carries the double point.
-        DegeneratePlaneError: fewer than four isolated intersections.
+        DegeneratePlaneError: fewer than four isolated intersections,
+            among them the tangent planes of the pencil's cones (two
+            double points) and planes with a four-fold contact (whose
+            best singular member is within ``RANK_TWO_TOL`` of a double
+            line), or non-real points that are not conjugation-closed.
     """
-    plane = np.asarray(plane, dtype=float)
-    rng = np.random.default_rng(seed)
     basis = plane_basis(plane)
-    m1 = basis.T @ pencil.q1.matrix @ basis
-    m2 = basis.T @ pencil.q2.matrix @ basis
+    m1, m2 = (basis.T @ q.matrix @ basis for q in (pencil.q1, pencil.q2))
+    n1, n2 = np.linalg.norm(m1), np.linalg.norm(m2)
+    if min(n1, n2) < 1e-12 * max(n1, n2):
+        raise DegeneratePlaneError("the plane lies on a quadric of the pencil")
+    a, b = m1 / n1, m2 / n2
+    lam, vecs = _singular_member(a, b)
+    if abs(lam[1] / lam[2]) < RANK_TWO_TOL:
+        raise DegeneratePlaneError("plane has a four-fold contact with the curve")
 
-    # One random complex chart of the plane: u = R w with R unitary and
-    # w[0] = 1, so no intersection point lies at the chart's infinity
-    # with probability one.  A double contact shows up as a missing
-    # root: the two paths stall at the same limit, so the merged count
-    # drops to three and the survivor is recognized by its parallel
-    # conic gradients (a transverse root has independent ones).
-    rot = _random_unitary(rng)
-    polys = [_conic_chart(rot.T @ m @ rot) for m in (m1, m2)]
-    found, real_count = merge_section_points(
-        basis @ rot @ np.concatenate(([1.0 + 0j], x))
-        for x, _ in solve_total_degree(polys, rng, salvage_singular=True)
-    )
+    # On its eigenbasis the member is lam1 y1^2 + lam2 y2^2, the vertex's
+    # coordinate dropped: zero on the lines through the vertex with
+    # directions (sqrt(-lam2), +-sqrt(lam1)), real when the signs differ
+    # and a conjugate pair when not.  Each meets the one of a, b that is
+    # larger at the vertex: the member, zero there, is further from it.
+    vertex = vecs[:, 0]
+    other = max((a, b), key=lambda m: abs(vertex @ m @ vertex))
+    y1, y2 = np.sqrt(np.array([-lam[2], lam[1]], dtype=np.complex128))
 
-    if len(found) == 3:
+    def meet(d):
+        d = d / np.linalg.norm(d)  # so that (s, t) -> s vertex + t d is an isometry
+        roots = _quadratic_roots(vertex @ other @ vertex, vertex @ other @ d, d @ other @ d)
+        return [basis @ (s * vertex + t * d) for s, t in roots]
+
+    ends = meet(y1 * vecs[:, 1] + y2 * vecs[:, 2])
+    if lam[1] * lam[2] < 0:
+        ends += meet(y1 * vecs[:, 1] - y2 * vecs[:, 2])
+    else:
+        ends += [np.conjugate(x) for x in ends]
+    found, real_count = merge_section_points(ends)
+
+    if len(found) < 4:
+        # A double contact comes as a double root, recognized by its
+        # parallel conic gradients (a transverse root has independent
+        # ones).  Two of them make the plane tangent to a cone of the
+        # pencil along the line through them.
+        touching = []
         for p in found:
-            u = basis.T @ p
-            g1 = m1 @ u
-            g2 = m2 @ u
-            if np.linalg.norm(np.cross(g1, g2)) < TANGENT_TOL * (
-                np.linalg.norm(g1) * np.linalg.norm(g2) + 1e-30
-            ):
-                raise TangentPlaneError(
-                    "plane has a double contact with the curve", double_point=p
-                )
-    if len(found) != 4:
-        raise DegeneratePlaneError(
-            f"expected 4 intersection points, found {len(found)}"
-        )
+            g1, g2 = m1 @ (basis.T @ p), m2 @ (basis.T @ p)
+            if np.linalg.norm(np.cross(g1, g2)) < TANGENT_TOL * (np.linalg.norm(g1) * np.linalg.norm(g2) + 1e-30):
+                touching.append(p)
+        if len(found) == 3 and touching:
+            raise TangentPlaneError("plane has a double contact with the curve", double_point=touching[0])
+        if len(found) == 2 == len(touching):
+            raise DegeneratePlaneError("plane touches the curve at two points: it is tangent to a cone of the pencil")
+        raise DegeneratePlaneError(f"expected 4 intersection points, found {len(found)}")
 
     nonreal = found[real_count:]
     for p in nonreal:
-        partner = min(
-            (projective_distance(np.conjugate(p), q) for q in nonreal), default=np.inf
-        )
-        if partner >= DEDUP_TOL:
+        if min(projective_distance(np.conjugate(p), q) for q in nonreal) >= DEDUP_TOL:
             raise DegeneratePlaneError("non-real points are not conjugation-closed")
     return found, PlaneSignature(real_count, 4 - real_count)
 
 
-def plane_record(pencil: QuadricPencil, plane, seed: int = 0) -> dict:
+def plane_record(pencil: QuadricPencil, plane) -> dict:
     """The section of one plane as a report record: status "transverse"
     with the signature and the points, "tangent" with the double point,
     or "degenerate" with the reason."""
     try:
-        points, sig = intersect_plane(pencil, plane, seed)
+        points, sig = intersect_plane(pencil, plane)
     except TangentPlaneError as err:
         return {"status": "tangent", "double_point": err.double_point}
     except DegeneratePlaneError as err:
@@ -272,7 +325,7 @@ def plane_record(pencil: QuadricPencil, plane, seed: int = 0) -> dict:
     return {"status": "transverse", "signature": sig.as_tuple(), "points": points}
 
 
-def pencil_scan(pencil: QuadricPencil, k_values, seed: int = 0):
+def pencil_scan(pencil: QuadricPencil, k_values):
     """Signatures of the planes x2 = k*x3 for each requested k.
 
     The planes of this family share the base line x2 = x3 = 0, which
@@ -281,12 +334,7 @@ def pencil_scan(pencil: QuadricPencil, k_values, seed: int = 0):
     roots (checked; ValueError otherwise).  Tangent members are reported
     as records with the double point instead of a signature.
     """
-    r1 = np.array(
-        [pencil.q1.matrix[0, 0], pencil.q1.matrix[0, 1], pencil.q1.matrix[1, 1]]
-    )
-    r2 = np.array(
-        [pencil.q2.matrix[0, 0], pencil.q2.matrix[0, 1], pencil.q2.matrix[1, 1]]
-    )
+    r1, r2 = (q.matrix[[0, 0, 1], [0, 1, 1]] for q in (pencil.q1, pencil.q2))
     cross = np.linalg.norm(np.cross(r1, r2))
     if cross > 1e-9 * (np.linalg.norm(r1) * np.linalg.norm(r2) + 1e-30):
         raise ValueError("base line x2=x3=0 does not meet the curve in fixed points")
@@ -295,7 +343,7 @@ def pencil_scan(pencil: QuadricPencil, k_values, seed: int = 0):
         raise ValueError("base line is tangent to the curve")
 
     return [
-        {"k": float(k), **plane_record(pencil, np.array([0.0, 0.0, 1.0, -float(k)]), seed)}
+        {"k": float(k), **plane_record(pencil, np.array([0.0, 0.0, 1.0, -float(k)]))}
         for k in k_values
     ]
 
@@ -432,7 +480,7 @@ def sample_real_points(pencil: QuadricPencil, count: int, seed: int = 0):
             return found[:count]
         normal = rng.standard_normal(4)
         try:
-            points, _ = intersect_plane(pencil, normal, seed=int(rng.integers(2**31)))
+            points, _ = intersect_plane(pencil, normal)
         except (TangentPlaneError, DegeneratePlaneError):
             continue
         for pt in points:
@@ -467,7 +515,7 @@ def find_plane_with_signature(pencil: QuadricPencil, target: tuple, seed: int = 
                 continue
             plane = vt[-1]
         try:
-            points, sig = intersect_plane(pencil, plane, seed=int(rng.integers(2**31)))
+            points, sig = intersect_plane(pencil, plane)
         except (TangentPlaneError, DegeneratePlaneError):
             continue
         if sig.as_tuple() == target:
@@ -477,21 +525,12 @@ def find_plane_with_signature(pencil: QuadricPencil, target: tuple, seed: int = 
 
 def _line_intersection(x1, x2, x3, x4) -> np.ndarray:
     """Common point of the coplanar lines span(x1,x2) and span(x3,x4)."""
-    m = np.column_stack(
-        [
-            np.asarray(x1, dtype=np.complex128),
-            np.asarray(x2, dtype=np.complex128),
-            -np.asarray(x3, dtype=np.complex128),
-            -np.asarray(x4, dtype=np.complex128),
-        ]
-    )
-    _, svals, vh = np.linalg.svd(m)
+    x1, x2, x3, x4 = (np.asarray(x, dtype=np.complex128) for x in (x1, x2, x3, x4))
+    _, svals, vh = np.linalg.svd(np.column_stack([x1, x2, -x3, -x4]))
     if svals[-1] > 1e-8 * svals[0]:
         raise ValueError("lines do not intersect (points not coplanar)")
     v = vh[-1].conjugate()
-    return normalize_projective(
-        v[0] * np.asarray(x1, dtype=np.complex128) + v[1] * np.asarray(x2, dtype=np.complex128)
-    )
+    return normalize_projective(v[0] * x1 + v[1] * x2)
 
 
 def _conjugate_pairs(points):
@@ -554,9 +593,7 @@ def construct_point_of_type(
                 (a1, b1), (a2, b2) = pairs
                 cand = _line_intersection(a1, b2, b1, a2)
             point = real_representative(cand, real_tol=1e-6)
-            if abs(pencil.q1.evaluate(point)) < 1e-10 and abs(
-                pencil.q2.evaluate(point)
-            ) < 1e-10:
+            if max(abs(q.evaluate(point)) for q in (pencil.q1, pencil.q2)) < 1e-10:
                 continue  # landed on the curve; resample
             return point
         except (ValueError, RuntimeError):

@@ -481,11 +481,7 @@ def _target_terms(poly: dict, n: int) -> dict:
     return terms
 
 
-def solve_total_degree(
-    targets,
-    rng: np.random.Generator | None = None,
-    salvage_singular: bool = False,
-):
+def solve_total_degree(targets, rng: np.random.Generator | None = None):
     """Find isolated roots of a square system by a total-degree homotopy.
 
     The start system is diagonal, ``s_i * (u_i**d_i - b_i)`` with random
@@ -495,8 +491,7 @@ def solve_total_degree(
     segment to the target off the discriminant with probability one.
     Surplus paths (targets with fewer roots than the start count)
     diverge and are dropped, and so are singular endpoints, as decided
-    by ``track_and_polish``: a multiple root is returned only under
-    ``salvage_singular``.
+    by ``track_and_polish``: a multiple root is not returned.
 
     Args:
         targets: n polynomials in n unknowns, each a dict mapping an
@@ -505,15 +500,6 @@ def solve_total_degree(
             with |coefficient| <= ``PRUNE_TOL`` are dropped, so a zero
             leading coefficient does not raise a target's degree.
         rng: randomness source for the start system.
-        salvage_singular: also keep singular endpoints (multiple
-            roots of the target): paths that stall near t=1 with a
-            singular Jacobian, and paths that reach t=1 where Newton
-            converges only linearly.  Their polished endpoints are kept
-            when the residual still clears 1e-8.  A double root caps the
-            endpoint accuracy near sqrt(eps), a triple one near
-            eps^(1/3); the residual there is about the distance to the
-            root to the power of its multiplicity, so the looser gate
-            admits exactly the near-multiple roots and nothing else.
 
     Returns:
         List of (endpoint, residual) pairs for every path that reached
@@ -549,55 +535,34 @@ def solve_total_degree(
     system = PolySystem(rows, num_unknowns=n, num_params=len(p_end))
     hom = SegmentHomotopy(system, p_start, p_end)
     starts = (np.asarray(c, dtype=np.complex128) for c in itertools.product(*start_axis_roots))
-    return track_and_polish(hom, starts, salvage_singular)
+    return track_and_polish(hom, starts)
 
 
-def track_and_polish(
-    homotopy: SegmentHomotopy,
-    starts,
-    salvage_singular: bool = False,
-):
+def track_and_polish(homotopy: SegmentHomotopy, starts):
     """Track every start to t=1 in lockstep and Newton-polish the
-    endpoints at ``params_end``, as one stack; ``salvage_singular`` is
-    as in ``solve_total_degree``.
+    endpoints at ``params_end``, as one stack.
 
     A path that reached t=1 ends on a regular root when its polished
     residual is below ``CORRECTOR_TOL`` and one more Newton step from
     the polished point succeeds and moves it by at most
     ``CORRECTOR_TOL`` relative (max |dx| / (1 + max |x|)), as it does
     where Newton converges quadratically.  Every other endpoint is
-    singular: it is dropped, or under ``salvage_singular`` polished
-    again, with paths that stalled short of t=1, for 60 iterations
-    against the 1e-8 gate.
+    singular and dropped.
 
     Returns the (endpoint, residual) pairs that passed polish, in start
     order.
     """
     system, p_end = homotopy.system, homotopy.params_end
     results = track_paths(homotopy, starts)
-    polished = [None] * len(results)
+    polished = []
     success = [i for i, r in enumerate(results) if r.success]
-    salvage = [
-        i
-        for i, r in enumerate(results)
-        if salvage_singular
-        and r.status in (PathStatus.SINGULAR, PathStatus.STEP_LIMIT)
-        and not float(np.max(np.abs(r.endpoint))) > DIVERGENCE_NORM
-    ]
     if success:
         x, res, (vals, scales, jac) = _newton(system, p_end, [results[i].endpoint for i in success], 1e-13, 30)
         # one more Newton step from the polished point: at a regular root
         # it is a rounding-sized move, at a singular one it is not
         dx, ok = _lu_solve_scaled(jac, vals, scales)
         moves = np.maximum.reduce(np.abs(dx), axis=1) / (1.0 + np.maximum.reduce(np.abs(x), axis=1))
-        for i, xi, r, good, move in zip(success, x, res.tolist(), ok, moves.tolist()):
+        for xi, r, good, move in zip(x, res.tolist(), ok, moves.tolist()):
             if good and move <= CORRECTOR_TOL and r < CORRECTOR_TOL:
-                polished[i] = (xi, r)
-            elif salvage_singular:
-                salvage.append(i)
-    if salvage:
-        x, res, _ = _newton(system, p_end, [results[i].endpoint for i in salvage], 1e-13, 60)
-        for i, xi, r in zip(salvage, x, res.tolist()):
-            if r < 1e-8:
-                polished[i] = (xi, r)
-    return [p for p in polished if p is not None]
+                polished.append((xi, r))
+    return polished

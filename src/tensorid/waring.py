@@ -178,35 +178,6 @@ def is_admissible(spec: WaringSpec) -> tuple[bool, str]:
     return True, "square and non-defective"
 
 
-def double_point_interpolation_rank(d: int, n: int, k: int, seed: int = 0) -> int:
-    """Rank of the conditions k generic double points impose on degree-d forms.
-
-    Each point contributes the n+1 rows of first partials of the monomial
-    basis.  For perfect sizes a rank below C(n+d, d) certifies a
-    defective case; this is an independent check of is_admissible.
-    """
-    rng = np.random.default_rng(seed)
-    basis = monomials(n + 1, d)
-    rows = []
-    for _ in range(k):
-        q = rng.uniform(-1.0, 1.0, size=n + 1)
-        for j in range(n + 1):
-            row = []
-            for alpha in basis:
-                e = alpha[j]
-                if e == 0:
-                    row.append(0.0)
-                else:
-                    val = float(e)
-                    for h, a in enumerate(alpha):
-                        p = a - 1 if h == j else a
-                        if p:
-                            val *= q[h] ** p
-                    row.append(val)
-            rows.append(row)
-    return int(np.linalg.matrix_rank(np.asarray(rows)))
-
-
 def tensor_from_decomposition(spec: WaringSpec, dec: Decomposition) -> TensorParams:
     """Expand sum_i lambda_i * ell_i**d into the monomial coefficient vector."""
     basis = monomials(spec.n + 1, spec.d)
@@ -327,7 +298,8 @@ def load_start(path, spec: WaringSpec) -> tuple[Decomposition, TensorParams]:
 
     The file holds a list of r objects {"l": [...], "lambda": v}; values
     are real numbers or [re, im] pairs.  Raises ValueError when it does
-    not, naming the first bad entry.
+    not, or when a value is not finite or its summand's expansion
+    overflows, naming the first bad entry.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -341,7 +313,7 @@ def load_start(path, spec: WaringSpec) -> tuple[Decomposition, TensorParams]:
             return complex(*v)
         return complex(v)
 
-    summands = []
+    summands, coeffs = [], 0.0
     for i, entry in enumerate(data):
         try:
             l = tuple(_scalar(v) for v in entry["l"])
@@ -353,9 +325,18 @@ def load_start(path, spec: WaringSpec) -> tuple[Decomposition, TensorParams]:
             ) from None
         if len(l) != spec.n:
             raise ValueError(f"summand has {len(l)} slope entries, spec wants n={spec.n}")
+        if not all(map(cmath.isfinite, (*l, weight))):
+            raise ValueError(f"fixture entry {i} has a value that is not finite")
         summands.append(Summand(l, weight))
-    dec = Decomposition(tuple(summands))
-    return dec, tensor_from_decomposition(spec, dec)
+        # the form summand by summand, adding in tensor_from_decomposition's order
+        try:
+            part = tensor_from_decomposition(spec, Decomposition(tuple(summands[-1:]))).coeffs
+        except OverflowError:
+            part = None
+        if part is None or not np.isfinite(coeffs + part).all():
+            raise ValueError(f"fixture entry {i} overflows the form's coefficients")
+        coeffs = coeffs + part
+    return Decomposition(tuple(summands)), TensorParams(spec.d, spec.n, coeffs)
 
 
 def sylvester_oracle(tensor: TensorParams, r: int) -> Decomposition:

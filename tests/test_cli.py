@@ -82,8 +82,10 @@ GOOD_CUBIC = [{"l": [0.5], "lambda": 1.0}, {"l": [-0.3], "lambda": 2.0}]
         ([GOOD_CUBIC[0], {"lambda": 2.0}], "entry 1"),
         ({"a": GOOD_CUBIC[0], "b": GOOD_CUBIC[1]}, "not a list"),
         ([{"l": 1.0, "lambda": 1.0}, GOOD_CUBIC[1]], "entry 0"),
+        ([{"l": [1e308], "lambda": 1e308}, GOOD_CUBIC[1]], "entry 0 overflows"),
+        ([GOOD_CUBIC[0], {"l": [float("nan")], "lambda": 2.0}], "entry 1 has a value that is not finite"),
     ],
-    ids=["short-pair", "no-l", "object", "scalar-l"],
+    ids=["short-pair", "no-l", "object", "scalar-l", "overflow", "nan-slope"],
 )
 def test_waring_malformed_fixture_exit_1(tmp_path, capsys, data, message):
     fixture = tmp_path / "malformed.json"

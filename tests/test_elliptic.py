@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tensorid import elliptic
+from tensorid import elliptic, homotopy
 from tensorid.elliptic import (
     DEGENERATE,
     S1,
@@ -93,23 +93,37 @@ def test_nonreal_points_come_in_conjugate_pairs(pencil):
 
 
 def test_each_query_is_one_solve(pencil, monkeypatch):
-    # one random complex chart per query: no coordinate chart is retried
+    # plane sections and secant lines come in closed form: no query
+    # reaches the path tracker
     calls = []
-    real_solve = elliptic.solve_total_degree
 
-    def counting_solve(*args, **kwargs):
+    def no_tracking(*args, **kwargs):
         calls.append(1)
-        return real_solve(*args, **kwargs)
+        raise AssertionError("a plane query tracked a path")
 
-    monkeypatch.setattr(elliptic, "solve_total_degree", counting_solve)
-    for k in (-2.0, 0.0, 2.0):
-        calls.clear()
-        intersect_plane(pencil, np.array([0.0, 0.0, 1.0, -k]))
-        assert len(calls) == 1
-    calls.clear()
-    # the secant lines through a point come in closed form
+    for name in ("track", "track_paths", "track_and_polish", "solve_total_degree"):
+        monkeypatch.setattr(homotopy, name, no_tracking)
+    for k in (-2.0, 0.0, 1.0, 2.0):
+        elliptic.plane_record(pencil, np.array([0.0, 0.0, 1.0, -k]))
     assert len(secant_lines_through(pencil, np.array([1.0, 2.0, 3.0, 4.0]))) == 2
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "q1, q2, plane, detail",
+    [
+        # x0^2 - x1^2 vanishes on the plane x0 = x1
+        (np.diag([1.0, -1.0, 0.0, 0.0]), example_pencil().q2.matrix, [1.0, -1.0, 0.0, 0.0], "lies on a quadric"),
+        # two cones with the common vertex (0,0,0,1), cut by a plane through it
+        (np.diag([1.0, 1.0, -1.0, 0.0]), np.diag([1.0, -2.0, 0.5, 0.0]), [1.0, 2.0, 3.0, 0.0], "is singular"),
+    ],
+    ids=["plane-on-quadric", "common-vertex"],
+)
+def test_degenerate_pencils_are_named(q1, q2, plane, detail):
+    pencil = elliptic.QuadricPencil(elliptic.Quadric(q1), elliptic.Quadric(q2))
+    record = elliptic.plane_record(pencil, np.array(plane))
+    assert record["status"] == "degenerate"
+    assert detail in record["detail"]
 
 
 def test_tangent_plane_reports_double_point(pencil):
@@ -118,7 +132,76 @@ def test_tangent_plane_reports_double_point(pencil):
         intersect_plane(pencil, plane)
     dp = err.value.double_point
     target = np.array([1.0, 1.0, -1.0, -1.0])
-    assert projective_distance(dp, target) < 1e-6
+    assert projective_distance(dp, target) < 1e-7
+
+
+def _assert_on_curve(pencil, plane, points):
+    for p in points:
+        x = p / np.linalg.norm(p)
+        for m in (pencil.q1.matrix, pencil.q2.matrix):
+            assert abs(x @ m @ x) < 1e-12
+        assert abs(plane @ x) < 1e-12 * np.linalg.norm(plane)
+
+
+def test_plane_where_a_homotopy_lost_a_path(pencil):
+    # a four-path total-degree homotopy on a random chart of this plane
+    # lost one path with chart seed 0 and reported 3 points; the closed
+    # form finds all four
+    plane = np.random.default_rng(0).standard_normal((62, 4))[61]
+    assert np.allclose(plane, [1.7607, 0.1992, -0.3820, 2.5524], atol=1e-4)
+    record = elliptic.plane_record(pencil, plane)
+    assert record["status"] == "transverse"
+    assert record["signature"] == (2, 2)
+    points = record["points"]
+    assert len(points) == 4
+    assert min(
+        projective_distance(p, q) for i, p in enumerate(points) for q in points[:i]
+    ) > 0.1
+    _assert_on_curve(pencil, plane, points)
+
+
+@pytest.mark.parametrize("vertex", [[0.0, 0.0, 1.0, 0.0], [-1.0, 1.0, 0.0, 0.0]])
+def test_planes_through_a_cone_vertex_are_transverse(pencil, vertex):
+    # the cone cuts such a plane in two lines through the vertex, and the
+    # four points lie two on each
+    vertex = np.array(vertex)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        plane = rng.standard_normal(4)
+        plane -= (plane @ vertex) / (vertex @ vertex) * vertex
+        points, sig = intersect_plane(pencil, plane)
+        assert sig.real_count + sig.nonreal_count == len(points) == 4
+        _assert_on_curve(pencil, plane, points)
+        collinear = [
+            np.linalg.svd(np.array([vertex, points[0], q]), compute_uv=False)[-1] < 1e-9
+            for q in points[1:]
+        ]
+        assert sum(collinear) == 1
+        rest = [q for q, c in zip(points[1:], collinear) if not c]
+        assert np.linalg.svd(np.array([vertex, *rest]), compute_uv=False)[-1] < 1e-9
+
+
+@pytest.mark.parametrize(
+    "plane, detail",
+    [
+        # tangent to the cone with vertex (0,0,1,0) along the ruling
+        # through (1,1,0,-1): real double points (1,1,1,-1), (1,1,-1,-1)
+        ([1.0, 1.0, 0.0, 2.0], "tangent to a cone"),
+        # tangent to the cone with vertex (-1,1,0,0) along the ruling
+        # x2 = x3 = 0, which meets the curve in the conjugate pair (1,+-i,0,0)
+        ([0.0, 0.0, 0.0, 1.0], "tangent to a cone"),
+        # tangent to the cone with vertex (0,0,1,0) along a ruling that
+        # touches the curve at (1,0,0,-1), and to the cone with vertex
+        # (-1,1,0,0) along one that touches it at (1,1,-1,-1)
+        ([1.0, -1.0, 0.0, 1.0], "four-fold contact"),
+        ([1.0, 1.0, 2.0, 0.0], "four-fold contact"),
+    ],
+    ids=["real-contacts", "conjugate-contacts", "four-fold-a", "four-fold-b"],
+)
+def test_cone_tangent_planes_are_degenerate(pencil, plane, detail):
+    record = elliptic.plane_record(pencil, np.array(plane))
+    assert record["status"] == "degenerate"
+    assert detail in record["detail"]
 
 
 def test_pencil_scan_chambers(pencil):
@@ -133,7 +216,7 @@ def test_pencil_scan_chambers(pencil):
     assert tangent["status"] == "tangent"
     assert projective_distance(
         np.asarray(tangent["double_point"]), np.array([1.0, 1.0, -1.0, -1.0])
-    ) < 1e-6
+    ) < 1e-7
 
 
 def test_secant_lines_through_generic_point(pencil):

@@ -42,6 +42,18 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def test_elliptic_imports_nothing_from_homotopy():
+    # plane sections and secant lines are found in closed form
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "elliptic.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("homotopy" in name for name in imported)
+
+
 def test_all_lists_exactly_the_reexported_names():
     tree = ast.parse((SRC / "__init__.py").read_text())
     imported = {

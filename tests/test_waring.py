@@ -14,7 +14,6 @@ from tensorid.waring import (
     WaringSpec,
     build_system,
     bundled_fixture_path,
-    double_point_interpolation_rank,
     is_admissible,
     load_start,
     random_real_start,
@@ -34,6 +33,35 @@ def _num_equations(spec):
 def _scaled_residual(sys_, x, p):
     vals, scales, _ = sys_.full_state(x, p)
     return float(np.max(np.abs(vals) / (1.0 + scales)))
+
+
+def _double_point_interpolation_rank(d: int, n: int, k: int, seed: int = 0) -> int:
+    """Rank of the conditions k generic double points impose on degree-d forms.
+
+    Each point contributes the n+1 rows of first partials of the monomial
+    basis.  For perfect sizes a rank below C(n+d, d) certifies a
+    defective case; this is an independent check of is_admissible.
+    """
+    rng = np.random.default_rng(seed)
+    basis = monomials(n + 1, d)
+    rows = []
+    for _ in range(k):
+        q = rng.uniform(-1.0, 1.0, size=n + 1)
+        for j in range(n + 1):
+            row = []
+            for alpha in basis:
+                e = alpha[j]
+                if e == 0:
+                    row.append(0.0)
+                else:
+                    val = float(e)
+                    for h, a in enumerate(alpha):
+                        p = a - 1 if h == j else a
+                        if p:
+                            val *= q[h] ** p
+                    row.append(val)
+            rows.append(row)
+    return int(np.linalg.matrix_rank(np.asarray(rows)))
 
 
 def test_perfect_case_shapes():
@@ -58,11 +86,11 @@ def test_admissibility_known_cases():
 
 def test_interpolation_oracle_confirms_exception_list():
     # conics with 2 double points: expected rank 6 but actual rank 5
-    assert double_point_interpolation_rank(2, 2, 2) < 6
+    assert _double_point_interpolation_rank(2, 2, 2) < 6
     # plane quartics with 5 double points: 14 < 15
-    assert double_point_interpolation_rank(4, 2, 5) == 14
+    assert _double_point_interpolation_rank(4, 2, 5) == 14
     # the admissible degree-7 case imposes independent conditions
-    assert double_point_interpolation_rank(7, 2, 12) == 36
+    assert _double_point_interpolation_rank(7, 2, 12) == 36
 
 
 def test_random_real_start_satisfies_system():
