@@ -3,9 +3,10 @@
 Three subcommand families: ``waring`` runs the monodromy enumeration of
 rank-r decompositions and classifies them, ``elliptic`` exposes the
 quadric-pencil secant geometry, ``segre`` the linear-section counts.
-Every run writes a self-contained JSON report that embeds its full
-configuration and a schema id; complex numbers serialize as [re, im]
-pairs.
+Every run writes a self-contained JSON report that embeds a schema id
+and, under ``config``, the output path and every setting the run read:
+the seed where a command draws at random, and the stop policy of
+``waring``; complex numbers serialize as [re, im] pairs.
 
 Exit codes: 0 success, 1 usage or input error, 2 solve did not
 stabilize within the loop budget, 3 signature search exhausted its
@@ -14,7 +15,7 @@ attempts.
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -36,22 +37,6 @@ from .waring import (
 SCHEMA = "tensorid/report/v1"
 
 
-@dataclass
-class RunConfig:
-    """Everything a run needs to be reproduced from its own report."""
-
-    seed: int = 0
-    stop: StopPolicy = field(default_factory=StopPolicy)
-    output_path: str | None = None
-
-    def serialize(self) -> dict:
-        return {
-            "seed": self.seed,
-            "stop": asdict(self.stop),
-            "output_path": self.output_path,
-        }
-
-
 def _jsonable(obj):
     """Recursively convert numpy containers; complex becomes [re, im]."""
     if isinstance(obj, dict):
@@ -71,10 +56,11 @@ def _jsonable(obj):
     return obj
 
 
-def _write_report(config: RunConfig, payload: dict, default_name: str) -> str:
-    report = {"schema": SCHEMA, "config": config.serialize()}
+def _write_report(payload: dict, default_name: str, output_path, **settings) -> str:
+    """Write one report; its ``config`` is ``settings`` and the output path."""
+    report = {"schema": SCHEMA, "config": {**settings, "output_path": output_path}}
     report.update(payload)
-    out = config.output_path
+    out = output_path
     if not out:
         out = os.path.join(os.environ.get("TENSORID_OUTPUT_DIR", "."), default_name)
     parent = os.path.dirname(out)
@@ -97,31 +83,14 @@ def _parse_csv(text: str, kind, count: int | None = None, name: str = "value"):
     return values
 
 
-def _common_options(f):
-    opts = [
-        click.option("--seed", type=int, default=0, show_default=True, help="Randomness seed."),
-        click.option(
-            "--output",
-            "output_path",
-            type=click.Path(dir_okay=False),
-            default=None,
-            help="Report path (default: TENSORID_OUTPUT_DIR or cwd).",
-        ),
-    ]
-    for opt in reversed(opts):
-        f = opt(f)
-    return f
-
-
-def _make_config(seed, output_path, **stop_kwargs) -> RunConfig:
-    try:
-        return RunConfig(
-            seed=seed,
-            stop=StopPolicy(**stop_kwargs) if stop_kwargs else StopPolicy(),
-            output_path=output_path,
-        )
-    except ValueError as err:
-        raise click.BadParameter(str(err))
+_seed_option = click.option("--seed", type=int, default=0, show_default=True, help="Randomness seed.")
+_output_option = click.option(
+    "--output",
+    "output_path",
+    type=click.Path(dir_okay=False),
+    default=None,
+    help="Report path (default: TENSORID_OUTPUT_DIR or cwd).",
+)
 
 
 @click.group()
@@ -137,16 +106,14 @@ def cli():
 @click.option("--max-loops", type=int, default=200, show_default=True)
 @click.option("--stable-loops", type=int, default=8, show_default=True)
 @click.option("--target-count", type=int, default=None)
-@_common_options
+@_seed_option
+@_output_option
 def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, output_path):
     """Enumerate all rank-r decompositions of a start form and classify them."""
-    config = _make_config(
-        seed,
-        output_path,
-        max_loops=max_loops,
-        stable_loops=stable_loops,
-        target_count=target_count,
-    )
+    try:
+        policy = StopPolicy(max_loops=max_loops, stable_loops=stable_loops, target_count=target_count)
+    except ValueError as err:
+        raise click.BadParameter(str(err))
     try:
         spec = WaringSpec(d=d, n=n, r=r)
     except ValueError as err:
@@ -167,16 +134,10 @@ def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, ou
         start, tensor = load_start(path, spec)
         source = {"fixture": path}
     else:
-        start, tensor = random_real_start(spec, seed=config.seed)
-        source = {"random_seed": config.seed}
+        start, tensor = random_real_start(spec, seed=seed)
+        source = {"random_seed": seed}
 
-    registry = enumerate_decompositions(
-        spec,
-        start,
-        tensor,
-        policy=config.stop,
-        seed=config.seed,
-    )
+    registry = enumerate_decompositions(spec, start, tensor, policy=policy, seed=seed)
     try:
         classified = classify(registry)
     except UnpairedDecompositionError as err:
@@ -192,7 +153,7 @@ def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, ou
         "max_reconstruction_error": worst,
         "warning": registry.warning,
     }
-    out = _write_report(config, payload, f"waring_d{d}_n{n}_r{r}.json")
+    out = _write_report(payload, f"waring_d{d}_n{n}_r{r}.json", output_path, seed=seed, stop=asdict(policy))
     click.echo(
         f"decompositions={classified.total} real={classified.real_count} "
         f"autoconjugate={classified.autoconjugate_count} "
@@ -211,14 +172,13 @@ def elliptic_group():
 
 @elliptic_group.command("plane")
 @click.option("--coeffs", required=True, help="Four plane coefficients, comma separated.")
-@_common_options
-def elliptic_plane(coeffs, seed, output_path):
+@_output_option
+def elliptic_plane(coeffs, output_path):
     """Intersect one real plane with the curve and report the signature."""
-    config = _make_config(seed, output_path)
     plane = _parse_csv(coeffs, float, 4, "--coeffs")
     record = ell.plane_record(ell.example_pencil(), plane)
     payload = {"command": "elliptic plane", "plane": plane, **record}
-    out = _write_report(config, payload, "elliptic_plane.json")
+    out = _write_report(payload, "elliptic_plane.json", output_path)
     if record["status"] == "transverse":
         click.echo(f"signature={record['signature']}")
     elif record["status"] == "tangent":
@@ -232,15 +192,15 @@ def elliptic_plane(coeffs, seed, output_path):
 @elliptic_group.command("point")
 @click.option("--construct", type=click.Choice([ell.S1, ell.S2, ell.S3, ell.S4]), default=None)
 @click.option("--coords", default=None, help="Four real coordinates, comma separated.")
-@_common_options
+@_seed_option
+@_output_option
 def elliptic_point(construct, coords, seed, output_path):
     """Classify a real point (given or constructed) by its secant lines."""
-    config = _make_config(seed, output_path)
     if (construct is None) == (coords is None):
         raise click.UsageError("give exactly one of --construct or --coords")
     pencil = ell.example_pencil()
     if construct:
-        point = ell.construct_point_of_type(pencil, construct, seed=config.seed)
+        point = ell.construct_point_of_type(pencil, construct, seed=seed)
     else:
         point = np.asarray(_parse_csv(coords, float, 4, "--coords"))
     tag = ell.classify_point(pencil, point)
@@ -250,7 +210,7 @@ def elliptic_point(construct, coords, seed, output_path):
         "constructed": construct,
         "classification": tag,
     }
-    out = _write_report(config, payload, "elliptic_point.json")
+    out = _write_report(payload, "elliptic_point.json", output_path, seed=seed)
     click.echo(f"classification={tag}")
     click.echo(f"report: {out}")
     return 0
@@ -260,10 +220,9 @@ def elliptic_point(construct, coords, seed, output_path):
 @click.option("--from", "from_k", type=float, required=True)
 @click.option("--to", "to_k", type=float, required=True)
 @click.option("--steps", type=int, required=True)
-@_common_options
-def elliptic_pencil_scan(from_k, to_k, steps, seed, output_path):
+@_output_option
+def elliptic_pencil_scan(from_k, to_k, steps, output_path):
     """Signatures of the plane family x2 = k*x3 over a range of k."""
-    config = _make_config(seed, output_path)
     if steps < 1:
         raise click.BadParameter("--steps must be at least 1")
     ks = np.linspace(from_k, to_k, steps)
@@ -278,7 +237,7 @@ def elliptic_pencil_scan(from_k, to_k, steps, seed, output_path):
         "records": records,
         "status_counts": counts,
     }
-    out = _write_report(config, payload, "elliptic_pencil_scan.json")
+    out = _write_report(payload, "elliptic_pencil_scan.json", output_path)
     click.echo(" ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     click.echo(f"report: {out}")
     return 0
@@ -299,14 +258,13 @@ def _segre_spec(dims_text: str) -> seg.SegreSpec:
 
 @segre_group.command("profile")
 @click.option("--dims", required=True, help="Two factor dimensions, e.g. 2,4.")
-@_common_options
-def segre_profile(dims, seed, output_path):
+@_output_option
+def segre_profile(dims, output_path):
     """Almost-unbalanced rank, section degree and their parity gap."""
-    config = _make_config(seed, output_path)
     spec = _segre_spec(dims)
     prof = seg.almost_unbalanced_profile(spec)
     payload = {"command": "segre profile", "spec": list(spec.dims), **prof}
-    out = _write_report(config, payload, "segre_profile.json")
+    out = _write_report(payload, "segre_profile.json", output_path)
     click.echo(f"a_q={prof['a_q']} D={prof['D']} parity={prof['parity']}")
     click.echo(f"report: {out}")
     return 0
@@ -315,22 +273,22 @@ def segre_profile(dims, seed, output_path):
 @segre_group.command("section")
 @click.option("--dims", required=True)
 @click.option("--span-real", type=int, default=None, help="Span of this many real rank-one points.")
-@_common_options
+@_seed_option
+@_output_option
 def segre_section(dims, span_real, seed, output_path):
     """Solve one linear section and report its realness signature."""
-    config = _make_config(seed, output_path)
     spec = _segre_spec(dims)
     if span_real is not None:
-        space = seg.span_through_points(spec, span_real, seed=config.seed)
+        space = seg.span_through_points(spec, span_real, seed=seed)
     else:
-        space = seg.random_section_space(spec, seed=config.seed)
+        space = seg.random_section_space(spec, seed=seed)
     if space.codim != spec.variety_dim:
         raise click.ClickException(
             f"space has codimension {space.codim}; the section is square only "
             f"at codimension {spec.variety_dim}"
         )
     try:
-        result = seg.solve_section(spec, space, seed=config.seed)
+        result = seg.solve_section(spec, space, seed=seed)
     except seg.DeficientSectionError as err:
         raise click.ClickException(str(err))
     payload = {
@@ -341,7 +299,7 @@ def segre_section(dims, span_real, seed, output_path):
         "L": space.equations,
         "points": list(result.points),
     }
-    out = _write_report(config, payload, "segre_section.json")
+    out = _write_report(payload, "segre_section.json", output_path, seed=seed)
     click.echo(f"signature={result.signature}")
     click.echo(f"report: {out}")
     return 0
@@ -351,10 +309,10 @@ def segre_section(dims, span_real, seed, output_path):
 @click.option("--dims", required=True)
 @click.option("--target", required=True, help="real,nonreal counts, e.g. 9,6.")
 @click.option("--max-attempts", type=int, default=50, show_default=True)
-@_common_options
+@_seed_option
+@_output_option
 def segre_search(dims, target, max_attempts, seed, output_path):
     """Search for a real section with the requested realness signature."""
-    config = _make_config(seed, output_path)
     spec = _segre_spec(dims)
     goal = tuple(_parse_csv(target, int, 2, "--target"))
     payload: dict = {
@@ -365,14 +323,14 @@ def segre_search(dims, target, max_attempts, seed, output_path):
     }
     try:
         space, result = seg.search_signature(
-            spec, goal, max_attempts=max_attempts, seed=config.seed
+            spec, goal, max_attempts=max_attempts, seed=seed
         )
     except ValueError as err:
         raise click.BadParameter(str(err))
     except seg.SignatureNotFoundError as err:
         payload["status"] = "not_found"
         payload["attempts"] = err.attempts
-        out = _write_report(config, payload, "segre_search.json")
+        out = _write_report(payload, "segre_search.json", output_path, seed=seed)
         click.echo(f"not found in {err.attempts} attempts")
         click.echo(f"report: {out}")
         return 3
@@ -380,7 +338,7 @@ def segre_search(dims, target, max_attempts, seed, output_path):
     payload["signature"] = list(result.signature)
     payload["L"] = space.equations
     payload["points"] = list(result.points)
-    out = _write_report(config, payload, "segre_search.json")
+    out = _write_report(payload, "segre_search.json", output_path, seed=seed)
     click.echo(f"signature={result.signature}")
     click.echo(f"report: {out}")
     return 0

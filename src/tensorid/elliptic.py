@@ -17,7 +17,9 @@ through P meets it in three points, P and its two contacts, so it lies
 on Q_P.  The two secants through P are the two lines of Q_P through P,
 read off one 2x2 symmetric eigenproblem on the tangent plane of Q_P at
 P; each line meets the curve where it meets Q1, at the roots of one
-quadratic.
+quadratic.  A real section is closed under conjugation, and
+``merge_section_points`` rejects one whose non-real points
+``realcert.conjugate_partners`` does not pair off.
 """
 
 import cmath
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .realcert import REAL_TOL, is_real_point
+from .realcert import REAL_TOL, conjugate_partners, is_real_point
 
 TANGENT_TOL = 1e-6
 DEDUP_TOL = 1e-6
@@ -155,6 +157,17 @@ def _point_key(x) -> tuple:
     return tuple((round(float(c.real), 9), round(float(c.imag), 9)) for c in w)
 
 
+def _nonreal_partners(nonreal) -> list:
+    """Conjugation on non-real section points as partner indices;
+    ValueError unless it is an involution without fixed points."""
+    partners = conjugate_partners(nonreal, np.conjugate, projective_distance, DEDUP_TOL)
+    unpaired = sum(j is None or j == i or partners[j] != i for i, j in enumerate(partners))
+    if unpaired:
+        raise ValueError(f"{unpaired} of {len(partners)} non-real points have no conjugate partner: "
+                         "the points are not conjugation-closed")
+    return partners
+
+
 def merge_section_points(vectors):
     """Merge the endpoints of one section solve into its points.
 
@@ -162,6 +175,8 @@ def merge_section_points(vectors):
     to a point already kept repeats it and is dropped.  Returns (points,
     real_count): the points real first, each part in a deterministic
     order, so that the first real_count of them are the real ones.
+    Raises ValueError when the non-real points are not closed under
+    conjugation.
     """
     found: list = []
     for x in vectors:
@@ -169,7 +184,9 @@ def merge_section_points(vectors):
         if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
             found.append(p)
     found.sort(key=lambda p: (not is_real_point(p), _point_key(p)))
-    return found, sum(is_real_point(p) for p in found)
+    real_count = sum(is_real_point(p) for p in found)
+    _nonreal_partners(found[real_count:])
+    return found, real_count
 
 
 def plane_basis(plane) -> np.ndarray:
@@ -287,7 +304,10 @@ def intersect_plane(pencil: QuadricPencil, plane):
         ends += meet(y1 * vecs[:, 1] - y2 * vecs[:, 2])
     else:
         ends += [np.conjugate(x) for x in ends]
-    found, real_count = merge_section_points(ends)
+    try:
+        found, real_count = merge_section_points(ends)
+    except ValueError as err:
+        raise DegeneratePlaneError(str(err)) from err
 
     if len(found) < 4:
         # A double contact comes as a double root, recognized by its
@@ -304,11 +324,6 @@ def intersect_plane(pencil: QuadricPencil, plane):
         if len(found) == 2 == len(touching):
             raise DegeneratePlaneError("plane touches the curve at two points: it is tangent to a cone of the pencil")
         raise DegeneratePlaneError(f"expected 4 intersection points, found {len(found)}")
-
-    nonreal = found[real_count:]
-    for p in nonreal:
-        if min(projective_distance(np.conjugate(p), q) for q in nonreal) >= DEDUP_TOL:
-            raise DegeneratePlaneError("non-real points are not conjugation-closed")
     return found, PlaneSignature(real_count, 4 - real_count)
 
 
@@ -465,8 +480,8 @@ def classify_point(pencil: QuadricPencil, point) -> str:
             return S3
         return DEGENERATE
     if not any(flags):
-        d1, d2 = lines[0].direction, lines[1].direction
-        if projective_distance(np.conjugate(d1), d2) < TANGENT_TOL:
+        directions = [ln.direction for ln in lines]
+        if conjugate_partners(directions, np.conjugate, projective_distance, TANGENT_TOL) == [1, 0]:
             return S4
     return DEGENERATE
 
@@ -533,26 +548,13 @@ def _line_intersection(x1, x2, x3, x4) -> np.ndarray:
     return normalize_projective(v[0] * x1 + v[1] * x2)
 
 
-def _conjugate_pairs(points):
-    """Split section points into real ones and conjugate pairs."""
-    reals = [p for p in points if is_real_point(p)]
-    nonreal = [p for p in points if not is_real_point(p)]
-    pairs = []
-    used = set()
-    for i, p in enumerate(nonreal):
-        if i in used:
-            continue
-        for j in range(i + 1, len(nonreal)):
-            if j in used:
-                continue
-            if projective_distance(np.conjugate(p), nonreal[j]) < DEDUP_TOL:
-                pairs.append((p, nonreal[j]))
-                used.add(i)
-                used.add(j)
-                break
-    if 2 * len(pairs) != len(nonreal):
-        raise ValueError("non-real points are not conjugation-closed")
-    return reals, pairs
+def _conjugate_pairs(points) -> list:
+    """Merged section points, real ones first, reordered so that each
+    non-real point is followed by its conjugate."""
+    real_count = sum(is_real_point(p) for p in points)
+    nonreal = points[real_count:]
+    partners = _nonreal_partners(nonreal)
+    return points[:real_count] + [nonreal[k] for i, j in enumerate(partners) if i < j for k in (i, j)]
 
 
 def construct_point_of_type(
@@ -573,25 +575,10 @@ def construct_point_of_type(
     for attempt in range(12):
         attempt_seed = seed + 1000 * attempt
         try:
-            if tag == S1:
-                _, pts = find_plane_with_signature(pencil, (4, 0), attempt_seed)
-                reals, _ = _conjugate_pairs(pts)
-                cand = _line_intersection(reals[0], reals[1], reals[2], reals[3])
-            elif tag == S2:
-                _, pts = find_plane_with_signature(pencil, (2, 2), attempt_seed)
-                reals, pairs = _conjugate_pairs(pts)
-                (n1, n2), = pairs
-                cand = _line_intersection(reals[0], reals[1], n1, n2)
-            elif tag == S3:
-                _, pts = find_plane_with_signature(pencil, (0, 4), attempt_seed)
-                _, pairs = _conjugate_pairs(pts)
-                (a1, b1), (a2, b2) = pairs
-                cand = _line_intersection(a1, b1, a2, b2)
-            else:
-                _, pts = find_plane_with_signature(pencil, (0, 4), attempt_seed)
-                _, pairs = _conjugate_pairs(pts)
-                (a1, b1), (a2, b2) = pairs
-                cand = _line_intersection(a1, b2, b1, a2)
+            target = {S1: (4, 0), S2: (2, 2)}.get(tag, (0, 4))
+            _, pts = find_plane_with_signature(pencil, target, attempt_seed)
+            x = _conjugate_pairs(pts)  # the real points, then each conjugate pair
+            cand = _line_intersection(x[0], x[3], x[1], x[2]) if tag == S4 else _line_intersection(*x)
             point = real_representative(cand, real_tol=1e-6)
             if max(abs(q.evaluate(point)) for q in (pencil.q1, pencil.q2)) < 1e-10:
                 continue  # landed on the curve; resample

@@ -1,11 +1,13 @@
 """Realness classification of a set of decompositions.
 
-A decomposition of a real form is Real (every coordinate real up to
-``REAL_TOL`` relative to its own size), Autoconjugate (equal to its own
-conjugate as a multiset of summands, without being real entry-wise), or
-one member of a ConjugatePair.  A non-real decomposition whose conjugate is missing
-from the set signals that the enumeration is incomplete; that is an
-error, not a fourth class.
+Conjugation maps a real form's decompositions to decompositions, so on
+a complete set it is an involution of the indices, read off by
+``conjugate_partners``.  A fixed point is Real when every coordinate is
+real up to ``REAL_TOL`` relative to its own size and Autoconjugate
+(equal to its own conjugate as a multiset of summands) otherwise; each
+2-cycle is one ConjugatePair.  A missing or non-mutual partner signals
+that the enumeration is incomplete; that is an error, not a fourth
+class.
 
 Uniqueness over C means the set has exactly one element; uniqueness
 over R means it contains exactly one Real element.
@@ -88,12 +90,31 @@ class ClassifiedSet:
         }
 
 
+def conjugate_partners(items, conjugate, distance, tol: float) -> list:
+    """Conjugation as a map on indices: entry i is i when ``items[i]``
+    lies within ``tol`` of its own conjugate, else the index of the item
+    nearest to ``conjugate(items[i])``, or None when no item lies within
+    ``tol`` of it.  On a set closed under conjugation the map is an
+    involution; callers check that it is one."""
+    partners = []
+    for i, item in enumerate(items):
+        conj = conjugate(item)
+        if distance(conj, item) < tol:
+            partners.append(i)
+            continue
+        gaps = ((distance(conj, other), j) for j, other in enumerate(items) if j != i)
+        gap, j = min(gaps, default=(tol, None))
+        partners.append(j if gap < tol else None)
+    return partners
+
+
 def classify(registry_or_list) -> ClassifiedSet:
     """Assign each decomposition its realness class.
 
     Accepts a SolutionRegistry or a plain sequence of Decomposition.
-    Raises UnpairedDecompositionError when a non-real, non-autoconjugate
-    entry has no mutual conjugate partner within ``DEDUP_TOL``.
+    Raises UnpairedDecompositionError when conjugation is not an
+    involution of the set: an entry has no conjugate within
+    ``DEDUP_TOL``, or its nearest conjugate's partner is another entry.
     """
     solutions = getattr(registry_or_list, "solutions", registry_or_list)
     decs = list(solutions)
@@ -101,45 +122,25 @@ def classify(registry_or_list) -> ClassifiedSet:
         if not isinstance(dec, Decomposition):
             raise TypeError("expected Decomposition entries")
 
-    tags: list = [None] * len(decs)
-    partners: list = [None] * len(decs)
-    for i, dec in enumerate(decs):
-        if _is_real_decomposition(dec):
-            tags[i] = REAL
-        elif canonical_distance(dec, dec.conjugate()) < DEDUP_TOL:
-            tags[i] = AUTOCONJUGATE
-
-    for i, dec in enumerate(decs):
-        if tags[i] is not None:
-            continue
-        conj = dec.conjugate()
-        best_j, best_d = None, np.inf
-        for j, other in enumerate(decs):
-            if j == i:
-                continue
-            d = canonical_distance(conj, other)
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j is None or best_d >= DEDUP_TOL:
+    partners = conjugate_partners(decs, Decomposition.conjugate, canonical_distance, DEDUP_TOL)
+    classes = []
+    for i, j in enumerate(partners):
+        if j is None:
             raise UnpairedDecompositionError(
                 f"decomposition {i} has no conjugate partner within {DEDUP_TOL:g}; "
                 f"the enumeration looks incomplete"
             )
-        if partners[best_j] not in (None, i):
+        if partners[j] != i:
             raise UnpairedDecompositionError(
-                f"decompositions {i} and {partners[best_j]} both pair with {best_j}"
+                f"conjugate pairing is not mutual: {i} maps to {j}, {j} to {partners[j]}"
             )
-        tags[i] = CONJUGATE_PAIR_MEMBER
-        partners[i] = best_j
-
-    for i, p in enumerate(partners):
-        if p is not None and partners[p] != i:
-            raise UnpairedDecompositionError(
-                f"conjugate pairing is not mutual between {i} and {p}"
-            )
-
-    classes = [DecompositionClass(tags[i], partners[i]) for i in range(len(decs))]
-    real_count = sum(1 for t in tags if t == REAL)
-    auto_count = sum(1 for t in tags if t == AUTOCONJUGATE)
-    pair_count = sum(1 for t in tags if t == CONJUGATE_PAIR_MEMBER) // 2
-    return ClassifiedSet(decs, classes, real_count, auto_count, pair_count)
+        if j != i:
+            classes.append(DecompositionClass(CONJUGATE_PAIR_MEMBER, j))
+        elif _is_real_decomposition(decs[i]):
+            classes.append(DecompositionClass(REAL))
+        else:
+            classes.append(DecompositionClass(AUTOCONJUGATE))
+    tags = [c.tag for c in classes]
+    return ClassifiedSet(
+        decs, classes, tags.count(REAL), tags.count(AUTOCONJUGATE), tags.count(CONJUGATE_PAIR_MEMBER) // 2
+    )

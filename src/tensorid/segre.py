@@ -21,7 +21,8 @@ from .poly import PolySystem
 
 
 class DeficientSectionError(RuntimeError):
-    """Section produced a number of points other than the degree."""
+    """Section produced a number of points other than the degree, or
+    non-real points that are not closed under conjugation."""
 
 
 class SignatureNotFoundError(RuntimeError):
@@ -190,9 +191,10 @@ def solve_section(spec: SegreSpec, space: LinearSpace, seed: int = 0) -> Section
     Endpoints are lifted to u (x) v, deduplicated projectively and
     returned normalized, real ones first, in a deterministic order.
 
-    Raises DeficientSectionError when the count differs from the degree
-    (non-generic space); the message says how many paths failed and
-    how many endpoints repeated a point already found.
+    Raises DeficientSectionError when the non-real points are not
+    closed under conjugation or the count differs from the degree
+    (non-generic space); the message says how many paths failed and,
+    for a count, how many endpoints repeated a point already found.
     """
     a1, a2 = spec.dims
     if space.codim != spec.variety_dim:
@@ -217,9 +219,12 @@ def solve_section(spec: SegreSpec, space: LinearSpace, seed: int = 0) -> Section
     hom = SegmentHomotopy(_section_system(spec, alpha, beta), p_start, space.equations.ravel(), gamma)
     endpoints = track_and_polish(hom, starts)
 
-    found, real_count = merge_section_points(
-        np.outer(x[: a1 + 1], x[a1 + 1 :]).ravel() for x, _ in endpoints
-    )
+    try:
+        found, real_count = merge_section_points(
+            np.outer(x[: a1 + 1], x[a1 + 1 :]).ravel() for x, _ in endpoints
+        )
+    except ValueError as err:
+        raise DeficientSectionError(f"{err} ({len(starts) - len(endpoints)} paths failed)") from err
 
     want = degree(spec)
     if len(found) != want:

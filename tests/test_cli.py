@@ -319,6 +319,29 @@ def test_elliptic_non_finite_input_exit_1(tmp_path, capsys, args, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, settings",
+    [
+        (["waring", "--d", "3", "--n", "1", "--r", "2"], {"seed", "stop"}),
+        (["elliptic", "point", "--construct", "s1"], {"seed"}),
+        (["segre", "section", "--dims", "2,2"], {"seed"}),
+        (["segre", "search", "--dims", "1,2", "--target", "3,0"], {"seed"}),
+        (["elliptic", "plane", "--coeffs", "0,0,1,-2"], set()),
+        (["elliptic", "pencil-scan", "--from", "-2", "--to", "2", "--steps", "5"], set()),
+        (["segre", "profile", "--dims", "2,2"], set()),
+    ],
+    ids=["waring", "elliptic-point", "segre-section", "segre-search", "elliptic-plane",
+         "pencil-scan", "segre-profile"],
+)
+def test_report_config_holds_what_the_command_reads(tmp_path, args, settings):
+    # a command that draws nothing at random takes no --seed
+    out = tmp_path / "report.json"
+    assert main([*args, "--output", str(out)]) == 0
+    assert set(read_report(out)["config"]) == settings | {"output_path"}
+    seeded = tmp_path / "seeded.json"
+    assert main([*args, "--seed", "5", "--output", str(seeded)]) == (0 if settings else 1)
+
+
 def test_reports_are_deterministic(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

@@ -58,6 +58,16 @@ def test_merge_section_points_dedups_and_puts_real_first():
     }
 
 
+@pytest.mark.parametrize("partner", [None, 1e-3], ids=["missing", "moved"])
+def test_merge_section_points_rejects_an_unpaired_nonreal_point(partner):
+    z = np.array([1.0, 2.0 + 1.0j, 0.5])
+    vectors = [z, np.array([0.0, 3.0, -1.0])]
+    if partner is not None:
+        vectors.append(np.conjugate(z) + partner * 1j)
+    with pytest.raises(ValueError, match="not conjugation-closed"):
+        elliptic.merge_section_points(vectors)
+
+
 def test_plane_basis_of_huge_coefficients():
     """Coefficients near the largest double span the plane they scale."""
     huge, unit = plane_basis([1e308, 1e308, 1, 0]), plane_basis([1, 1, 0, 0])

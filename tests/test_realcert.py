@@ -7,8 +7,10 @@ from tensorid.realcert import (
     AUTOCONJUGATE,
     CONJUGATE_PAIR_MEMBER,
     REAL,
+    DecompositionClass,
     UnpairedDecompositionError,
     classify,
+    conjugate_partners,
     is_real_point,
 )
 from tensorid.waring import Decomposition, Summand
@@ -101,3 +103,42 @@ def test_classify_accepts_registry_like():
 def test_classify_rejects_non_decompositions():
     with pytest.raises(TypeError):
         classify([np.array([1.0, 2.0])])
+
+
+def test_conjugate_partners_maps_each_item_to_its_nearest_conjugate():
+    items = [1 + 1j, 2.0, 1 - 1j + 1e-9, 3 + 0.5j]
+    partners = conjugate_partners(items, np.conjugate, lambda a, b: abs(a - b), 1e-6)
+    assert partners == [2, 1, 0, None]
+
+
+def test_classify_reads_classes_off_the_involution():
+    # a non-real entry that is its own conjugate is a fixed point, so it
+    # is autoconjugate with no partner, beside a 2-cycle
+    auto = _dec((0.5 + 1j, 2.0), (0.5 - 1j, 2.0))
+    a = _dec((0.5 + 1j, 2.0), (0.25, 1.0))
+    out = classify([a, auto, a.conjugate()])
+    assert out.classes == [
+        DecompositionClass(CONJUGATE_PAIR_MEMBER, 2),
+        DecompositionClass(AUTOCONJUGATE, None),
+        DecompositionClass(CONJUGATE_PAIR_MEMBER, 0),
+    ]
+    assert (out.real_count, out.autoconjugate_count, out.conjugate_pair_count) == (0, 1, 1)
+
+
+_A = _dec((0.5 + 1j, 2.0), (0.25, 1.0))
+
+
+@pytest.mark.parametrize(
+    "decs, message",
+    [
+        # c lies 1e-8 from b = conj(a): c's conjugate is nearest a, while
+        # a and b are each other's partners
+        ([_A, _A.conjugate(), _dec((0.5 - 1j, 2.0 + 1e-8), (0.25, 1.0))], "not mutual: 2 maps to 0, 0 to 1"),
+        ([_dec((1.0, 1.0), (2.0, -1.0)), _A, _A.conjugate(), _dec((1j, 3.0), (2.0, 1.0))],
+         "decomposition 3 has no conjugate partner"),
+    ],
+    ids=["non-mutual", "missing-partner"],
+)
+def test_classify_rejects_a_map_that_is_not_an_involution(decs, message):
+    with pytest.raises(UnpairedDecompositionError, match=message):
+        classify(decs)

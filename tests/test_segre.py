@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tensorid import homotopy, segre
-from tensorid.elliptic import projective_distance
+from tensorid.elliptic import normalize_projective, projective_distance
+from tensorid.realcert import is_real_point
 from tensorid.homotopy import PathStatus
 from tensorid.segre import (
     DeficientSectionError,
@@ -154,6 +155,27 @@ def test_tangent_line_section_is_deficient():
         match=r"expected 2 section points, found 0 \(2 paths failed, 0 duplicate endpoints\)",
     ):
         solve_section(P1xP1, space, seed=0)
+
+
+def test_section_not_closed_under_conjugation_is_deficient(monkeypatch):
+    # one non-real endpoint moved by 1e-3i: the count is still the degree,
+    # but neither it nor its conjugate has a partner any more
+    space = random_section_space(P2xP2, seed=0)
+    assert solve_section(P2xP2, space, seed=0).signature == (4, 2)
+    real_track = segre.track_and_polish
+
+    def moved(hom, starts):
+        endpoints = real_track(hom, starts)
+        for k, (x, residual) in enumerate(endpoints):
+            point = np.outer(x[:3], x[3:]).ravel()
+            if not is_real_point(normalize_projective(point)):
+                endpoints[k] = (x + 1e-3j * np.eye(len(x))[0], residual)
+                return endpoints
+        raise AssertionError("the section has no non-real point")
+
+    monkeypatch.setattr(segre, "track_and_polish", moved)
+    with pytest.raises(DeficientSectionError, match=r"2 of 2 non-real points have no conjugate partner"):
+        solve_section(P2xP2, space, seed=0)
 
 
 def test_search_signature_validates_target():
