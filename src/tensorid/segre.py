@@ -7,6 +7,17 @@ variety's degree; counting how many of them are real is the whole game
 here.  The arithmetic side tracks the almost-unbalanced rank a_q =
 (a1+1)(a2+1) - (a1+a2), which is exactly the number of points needed to
 span a space of the right codimension.
+
+A section is one generalized eigenproblem; no path is tracked.  With
+u the factor of the smaller dimension a + 1 and x the other, of
+dimension n, the equations read sum_l u_l A_l x = 0, A_l holding the
+coefficients of u_l, of size (n+a-1) x n.  At a point the vectors A_l x are
+dependent with coefficients u, so the wedges Delta_l(x^a) =
+(-1)^l wedge_{k != l} A_k x satisfy Delta_l z = (u_l / u_0) Delta_0 z
+for z = x^a.  Each Delta_l maps Sym^a(C^n) to wedge^a(C^(n+a-1)), both
+of dimension D = C(a1+a2, a1), so the pencil (sum_l h_l Delta_l,
+Delta_0) gives all D points at once (Hochstenbach, Kosir and Plestenjak,
+Numer. Linear Algebra Appl. 2024, rectangular multiparameter eigenproblems).
 """
 
 import itertools
@@ -14,15 +25,24 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .elliptic import merge_section_points
-from .homotopy import SegmentHomotopy, track_and_polish
-from .poly import PolySystem
+from .elliptic import DEDUP_TOL, merge_section_points
+
+# |alpha| or |beta| of an eigenvalue of the unit-norm pencil at or below this
+# is 0: on 1,600 generic (2,2), (2,4), (4,2) and (3,3) sections max(|alpha|,
+# |beta|) >= 1.2e-4 and |beta| >= 2.2e-7, on singular pencils both are 1e-15
+PENCIL_TOL = 1e-12
+# a second singular value of the row-normalized equations at a unit u at
+# or below this leaves a line of v (8.1e-3 or more on the same sections)
+NULL_TOL = 1e-10
+POLISH_STEPS = 3
 
 
 class DeficientSectionError(RuntimeError):
-    """Section produced a number of points other than the degree, or
-    non-real points that are not closed under conjugation."""
+    """The space is not generic: the section is not finite, has a point
+    at an infinite eigenvalue or a double point, has non-real points not
+    closed under conjugation, or has a count other than the degree."""
 
 
 class SignatureNotFoundError(RuntimeError):
@@ -64,8 +84,10 @@ class LinearSpace:
 
     def __post_init__(self):
         eqs = np.atleast_2d(np.asarray(self.equations, dtype=float))
-        rank = np.linalg.matrix_rank(eqs, tol=1e-10)
-        if rank != eqs.shape[0]:
+        bad = np.flatnonzero(~np.isfinite(eqs).all(axis=1))
+        if bad.size:
+            raise ValueError(f"equation rows {bad.tolist()} are not all finite")
+        if np.linalg.matrix_rank(eqs, tol=1e-10) != eqs.shape[0]:
             raise ValueError("equations are not of full row rank")
         object.__setattr__(self, "equations", eqs)
 
@@ -91,8 +113,7 @@ class SectionResult:
 
 def degree(spec: SegreSpec) -> int:
     """Number of points in a generic linear section of complementary dim."""
-    a1, a2 = spec.dims
-    return math.comb(a1 + a2, a1)
+    return math.comb(sum(spec.dims), spec.dims[0])
 
 
 def almost_unbalanced_profile(spec: SegreSpec) -> dict:
@@ -106,19 +127,13 @@ def almost_unbalanced_profile(spec: SegreSpec) -> dict:
     a1, a2 = spec.dims
     a_q = (a1 + 1) * (a2 + 1) - (a1 + a2)
     d = degree(spec)
-    return {
-        "a_q": a_q,
-        "D": d,
-        "parity": "even" if (d - a_q) % 2 == 0 else "odd",
-    }
+    return {"a_q": a_q, "D": d, "parity": "even" if (d - a_q) % 2 == 0 else "odd"}
 
 
 def sample_segre_point(spec: SegreSpec, rng: np.random.Generator) -> np.ndarray:
     """Random real rank-one point, as a unit ambient coordinate vector."""
-    a1, a2 = spec.dims
-    u = rng.standard_normal(a1 + 1)
-    v = rng.standard_normal(a2 + 1)
-    x = np.outer(u, v).ravel()
+    u = rng.standard_normal(spec.dims[0] + 1)
+    x = np.outer(u, rng.standard_normal(spec.dims[1] + 1)).ravel()
     return x / np.linalg.norm(x)
 
 
@@ -136,11 +151,9 @@ def span_through_points(spec: SegreSpec, k: int, seed: int = 0) -> LinearSpace:
     rng = np.random.default_rng(seed)
     for _ in range(50):
         pts = [sample_segre_point(spec, rng) for _ in range(k)]
-        stack = np.array(pts)
-        _, svals, vt = np.linalg.svd(stack)
-        if svals[-1] < 1e-10 * svals[0]:
-            continue
-        return LinearSpace(equations=vt[k:], spanning_points=tuple(pts))
+        _, svals, vt = np.linalg.svd(np.array(pts))
+        if svals[-1] >= 1e-10 * svals[0]:
+            return LinearSpace(equations=vt[k:], spanning_points=tuple(pts))
     raise RuntimeError("sampled points were persistently rank deficient")
 
 
@@ -150,94 +163,87 @@ def random_section_space(spec: SegreSpec, seed: int = 0) -> LinearSpace:
     return LinearSpace(equations=rng.standard_normal((spec.variety_dim, spec.ambient_dim + 1)))
 
 
-def _section_system(spec: SegreSpec, alpha: np.ndarray, beta: np.ndarray) -> PolySystem:
-    """Section equations with the equation rows as parameters.
-
-    Unknowns: u (a1 + 1 coordinates), then v (a2 + 1).  Parameter
-    k * (a1+1)(a2+1) + i * (a2+1) + j is entry (k, i * (a2+1) + j) of the
-    equation matrix, so ``equations.ravel()`` is a parameter vector.
-    The a1 + a2 bilinear equations are followed by the affine chart
-    alpha.u = 1 and beta.v = 1, which holds no parameter: scaling the
-    parameters by the homotopy's twist keeps every root.
-    """
-    a1, a2 = spec.dims
-    n = a1 + a2 + 2
-    pairs = list(itertools.product(range(a1 + 1), range(a2 + 1)))
-    unit = np.eye(n, dtype=int)
-    rows = [
-        [
-            (1.0, tuple(unit[i] + unit[a1 + 1 + j]), k * len(pairs) + c)
-            for c, (i, j) in enumerate(pairs)
-        ]
-        for k in range(spec.variety_dim)
-    ]
-    for coeffs, first in ((alpha, 0), (beta, a1 + 1)):
-        chart = [(c, tuple(unit[first + i]), -1) for i, c in enumerate(coeffs)]
-        rows.append(chart + [(-1.0, (0,) * n, -1)])
-    return PolySystem(rows, num_unknowns=n, num_params=spec.variety_dim * len(pairs))
+def _wedge_maps(mats: np.ndarray) -> np.ndarray:
+    """The maps Delta_l of the stack ``mats`` of A_l, as an (a+1, D, D)
+    stack: entry (I, s) of Delta_l is (-1)^l times the minor on rows I of
+    the columns A_k x_s, k != l.  x_s counts the indices of the s-th
+    multiset of a of them, so the x_s^a are a well conditioned basis."""
+    a, n = len(mats) - 1, mats.shape[2]
+    multisets = itertools.combinations_with_replacement(range(n), a)
+    samples = np.array([np.bincount(c, minlength=n) for c in multisets], dtype=float)
+    images = np.einsum("lkj,sj->skl", mats, samples)[:, list(itertools.combinations(range(mats.shape[1]), a))]
+    others = [[k for k in range(a + 1) if k != l] for l in range(a + 1)]
+    minors = np.linalg.det(np.swapaxes(images[..., others], 2, 3))
+    return (minors * (-1.0) ** np.arange(a + 1)).transpose(2, 1, 0)
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _polish(eqs: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Newton steps on u^T E_k v = 0, E_k the slices of ``eqs``, for all
+    points at once, each in the charts fixing its starting u^H u, v^H v."""
+    k, p = len(eqs), u.shape[1]
+    jac = np.zeros((len(u), k + 2, p + v.shape[1]), dtype=complex)
+    jac[:, k, :p], jac[:, k + 1, p:] = u.conj(), v.conj()
+    rhs = np.zeros((len(u), k + 2, 1), dtype=complex)
+    for _ in range(POLISH_STEPS):
+        jac[:, :k, :p] = np.einsum("kij,dj->dki", eqs, v)
+        jac[:, :k, p:] = np.einsum("kij,di->dkj", eqs, u)
+        rhs[:, :k, 0] = -np.einsum("dki,di->dk", jac[:, :k, :p], u)
+        step = np.linalg.solve(jac, rhs)[..., 0]
+        u, v = u + step[:, :p], v + step[:, p:]
+    return u, v
 
 
 def solve_section(spec: SegreSpec, space: LinearSpace, seed: int = 0) -> SectionResult:
     """All intersection points of the Segre variety with a linear space.
 
-    One 2-homogeneous linear-product homotopy in one random complex
-    affine chart alpha.u = 1, beta.v = 1: the start rows are rank-one
-    products l_k m_k^T, and each a1-subset S of them gives the start root
-    l_S.u = 0, m_rest.v = 0, so exactly degree(spec) paths are tracked.
-    Endpoints are lifted to u (x) v, deduplicated projectively and
-    returned normalized, real ones first, in a deterministic order.
+    One D x D generalized eigenproblem (see the module docstring), with
+    u rotated by a random real orthogonal R and h a random real vector,
+    both drawn from ``seed``.  The images Delta_l z of an eigenvector z
+    are parallel, with coefficients u; v is the null vector of the
+    equations at u, and a batched Newton polish follows.  The points
+    u (x) v are deduplicated projectively and returned normalized, real
+    ones first, in a deterministic order.
 
-    Raises DeficientSectionError when the non-real points are not
-    closed under conjugation or the count differs from the degree
-    (non-generic space); the message says how many paths failed and,
-    for a count, how many endpoints repeated a point already found.
+    Raises DeficientSectionError naming the reason: the section is not
+    finite (the pencil is singular, or the equations at some u leave a
+    line of v), an infinite eigenvalue, a double point, non-real points
+    not closed under conjugation, or a count other than the degree.
     """
     a1, a2 = spec.dims
     if space.codim != spec.variety_dim:
         raise ValueError(f"need codimension {spec.variety_dim}, got {space.codim}")
     if space.equations.shape[1] != spec.ambient_dim + 1:
         raise ValueError("equation width does not match the ambient space")
-    rows = spec.variety_dim
+    eqs = (space.equations / np.abs(space.equations).max(axis=1, keepdims=True)).reshape(-1, a1 + 1, a2 + 1)
+    if a1 > a2:
+        eqs = eqs.transpose(0, 2, 1)
     rng = np.random.default_rng(seed)
-    alpha = _complex_normal(rng, a1 + 1)
-    beta = _complex_normal(rng, a2 + 1)
-    ell = _complex_normal(rng, (rows, a1 + 1))
-    m = _complex_normal(rng, (rows, a2 + 1))
-    gamma = np.exp(2j * np.pi * rng.random())
-
-    starts = []
-    for subset in itertools.combinations(range(rows), a1):
-        rest = [k for k in range(rows) if k not in subset]
-        u = np.linalg.solve(np.vstack([ell[list(subset)], alpha]), np.eye(a1 + 1)[-1])
-        v = np.linalg.solve(np.vstack([m[rest], beta]), np.eye(a2 + 1)[-1])
-        starts.append(np.concatenate([u, v]))
-    p_start = (ell[:, :, None] * m[:, None, :]).ravel()
-    hom = SegmentHomotopy(_section_system(spec, alpha, beta), p_start, space.equations.ravel(), gamma)
-    endpoints = track_and_polish(hom, starts)
-
+    rot = np.linalg.qr(rng.standard_normal((eqs.shape[1],) * 2))[0]
+    delta = _wedge_maps(np.einsum("kij,il->lkj", eqs, rot))
+    delta /= np.linalg.norm(delta) or 1.0
+    pencil = np.tensordot(rng.standard_normal(len(delta) - 1), delta[1:], 1), delta[0]
+    pairs, vecs = scipy.linalg.eig(*pencil, homogeneous_eigvals=True, check_finite=False)
+    if np.abs(pairs).max(axis=0).min() <= PENCIL_TOL:
+        raise DeficientSectionError("the section is not finite: its eigenvalue pencil is singular")
+    if np.abs(pairs[1]).min() <= PENCIL_TOL:
+        raise DeficientSectionError("infinite eigenvalue: a point lies on the chart's hyperplane u~_0 = 0")
+    u = np.linalg.svd(np.einsum("lis,sd->dil", delta, vecs))[2][:, 0] @ rot.T
+    _, svals, vh = np.linalg.svd(np.einsum("dl,klj->dkj", u, eqs))
+    if svals[:, -2].min() <= NULL_TOL:
+        raise DeficientSectionError("the section is not finite: it contains a line")
+    cosines = np.abs(u.conj() @ u.T) - np.eye(len(u))  # of the angles between unit u's, 0 on the diagonal
+    if 1.0 - cosines.max() ** 2 < DEDUP_TOL**2:
+        raise DeficientSectionError(f"double point: two eigenvalues merge within {DEDUP_TOL:g}")
+    u, v = _polish(eqs, u, vh[:, -1].conj())
+    points = np.einsum("di,dj->dij", *((v, u) if a1 > a2 else (u, v))).reshape(len(u), -1)
     try:
-        found, real_count = merge_section_points(
-            np.outer(x[: a1 + 1], x[a1 + 1 :]).ravel() for x, _ in endpoints
-        )
+        found, real_count = merge_section_points(points)
     except ValueError as err:
-        raise DeficientSectionError(f"{err} ({len(starts) - len(endpoints)} paths failed)") from err
-
+        raise DeficientSectionError(str(err)) from err
     want = degree(spec)
     if len(found) != want:
-        raise DeficientSectionError(
-            f"expected {want} section points, found {len(found)} "
-            f"({len(starts) - len(endpoints)} paths failed, "
-            f"{len(endpoints) - len(found)} duplicate endpoints)"
-        )
-    return SectionResult(
-        points=tuple(found),
-        signature=(real_count, want - real_count),
-        degree_expected=want,
-    )
+        raise DeficientSectionError(f"expected {want} section points, found {len(found)}")
+    return SectionResult(points=tuple(found), signature=(real_count, want - real_count), degree_expected=want)
 
 
 def search_signature(
@@ -268,20 +274,14 @@ def search_signature(
         raise ValueError("nonreal count must be even (conjugation closure)")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
-    a_q = almost_unbalanced_profile(spec)["a_q"]
-    span_applicable = target[0] == a_q
+    span_applicable = target[0] == almost_unbalanced_profile(spec)["a_q"]
     rng = np.random.default_rng(seed)
-
-    attempts = 0
-    while attempts < max_attempts:
-        use_span = span_applicable and attempts % 2 == 0
+    for attempt in range(max_attempts):
         draw_seed = int(rng.integers(2**31))
-        space = (
-            span_through_points(spec, target[0], seed=draw_seed)
-            if use_span
-            else random_section_space(spec, seed=draw_seed)
-        )
-        attempts += 1
+        if span_applicable and attempt % 2 == 0:
+            space = span_through_points(spec, target[0], seed=draw_seed)
+        else:
+            space = random_section_space(spec, seed=draw_seed)
         try:
             result = solve_section(spec, space, seed=int(rng.integers(2**31)))
         except DeficientSectionError:
@@ -289,6 +289,5 @@ def search_signature(
         if result.signature == target:
             return space, result
     raise SignatureNotFoundError(
-        f"no section with signature {target} in {max_attempts} attempts",
-        attempts=attempts,
+        f"no section with signature {target} in {max_attempts} attempts", attempts=max_attempts
     )

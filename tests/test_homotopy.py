@@ -1,11 +1,12 @@
 """Path tracking: segments, Newton correction, total-degree solving."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
 
-from tensorid import homotopy, segre
+from tensorid import homotopy
 from tensorid.homotopy import (
     PathStatus,
     SegmentHomotopy,
@@ -354,10 +355,48 @@ def _assert_batch_matches_solo(hom, starts):
     return batch
 
 
-def test_section_batch_matches_solo_tracks(monkeypatch):
-    spec = segre.SegreSpec((2, 4))
-    space = segre.random_section_space(spec, seed=2)
-    hom, starts = _captured(monkeypatch, segre, lambda: segre.solve_section(spec, space, seed=2))
+def _bilinear_section_homotopy(a1, a2, equations, rng):
+    """A 2-homogeneous linear-product homotopy to the Segre section
+    u^T E_k v = 0, E_k row k of ``equations``, with its C(a1+a2, a1)
+    start roots.
+
+    Unknowns u (a1 + 1), then v (a2 + 1); the parameters are the entries
+    of the E_k, and the random complex affine chart alpha.u = 1,
+    beta.v = 1 holds none.  The start rows are rank-one products
+    l_k m_k^T, and each a1-subset S of them gives the start root
+    l_S.u = 0, m_rest.v = 0.
+    """
+    n, rows = a1 + a2 + 2, a1 + a2
+    unit = np.eye(n, dtype=int)
+    pairs = list(itertools.product(range(a1 + 1), range(a2 + 1)))
+    terms = [
+        [(1.0, tuple(unit[i] + unit[a1 + 1 + j]), k * len(pairs) + c) for c, (i, j) in enumerate(pairs)]
+        for k in range(rows)
+    ]
+
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    alpha, beta = normal(a1 + 1), normal(a2 + 1)
+    for coeffs, first in ((alpha, 0), (beta, a1 + 1)):
+        terms.append([(c, tuple(unit[first + i]), -1) for i, c in enumerate(coeffs)] + [(-1.0, (0,) * n, -1)])
+    system = PolySystem(terms, num_unknowns=n, num_params=rows * len(pairs))
+    ell, m = normal(rows, a1 + 1), normal(rows, a2 + 1)
+    starts = []
+    for subset in itertools.combinations(range(rows), a1):
+        rest = [k for k in range(rows) if k not in subset]
+        u = np.linalg.solve(np.vstack([ell[list(subset)], alpha]), np.eye(a1 + 1)[-1])
+        v = np.linalg.solve(np.vstack([m[rest], beta]), np.eye(a2 + 1)[-1])
+        starts.append(np.concatenate([u, v]))
+    p_start = (ell[:, :, None] * m[:, None, :]).ravel()
+    gamma = np.exp(2j * np.pi * rng.random())
+    return SegmentHomotopy(system, p_start, np.asarray(equations).ravel(), gamma), starts
+
+
+def test_section_batch_matches_solo_tracks():
+    # a (2,4) Segre section: 15 paths of a bilinear system in 8 unknowns
+    rng = np.random.default_rng(2)
+    hom, starts = _bilinear_section_homotopy(2, 4, rng.standard_normal((6, 15)), rng)
     assert len(starts) == 15
     batch = _assert_batch_matches_solo(hom, starts)
     assert all(r.success for r in batch)

@@ -42,16 +42,26 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_elliptic_imports_nothing_from_homotopy():
-    # plane sections and secant lines are found in closed form
+def imported_modules_and_names(path) -> set:
+    """Every module a file imports from, and every name it imports."""
     imported = set()
-    for node in ast.walk(ast.parse((SRC / "elliptic.py").read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert not any("homotopy" in name for name in imported)
+    return imported
+
+
+def test_elliptic_imports_nothing_from_homotopy():
+    # plane sections and secant lines are found in closed form
+    assert not any("homotopy" in name for name in imported_modules_and_names(SRC / "elliptic.py"))
+
+
+def test_segre_imports_nothing_from_homotopy():
+    # a section is one generalized eigenproblem
+    assert not any("homotopy" in name for name in imported_modules_and_names(SRC / "segre.py"))
 
 
 def test_all_lists_exactly_the_reexported_names():

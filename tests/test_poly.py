@@ -11,7 +11,6 @@ from tensorid.poly import (
     monomials,
     multinomial,
 )
-from tensorid.segre import SegreSpec, _section_system
 from tensorid.waring import WaringSpec, build_system
 
 
@@ -206,10 +205,19 @@ def _total_degree_system():
 
 
 def _segre_section_system():
+    # the (2,2) Segre section u^T E_k v = 0, k < 4, with every entry of
+    # the E_k a parameter, then the charts alpha.u = 1 and beta.v = 1,
+    # which hold none
     rng = np.random.default_rng(4)
-    alpha = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    beta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    return _section_system(SegreSpec((2, 2)), alpha, beta)
+    unit = np.eye(6, dtype=int)
+    rows = [
+        [(1.0, tuple(unit[i] + unit[3 + j]), 9 * k + 3 * i + j) for i in range(3) for j in range(3)]
+        for k in range(4)
+    ]
+    for first in (0, 3):
+        coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        rows.append([(c, tuple(unit[first + i]), -1) for i, c in enumerate(coeffs)] + [(-1.0, (0,) * 6, -1)])
+    return PolySystem(rows, num_unknowns=6, num_params=36)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ import pytest
 from tensorid import homotopy, segre
 from tensorid.elliptic import normalize_projective, projective_distance
 from tensorid.realcert import is_real_point
-from tensorid.homotopy import PathStatus
 from tensorid.segre import (
     DeficientSectionError,
     LinearSpace,
@@ -54,6 +53,13 @@ def test_linear_space_rejects_rank_deficient_rows():
         LinearSpace(equations=rows)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linear_space_names_non_finite_rows(bad):
+    rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, bad, 1.0]])
+    with pytest.raises(ValueError, match=r"equation rows \[2\] are not all finite"):
+        LinearSpace(equations=rows)
+
+
 def test_sampled_points_are_rank_one():
     rng = np.random.default_rng(3)
     a1, a2 = P2xP4.dims
@@ -88,23 +94,53 @@ def test_section_points_lie_on_variety_and_space(spec):
         assert np.max(np.abs(space.equations @ p)) < 1e-8
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (2, 4)])
-def test_solve_section_tracks_one_path_per_point(monkeypatch, dims):
-    # the linear-product start has exactly degree(spec) roots, and every
-    # path of a generic section reaches a distinct point
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2), (2, 4), (4, 2), (3, 3)])
+def test_solve_section_tracks_no_path(monkeypatch, dims):
+    # one eigenproblem gives every point of a generic section
     spec = SegreSpec(dims=dims)
-    statuses = []
-    real_track_paths = homotopy.track_paths
 
-    def counting_track_paths(*args, **kwargs):
-        results = real_track_paths(*args, **kwargs)
-        statuses.extend(r.status for r in results)
-        return results
+    def no_tracking(*args, **kwargs):
+        raise AssertionError("a section tracked a path")
 
-    monkeypatch.setattr(homotopy, "track_paths", counting_track_paths)
+    for name in ("track", "track_paths", "track_and_polish"):
+        monkeypatch.setattr(homotopy, name, no_tracking)
     result = solve_section(spec, random_section_space(spec, seed=2), seed=2)
-    assert statuses == [PathStatus.SUCCESS] * degree(spec)
     assert len(result.points) == degree(spec)
+    assert result.real_count + result.nonreal_count == degree(spec)
+
+
+@pytest.mark.parametrize(
+    "dims, kind, seed",
+    [
+        ((2, 2), "span", 124),
+        ((2, 2), "span", 171),
+        ((2, 4), "span", 16),
+        ((2, 4), "span", 25),
+        ((2, 4), "span", 111),
+        ((2, 4), "span", 156),
+        ((2, 4), "random", 101),
+        ((2, 4), "random", 124),
+        ((2, 4), "random", 155),
+        ((4, 2), "span", 0),
+        ((3, 3), "span", 0),
+    ],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_section_returns_every_point(dims, kind, seed):
+    # a section homotopy merged two paths on the first nine of these;
+    # every point comes out, and each spanning point is a real one
+    spec = SegreSpec(dims=dims)
+    if kind == "span":
+        space = span_through_points(spec, almost_unbalanced_profile(spec)["a_q"], seed=seed)
+    else:
+        space = random_section_space(spec, seed=seed)
+    result = solve_section(spec, space, seed=seed)
+    assert len(result.points) == degree(spec)
+    real = [np.asarray(p) for p in result.points[: result.real_count]]
+    assert all(is_real_point(p) for p in real)
+    for gen in space.spanning_points:
+        # the metric's floor is sqrt(eps)
+        assert min(projective_distance(gen.astype(complex), p) for p in real) < 1e-7
 
 
 def test_span_sections_are_fully_real():
@@ -150,31 +186,57 @@ def test_tangent_line_section_is_deficient():
     space = LinearSpace(
         equations=np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]])
     )
-    with pytest.raises(
-        DeficientSectionError,
-        match=r"expected 2 section points, found 0 \(2 paths failed, 0 duplicate endpoints\)",
-    ):
+    with pytest.raises(DeficientSectionError, match=r"double point: two eigenvalues merge within 1e-06"):
         solve_section(P1xP1, space, seed=0)
 
 
+@pytest.mark.parametrize(
+    "equations, why",
+    [
+        # u0*v0 = u0*v1 = 0: the line u = [0:1] of v, all at one eigenvalue
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], "it contains a line"),
+        # u0*v0 = u1*v0 = 0: the line v = [0:1] of u, an eigenvalue everywhere
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], "its eigenvalue pencil is singular"),
+    ],
+    ids=["line-of-v", "line-of-u"],
+)
+def test_section_containing_a_line_is_not_finite(equations, why):
+    space = LinearSpace(equations=np.array(equations))
+    with pytest.raises(DeficientSectionError, match=f"the section is not finite: {why}"):
+        solve_section(P1xP1, space, seed=0)
+
+
+def test_section_point_on_the_chart_hyperplane_is_an_infinite_eigenvalue():
+    # solve_section first draws its orthogonal chart rotation R from the
+    # seed; the point u (x) v with u orthogonal to R's first column has
+    # u~_0 = 0 in the rotated coordinates u~ = R^T u
+    rot = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
+    u = np.array([-rot[1, 0], rot[0, 0]])
+    other = np.outer([0.6, -1.3], [0.4, 2.2]).ravel()
+    _, _, vt = np.linalg.svd(np.array([np.outer(u, [1.0, 0.5]).ravel(), other]))
+    space = LinearSpace(equations=vt[2:])
+    assert solve_section(P1xP1, space, seed=4).signature == (2, 0)
+    with pytest.raises(DeficientSectionError, match="infinite eigenvalue"):
+        solve_section(P1xP1, space, seed=3)
+
+
 def test_section_not_closed_under_conjugation_is_deficient(monkeypatch):
-    # one non-real endpoint moved by 1e-3i: the count is still the degree,
+    # one non-real point moved by 1e-3i: the count is still the degree,
     # but neither it nor its conjugate has a partner any more
     space = random_section_space(P2xP2, seed=0)
     assert solve_section(P2xP2, space, seed=0).signature == (4, 2)
-    real_track = segre.track_and_polish
+    real_merge = segre.merge_section_points
 
-    def moved(hom, starts):
-        endpoints = real_track(hom, starts)
-        for k, (x, residual) in enumerate(endpoints):
-            point = np.outer(x[:3], x[3:]).ravel()
-            if not is_real_point(normalize_projective(point)):
-                endpoints[k] = (x + 1e-3j * np.eye(len(x))[0], residual)
-                return endpoints
+    def moved(vectors):
+        vectors = list(vectors)
+        for k, x in enumerate(vectors):
+            if not is_real_point(normalize_projective(x)):
+                vectors[k] = x + 1e-3j * np.eye(len(x))[0]
+                return real_merge(vectors)
         raise AssertionError("the section has no non-real point")
 
-    monkeypatch.setattr(segre, "track_and_polish", moved)
-    with pytest.raises(DeficientSectionError, match=r"2 of 2 non-real points have no conjugate partner"):
+    monkeypatch.setattr(segre, "merge_section_points", moved)
+    with pytest.raises(DeficientSectionError, match=r"^2 of 2 non-real points have no conjugate partner"):
         solve_section(P2xP2, space, seed=0)
 
 
