@@ -83,7 +83,7 @@ def _parse_csv(text: str, kind, count: int | None = None, name: str = "value"):
     return values
 
 
-_seed_option = click.option("--seed", type=int, default=0, show_default=True, help="Randomness seed.")
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Randomness seed.")
 _output_option = click.option(
     "--output",
     "output_path",

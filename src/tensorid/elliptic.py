@@ -17,8 +17,10 @@ through P meets it in three points, P and its two contacts, so it lies
 on Q_P.  The two secants through P are the two lines of Q_P through P,
 read off one 2x2 symmetric eigenproblem on the tangent plane of Q_P at
 P; each line meets the curve where it meets Q1, at the roots of one
-quadratic.  A real section is closed under conjugation, and
-``merge_section_points`` rejects one whose non-real points
+quadratic.  A real section is closed under conjugation:
+``merge_section_points`` reads its dedup and its conjugation gaps off
+one ``projective_distances`` matrix, returns each non-real point beside
+its conjugate, and rejects a section whose non-real points
 ``realcert.conjugate_partners`` does not pair off.
 """
 
@@ -131,16 +133,28 @@ def normalize_projective(x) -> np.ndarray:
     return v / v[idx]
 
 
+def projective_distances(a, b) -> np.ndarray:
+    """Sines of the principal angles between the rows of the stacks ``a``
+    and ``b`` of projective points, as a len(a) x len(b) matrix."""
+    a, b = (np.atleast_2d(np.asarray(m, dtype=np.complex128)) for m in (a, b))
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    if not (na.all() and nb.all()):
+        raise ValueError("zero vector")
+    c = np.abs(a.conj() @ b.T) / np.outer(na, nb)
+    return np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, c * c)))
+
+
 def projective_distance(x, y) -> float:
     """Sine of the principal angle between two projective points."""
-    a = np.asarray(x, dtype=np.complex128).ravel()
-    b = np.asarray(y, dtype=np.complex128).ravel()
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("zero vector")
-    c = abs(np.vdot(a, b)) / (na * nb)
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, c * c))))
+    return float(projective_distances(np.ravel(x), np.ravel(y))[0, 0])
+
+
+def _lex_order(points, *major) -> np.ndarray:
+    """Indices that sort the rows of ``points`` by the ``major`` keys, then
+    by their coordinates rounded to 9 digits, real part before imaginary."""
+    w = np.round(np.asarray(points, dtype=np.complex128), 9)
+    coords = np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1)
+    return np.lexsort([*coords.T[::-1], *major[::-1]])
 
 
 def real_representative(x, real_tol: float = REAL_TOL) -> np.ndarray:
@@ -152,41 +166,34 @@ def real_representative(x, real_tol: float = REAL_TOL) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _point_key(x) -> tuple:
-    w = normalize_projective(x)
-    return tuple((round(float(c.real), 9), round(float(c.imag), 9)) for c in w)
-
-
-def _nonreal_partners(nonreal) -> list:
-    """Conjugation on non-real section points as partner indices;
-    ValueError unless it is an involution without fixed points."""
-    partners = conjugate_partners(nonreal, np.conjugate, projective_distance, DEDUP_TOL)
-    unpaired = sum(j is None or j == i or partners[j] != i for i, j in enumerate(partners))
-    if unpaired:
-        raise ValueError(f"{unpaired} of {len(partners)} non-real points have no conjugate partner: "
-                         "the points are not conjugation-closed")
-    return partners
-
-
 def merge_section_points(vectors):
     """Merge the endpoints of one section solve into its points.
 
     Each vector is normalized projectively; one closer than ``DEDUP_TOL``
     to a point already kept repeats it and is dropped.  Returns (points,
-    real_count): the points real first, each part in a deterministic
-    order, so that the first real_count of them are the real ones.
+    real_count): the real points first, ordered by their coordinates,
+    then the non-real ones, each followed by its conjugate, the pairs
+    ordered by their first points' coordinates.
     Raises ValueError when the non-real points are not closed under
     conjugation.
     """
-    found: list = []
-    for x in vectors:
-        p = normalize_projective(x)
-        if all(projective_distance(p, q) >= DEDUP_TOL for q in found):
-            found.append(p)
-    found.sort(key=lambda p: (not is_real_point(p), _point_key(p)))
-    real_count = sum(is_real_point(p) for p in found)
-    _nonreal_partners(found[real_count:])
-    return found, real_count
+    points = np.array([normalize_projective(x) for x in vectors])
+    sines = projective_distances(np.concatenate([points, points.conj()]), points)
+    keep: list = []
+    for i in range(len(points)):
+        if (sines[i, keep] >= DEDUP_TOL).all():
+            keep.append(i)
+    real = np.array([is_real_point(points[i]) for i in keep], dtype=bool)
+    order = np.asarray(keep)[_lex_order(points[keep], ~real)]
+    real_count = int(real.sum())
+    nonreal = order[real_count:]
+    partners = conjugate_partners(sines[len(points) + nonreal][:, nonreal], DEDUP_TOL)
+    unpaired = sum(j is None or j == i or partners[j] != i for i, j in enumerate(partners))
+    if unpaired:
+        raise ValueError(f"{unpaired} of {len(partners)} non-real points have no conjugate partner: "
+                         "the points are not conjugation-closed")
+    paired = [nonreal[k] for i, j in enumerate(partners) if i < j for k in (i, j)]
+    return [points[i] for i in [*order[:real_count], *paired]], real_count
 
 
 def plane_basis(plane) -> np.ndarray:
@@ -260,8 +267,9 @@ def intersect_plane(pencil: QuadricPencil, plane):
     lines through its vertex, real or conjugate, read off one ``eigh``;
     each line meets the one of a, b further from that member at the
     roots of one quadratic.  No path is tracked.
-    Points come back projectively normalized, deterministically ordered,
-    real ones first.
+    Points come back projectively normalized in the order of
+    ``merge_section_points``: real ones first, then each non-real one
+    followed by its conjugate.
 
     Returns:
         (points, PlaneSignature)
@@ -451,8 +459,7 @@ def secant_lines_through(pencil: QuadricPencil, point):
 
     if len(lines) != 2:
         raise DegeneratePointError(f"expected 2 secant lines, found {len(lines)}")
-    lines.sort(key=lambda ln: _point_key(ln.direction))
-    return lines
+    return [lines[i] for i in _lex_order([ln.direction for ln in lines])]
 
 
 def classify_point(pencil: QuadricPencil, point) -> str:
@@ -480,8 +487,8 @@ def classify_point(pencil: QuadricPencil, point) -> str:
             return S3
         return DEGENERATE
     if not any(flags):
-        directions = [ln.direction for ln in lines]
-        if conjugate_partners(directions, np.conjugate, projective_distance, TANGENT_TOL) == [1, 0]:
+        d = np.array([ln.direction for ln in lines])
+        if conjugate_partners(projective_distances(d.conj(), d), TANGENT_TOL) == [1, 0]:
             return S4
     return DEGENERATE
 
@@ -495,14 +502,12 @@ def sample_real_points(pencil: QuadricPencil, count: int, seed: int = 0):
             return found[:count]
         normal = rng.standard_normal(4)
         try:
-            points, _ = intersect_plane(pencil, normal)
+            points, sig = intersect_plane(pencil, normal)
         except (TangentPlaneError, DegeneratePlaneError):
             continue
-        for pt in points:
-            if is_real_point(pt):
-                rep = real_representative(pt)
-                if all(projective_distance(rep, q) >= DEDUP_TOL for q in found):
-                    found.append(rep)
+        for rep in map(real_representative, points[: sig.real_count]):
+            if all(projective_distance(rep, q) >= DEDUP_TOL for q in found):
+                found.append(rep)
     if len(found) >= count:
         return found[:count]
     raise RuntimeError(f"found only {len(found)} real curve points in {PLANE_ATTEMPTS} attempts")
@@ -548,15 +553,6 @@ def _line_intersection(x1, x2, x3, x4) -> np.ndarray:
     return normalize_projective(v[0] * x1 + v[1] * x2)
 
 
-def _conjugate_pairs(points) -> list:
-    """Merged section points, real ones first, reordered so that each
-    non-real point is followed by its conjugate."""
-    real_count = sum(is_real_point(p) for p in points)
-    nonreal = points[real_count:]
-    partners = _nonreal_partners(nonreal)
-    return points[:real_count] + [nonreal[k] for i, j in enumerate(partners) if i < j for k in (i, j)]
-
-
 def construct_point_of_type(
     pencil: QuadricPencil,
     tag: str,
@@ -572,13 +568,15 @@ def construct_point_of_type(
     """
     if tag not in (S1, S2, S3, S4):
         raise ValueError(f"unknown type tag {tag!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     for attempt in range(12):
         attempt_seed = seed + 1000 * attempt
         try:
             target = {S1: (4, 0), S2: (2, 2)}.get(tag, (0, 4))
             _, pts = find_plane_with_signature(pencil, target, attempt_seed)
-            x = _conjugate_pairs(pts)  # the real points, then each conjugate pair
-            cand = _line_intersection(x[0], x[3], x[1], x[2]) if tag == S4 else _line_intersection(*x)
+            # the real points come first, then each non-real one beside its conjugate
+            cand = _line_intersection(pts[0], pts[3], pts[1], pts[2]) if tag == S4 else _line_intersection(*pts)
             point = real_representative(cand, real_tol=1e-6)
             if max(abs(q.evaluate(point)) for q in (pencil.q1, pencil.q2)) < 1e-10:
                 continue  # landed on the curve; resample

@@ -2,12 +2,13 @@
 
 Conjugation maps a real form's decompositions to decompositions, so on
 a complete set it is an involution of the indices, read off by
-``conjugate_partners``.  A fixed point is Real when every coordinate is
-real up to ``REAL_TOL`` relative to its own size and Autoconjugate
-(equal to its own conjugate as a multiset of summands) otherwise; each
-2-cycle is one ConjugatePair.  A missing or non-mutual partner signals
-that the enumeration is incomplete; that is an error, not a fourth
-class.
+``conjugate_partners`` from the distances between each decomposition's
+conjugate and every decomposition.  A fixed point is Real when every
+coordinate is real up to ``REAL_TOL`` relative to its own size and
+Autoconjugate (equal to its own conjugate as a multiset of summands)
+otherwise; each 2-cycle is one ConjugatePair.  A missing or non-mutual
+partner signals that the enumeration is incomplete; that is an error,
+not a fourth class.
 
 Uniqueness over C means the set has exactly one element; uniqueness
 over R means it contains exactly one Real element.
@@ -33,10 +34,8 @@ class UnpairedDecompositionError(RuntimeError):
 def is_real_point(values, real_tol: float = REAL_TOL) -> bool:
     """Componentwise realness relative to the largest coordinate."""
     v = np.asarray(values, dtype=np.complex128).ravel()
-    if v.size == 0:
-        return True
-    scale = 1.0 + float(np.max(np.abs(v)))
-    return float(np.max(np.abs(v.imag))) < real_tol * scale
+    scale = 1.0 + np.max(np.abs(v), initial=0.0)
+    return bool(np.max(np.abs(v.imag), initial=0.0) < real_tol * scale)
 
 
 def _is_real_decomposition(dec: Decomposition) -> bool:
@@ -90,22 +89,20 @@ class ClassifiedSet:
         }
 
 
-def conjugate_partners(items, conjugate, distance, tol: float) -> list:
-    """Conjugation as a map on indices: entry i is i when ``items[i]``
-    lies within ``tol`` of its own conjugate, else the index of the item
-    nearest to ``conjugate(items[i])``, or None when no item lies within
-    ``tol`` of it.  On a set closed under conjugation the map is an
-    involution; callers check that it is one."""
-    partners = []
-    for i, item in enumerate(items):
-        conj = conjugate(item)
-        if distance(conj, item) < tol:
-            partners.append(i)
-            continue
-        gaps = ((distance(conj, other), j) for j, other in enumerate(items) if j != i)
-        gap, j = min(gaps, default=(tol, None))
-        partners.append(j if gap < tol else None)
-    return partners
+def conjugate_partners(gaps, tol: float) -> list:
+    """Conjugation as a map on indices, read off the matrix ``gaps`` whose
+    entry (i, j) is the distance from the conjugate of item i to item j:
+    entry i is i when ``gaps[i][i] < tol``, else the j != i of smallest
+    gap below ``tol`` (the first on a tie), or None when there is none.
+    On a set closed under conjugation the map is an involution; callers
+    check that it is one."""
+    g = np.array(gaps, dtype=float)
+    if not len(g):
+        return []
+    fixed = np.diag(g) < tol
+    np.fill_diagonal(g, np.inf)
+    nearest = g.argmin(axis=1)
+    return [i if fixed[i] else int(j) if g[i, j] < tol else None for i, j in enumerate(nearest)]
 
 
 def classify(registry_or_list) -> ClassifiedSet:
@@ -122,7 +119,8 @@ def classify(registry_or_list) -> ClassifiedSet:
         if not isinstance(dec, Decomposition):
             raise TypeError("expected Decomposition entries")
 
-    partners = conjugate_partners(decs, Decomposition.conjugate, canonical_distance, DEDUP_TOL)
+    gaps = [[canonical_distance(conj, other) for other in decs] for conj in (dec.conjugate() for dec in decs)]
+    partners = conjugate_partners(gaps, DEDUP_TOL)
     classes = []
     for i, j in enumerate(partners):
         if j is None:

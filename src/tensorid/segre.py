@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .elliptic import DEDUP_TOL, merge_section_points
+from .elliptic import DEDUP_TOL, merge_section_points, projective_distances
 
 # |alpha| or |beta| of an eigenvalue of the unit-norm pencil at or below this
 # is 0: on 1,600 generic (2,2), (2,4), (4,2) and (3,3) sections max(|alpha|,
@@ -200,9 +200,11 @@ def solve_section(spec: SegreSpec, space: LinearSpace, seed: int = 0) -> Section
     u rotated by a random real orthogonal R and h a random real vector,
     both drawn from ``seed``.  The images Delta_l z of an eigenvector z
     are parallel, with coefficients u; v is the null vector of the
-    equations at u, and a batched Newton polish follows.  The points
-    u (x) v are deduplicated projectively and returned normalized, real
-    ones first, in a deterministic order.
+    equations at u, and a batched Newton polish follows.  Two u closer
+    than ``DEDUP_TOL`` are a double point.  The points u (x) v are
+    merged by ``elliptic.merge_section_points``: returned normalized,
+    real ones first in coordinate order, then each non-real one
+    followed by its conjugate.
 
     Raises DeficientSectionError naming the reason: the section is not
     finite (the pencil is singular, or the equations at some u leave a
@@ -231,8 +233,8 @@ def solve_section(spec: SegreSpec, space: LinearSpace, seed: int = 0) -> Section
     _, svals, vh = np.linalg.svd(np.einsum("dl,klj->dkj", u, eqs))
     if svals[:, -2].min() <= NULL_TOL:
         raise DeficientSectionError("the section is not finite: it contains a line")
-    cosines = np.abs(u.conj() @ u.T) - np.eye(len(u))  # of the angles between unit u's, 0 on the diagonal
-    if 1.0 - cosines.max() ** 2 < DEDUP_TOL**2:
+    sines = projective_distances(u, u) + np.eye(len(u))  # of the angles between the u's, 1 added on the diagonal
+    if sines.min() < DEDUP_TOL:
         raise DeficientSectionError(f"double point: two eigenvalues merge within {DEDUP_TOL:g}")
     u, v = _polish(eqs, u, vh[:, -1].conj())
     points = np.einsum("di,dj->dij", *((v, u) if a1 > a2 else (u, v))).reshape(len(u), -1)

@@ -342,6 +342,23 @@ def test_report_config_holds_what_the_command_reads(tmp_path, args, settings):
     assert main([*args, "--seed", "5", "--output", str(seeded)]) == (0 if settings else 1)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["waring", "--d", "3", "--n", "1", "--r", "2"],
+        ["elliptic", "point", "--construct", "s1"],
+        ["segre", "section", "--dims", "2,2"],
+        ["segre", "search", "--dims", "1,2", "--target", "3,0"],
+    ],
+    ids=["waring", "elliptic-point", "segre-section", "segre-search"],
+)
+def test_negative_seed_exit_1_naming_the_option(tmp_path, capsys, args):
+    out = tmp_path / "report.json"
+    assert main([*args, "--seed", "-1", "--output", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reports_are_deterministic(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

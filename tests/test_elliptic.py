@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tensorid import elliptic, homotopy
+from tensorid import elliptic, homotopy, segre
 from tensorid.elliptic import (
     DEGENERATE,
     S1,
@@ -66,6 +66,41 @@ def test_merge_section_points_rejects_an_unpaired_nonreal_point(partner):
         vectors.append(np.conjugate(z) + partner * 1j)
     with pytest.raises(ValueError, match="not conjugation-closed"):
         elliptic.merge_section_points(vectors)
+
+
+def _assert_pairs_side_by_side(points, real_count):
+    assert all(is_real_point(p) for p in points[:real_count])
+    nonreal = points[real_count:]
+    assert len(nonreal) % 2 == 0
+    for p, q in zip(nonreal[::2], nonreal[1::2]):
+        assert not is_real_point(p)
+        assert projective_distance(np.conj(p), q) < 1e-6
+
+
+def test_merge_section_points_pairs_conjugates_side_by_side(pencil):
+    # a random (2,4) section, a (0,4) plane, and two conjugate pairs whose
+    # coordinate order interleaves them, one point with two coordinates
+    # of equal modulus, where the chart is a tie-break
+    spec = segre.SegreSpec((2, 4))
+    section = segre.solve_section(spec, segre.random_section_space(spec, seed=1), seed=1)
+    assert section.signature[1] > 0
+    plane_points, sig = intersect_plane(pencil, np.array([0.0, 0.0, 1.0, -2.0]))
+    assert sig.as_tuple() == (0, 4)
+    z, w = np.array([0.5 + 0.3j, 1.0, 1.0j]), np.array([0.5 + 0.1j, 1.0, -0.2])
+    firsts = [z, np.array([0.0, 3.0, -1.0]), np.conj(z), w, np.conj(w), np.array([2.0, -2.0, 1.0])]
+    repeats = [2.0 * z, (1 + 1e-9) * np.conj(z), 1j * np.conj(w), -3.0 * firsts[1]]
+    rng = np.random.default_rng(0)
+    for first, later in ((list(section.points), []), (plane_points, []), (firsts, repeats)):
+        points, real_count = elliptic.merge_section_points(first + later)
+        assert len(points) == len(first)
+        _assert_pairs_side_by_side(points, real_count)
+        for _ in range(5):
+            # every first copy still comes before its repeats
+            shuffled = [first[i] for i in rng.permutation(len(first))]
+            shuffled += [later[i] for i in rng.permutation(len(later))]
+            again, again_real = elliptic.merge_section_points(shuffled)
+            assert again_real == real_count
+            assert [p.tobytes() for p in again] == [p.tobytes() for p in points]
 
 
 def test_plane_basis_of_huge_coefficients():

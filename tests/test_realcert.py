@@ -106,9 +106,15 @@ def test_classify_rejects_non_decompositions():
 
 
 def test_conjugate_partners_maps_each_item_to_its_nearest_conjugate():
-    items = [1 + 1j, 2.0, 1 - 1j + 1e-9, 3 + 0.5j]
-    partners = conjugate_partners(items, np.conjugate, lambda a, b: abs(a - b), 1e-6)
-    assert partners == [2, 1, 0, None]
+    def gaps(items):
+        return [[abs(np.conjugate(a) - b) for b in items] for a in items]
+
+    assert conjugate_partners(gaps([1 + 1j, 2.0, 1 - 1j + 1e-9, 3 + 0.5j]), 1e-6) == [2, 1, 0, None]
+    # a tie goes to the first j
+    assert conjugate_partners(gaps([1 + 1j, 1 - 1j, 1 - 1j]), 1e-6) == [1, 0, 0]
+    # a section without non-real points pairs an empty matrix
+    assert conjugate_partners(gaps([]), 1e-6) == []
+    assert conjugate_partners(np.zeros((0, 0)), 1e-6) == []
 
 
 def test_classify_reads_classes_off_the_involution():
