@@ -11,7 +11,6 @@ real point counts of linear sections of Segre varieties.
 
 from .homotopy import (
     PathStatus,
-    SegmentHomotopy,
     SingularJacobianError,
     condition_estimate,
     solve_total_degree,
@@ -64,7 +63,6 @@ __all__ = [
     "PathStatus",
     "PolySystem",
     "REAL",
-    "SegmentHomotopy",
     "SingularJacobianError",
     "SolutionRegistry",
     "StopPolicy",

@@ -8,9 +8,9 @@ and, under ``config``, the output path and every setting the run read:
 the seed where a command draws at random, and the stop policy of
 ``waring``; complex numbers serialize as [re, im] pairs.
 
-Exit codes: 0 success, 1 usage or input error, 2 solve did not
-stabilize within the loop budget, 3 signature search exhausted its
-attempts.
+Exit codes: 0 success, 1 usage or input error (a fixture or report
+path that cannot be opened among them), 2 solve did not stabilize
+within the loop budget, 3 signature search exhausted its attempts.
 """
 
 import json
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except click.ClickException as err:
         err.show()
         return 1
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         click.echo(f"error: {err}", err=True)
         return 1
     return rv if isinstance(rv, int) else 0

@@ -183,7 +183,7 @@ def merge_section_points(vectors):
     for i in range(len(points)):
         if (sines[i, keep] >= DEDUP_TOL).all():
             keep.append(i)
-    real = np.array([is_real_point(points[i]) for i in keep], dtype=bool)
+    real = is_real_point(points[keep])
     order = np.asarray(keep)[_lex_order(points[keep], ~real)]
     real_count = int(real.sum())
     nonreal = order[real_count:]
@@ -419,7 +419,7 @@ def secant_lines_through(pencil: QuadricPencil, point):
     lam, vecs = np.linalg.eigh(basis.T @ qp @ basis)
     y0, y1 = np.sqrt(np.array([lam[1], -lam[0]], dtype=np.complex128))
 
-    lines: list = []
+    found: list = []  # (direction, t1, t2, contacts) of the genuine secants
     for d in (basis @ vecs @ [y0, sign * y1] for sign in (1.0, -1.0)):
         d = normalize_projective(d)  # a real line then has real contact parameters
         a1 = complex(d @ q1m @ d)
@@ -443,19 +443,21 @@ def secant_lines_through(pencil: QuadricPencil, point):
             for qm, sq in ((q1m, s1), (q2m, s2))
         ):
             continue  # not a genuine common intersection
-        if any(projective_distance(d, ln.direction) < DEDUP_TOL for ln in lines):
+        found.append((d, t1, t2, xs))
+
+    # from each direction, then each direction's conjugate, to each direction
+    dirs = np.array([d for d, *_ in found]).reshape(len(found), 4)
+    sines = projective_distances(np.concatenate([dirs, dirs.conj()]), dirs)
+    lines: list = []
+    kept: list = []
+    for i, (d, t1, t2, xs) in enumerate(found):
+        if (sines[i, kept] < DEDUP_TOL).any():
             continue
+        kept.append(i)
         pts = [normalize_projective(x) for x in xs]
-        lines.append(
-            SecantLine(
-                direction=d,
-                t1=complex(t1),
-                t2=complex(t2),
-                points=tuple(pts),
-                is_real_line=projective_distance(d, np.conjugate(d)) < TANGENT_TOL,
-                points_real=tuple(is_real_point(x) for x in pts),
-            )
-        )
+        lines.append(SecantLine(direction=d, t1=complex(t1), t2=complex(t2), points=tuple(pts),
+                                is_real_line=bool(sines[len(found) + i, i] < TANGENT_TOL),
+                                points_real=tuple(is_real_point(x) for x in pts)))
 
     if len(lines) != 2:
         raise DegeneratePointError(f"expected 2 secant lines, found {len(lines)}")

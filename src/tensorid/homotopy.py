@@ -1,21 +1,19 @@
-"""Predictor-corrector tracking of segment homotopies in parameter space.
+"""Predictor-corrector tracking of straight segments in parameter space.
 
-A segment homotopy moves the parameters of a square PolySystem along
-
-    p(t) = (1 - t) * gamma * p_start + t * p_end,      t in [0, 1],
-
-with |gamma| = 1.  The tracker advances solutions along the induced ODE
-J dx/dt = -dF/dp * dp/dt: a cubic Hermite predictor through the last
-two accepted points and their tangents (Euler on a path's first step,
-or where the cubic strays further from the Euler guess than the Euler
-step is long), then a short Newton corrector at the new t.  Step
-control doubles the step after three consecutive accepted steps, halves
-it on corrector failure and declares the path singular once the step
-falls below ``MIN_STEP``.
-``track_paths`` advances all starts of one homotopy in lockstep, each
-with its own t and step, through stacked evaluations; ``track`` is its
-one-start call.  The segment is shared by the starts or given per
-start, so one call can carry the paths of many segments.
+Each path moves the parameters of a square PolySystem along its own
+segment p(t) = (1 - t) * origin + t * target, t in [0, 1], given as one
+parameter row per path (a caller that twists a segment by a
+unit-modulus gamma passes the twisted origin).  The tracker advances
+solutions along the induced ODE J dx/dt = -dF/dp * dp/dt: a cubic
+Hermite predictor through the last two accepted points and their
+tangents (Euler on a path's first step, or where the cubic strays
+further from the Euler guess than the Euler step is long), then a short
+Newton corrector at the new t.  Step control doubles the step after
+three consecutive accepted steps, halves it on corrector failure and
+declares the path singular once the step falls below ``MIN_STEP``.
+``track_paths`` advances all starts in lockstep, each with its own
+segment, t and step, through stacked evaluations; ``track`` is its
+one-start call.
 
 A path that reaches t=1 may still end on a singular solution, since the
 predictor can carry it onto a multiple root.  ``track_and_polish``
@@ -67,68 +65,6 @@ MIN_STEP = 1e-13
 MAX_STEPS = 200000
 # solve_total_degree drops target coefficients this small
 PRUNE_TOL = 1e-14
-
-
-@dataclass
-class SegmentHomotopy:
-    """Straight parameter segment with an optional unit-modulus twist.
-
-    With gamma != 1 the path starts at gamma * params_start, whose
-    solution set is reachable from the solutions at params_start by an
-    exact rescaling whenever the system is jointly linear in parameters
-    and one unknown block (the caller supplies the rescaled start).
-
-    The segment is shared by every start, or given per row: each of
-    ``params_start`` and ``params_end`` is one (P,) vector or a (K, P)
-    stack, and ``gamma`` one value or a (K,) array, row k belonging to
-    start k.  A shared field stays one vector.
-    """
-
-    system: PolySystem
-    params_start: np.ndarray
-    params_end: np.ndarray
-    gamma: complex = 1.0 + 0j
-
-    def __post_init__(self):
-        p = self.system.num_params
-        for name in ("params_start", "params_end"):
-            value = np.asarray(getattr(self, name), dtype=np.complex128)
-            if value.ndim not in (1, 2) or value.shape[-1] != p:
-                raise ValueError(f"{name} must have shape ({p},) or (K, {p}), got {value.shape}")
-            setattr(self, name, value)
-        if np.ndim(self.gamma) == 1:
-            self.gamma = np.asarray(self.gamma, dtype=np.complex128)
-        elif np.ndim(self.gamma) != 0:
-            raise ValueError(f"gamma must be one value or one per row, got shape {np.shape(self.gamma)}")
-        if not np.all(np.abs(np.abs(self.gamma) - 1.0) <= 1e-12):
-            raise ValueError("gamma must have modulus 1")
-        self.rows = next((len(v) for v in self._per_row().values()), None)
-        self.check_rows(self.rows)
-
-    def _per_row(self) -> dict:
-        fields = {"params_start": self.params_start, "params_end": self.params_end}
-        fields = {name: v for name, v in fields.items() if v.ndim == 2}
-        if np.ndim(self.gamma):
-            fields["gamma"] = self.gamma
-        return fields
-
-    def check_rows(self, k):
-        """Raise ValueError naming the first per-row field without k rows."""
-        for name, value in self._per_row().items():
-            if len(value) != k:
-                raise ValueError(f"{name} has {len(value)} rows for {k} starts")
-
-    @property
-    def origin(self) -> np.ndarray:
-        """gamma * params_start; per-row twists are applied row by row, so
-        that each row rounds as the same segment given alone does."""
-        if not np.ndim(self.gamma):
-            return self.gamma * self.params_start
-        starts = np.broadcast_to(self.params_start, (self.rows, self.system.num_params))
-        return np.array([g * s for g, s in zip(self.gamma.tolist(), starts)])
-
-    def params_at(self, t) -> np.ndarray:
-        return (1.0 - t) * self.origin + t * self.params_end
 
 
 @dataclass
@@ -209,7 +145,7 @@ def _residuals(vals, scales):
 def _newton(system, params, points, tol, max_iters, max_move=None):
     """Newton iteration at fixed parameters for a (K, N) stack of points.
 
-    ``params`` is one parameter vector or a (K, P) stack, and
+    ``params`` is the (K, P) stack of each row's parameters, and
     ``max_move`` None or a (K,) array.  Returns (best_points,
     best_residuals, best_state), where best_state is the (values,
     scales, jacobian) stack of ``system.full_state`` at best_points.
@@ -225,8 +161,6 @@ def _newton(system, params, points, tol, max_iters, max_move=None):
     """
     x = np.array(points, dtype=np.complex128)
     k = len(x)
-    if params.ndim == 1:
-        params = np.broadcast_to(params, (k, len(params)))
     best = [x, *system.full_state(x, params)]
     best_res = _residuals(best[1], best[2]).tolist()
     rows = [i for i in range(k) if not best_res[i] < tol]
@@ -295,61 +229,60 @@ def _hermite_guess(x, back_dt, speed, h, step_back, back_prev, speed_prev, h_pre
     return np.where(cubic[:, None], euler + corr, euler)
 
 
-def track(homotopy: SegmentHomotopy, start) -> PathResult:
-    """Track one solution of a segment homotopy from t=0 to t=1.
+def track(system: PolySystem, origin, target, start) -> PathResult:
+    """Track one solution along the segment from the (P,) parameter
+    vector ``origin`` at t=0 to ``target`` at t=1; ``start`` solves the
+    system at ``origin``.
 
-    Args:
-        homotopy: the parameter segment to follow.
-        start: solution of the system at ``params_at(0)``.
-
-    Returns:
-        PathResult with the endpoint at t=1 on success; otherwise the
-        last accepted point and the reason tracking stopped.  This is
-        ``track_paths`` on one start.
+    Returns a PathResult with the endpoint at t=1 on success; otherwise
+    the last accepted point and the reason tracking stopped.  This is
+    ``track_paths`` on one start.
     """
-    return track_paths(homotopy, [start])[0]
+    return track_paths(system, np.asarray(origin)[None], np.asarray(target)[None], [start])[0]
 
 
-def track_paths(homotopy: SegmentHomotopy, starts) -> list:
-    """Track every start of one segment homotopy from t=0 to t=1 in lockstep.
+def track_paths(system: PolySystem, origin, target, starts) -> list:
+    """Track every start from t=0 to t=1 in lockstep, start k along the
+    segment (1 - t) * origin[k] + t * target[k].
 
-    Each path keeps its own t, step, streak, step count and status, and
-    makes exactly the accept and reject decisions it makes when tracked
-    alone; the live paths share each evaluation of the system and of its
-    parameter tangent, as one (K, N) stack.  The predictor of each path
-    is ``_hermite_guess`` from its last two accepted points; their
-    tangents are computed once each, after the step that reached the
-    point.  A rejected step keeps both tangents and the previous point,
-    since the points, the Jacobian and the parameter velocity they came
-    from are unchanged.  A path leaves the stack when it ends, and so do
-    its rows of a per-row segment.
+    ``origin`` and ``target`` are (K, P) arrays, one parameter row per
+    start.  Each path keeps its own t, step, streak, step count and
+    status, and makes exactly the accept and reject decisions it makes
+    when tracked alone; the live paths share each evaluation of the
+    system and of its parameter tangent, as one (K, N) stack.  The
+    predictor of each path is ``_hermite_guess`` from its last two
+    accepted points; their tangents are computed once each, after the
+    step that reached the point.  A rejected step keeps both tangents
+    and the previous point, since the points, the Jacobian and the
+    parameter velocity they came from are unchanged.  A path leaves the
+    stack when it ends, and so do its segment's rows.
 
     Returns one PathResult per start, in start order.  Raises ValueError
-    when a start is not a solution at t=0, or when a per-row field of
-    the segment does not have one row per start.
+    when ``origin`` or ``target`` is not one parameter row per start, or
+    when a start is not a solution at t=0.
     """
-    sys_ = homotopy.system
     tol = CORRECTOR_TOL
     starts = list(starts)
+    shape = (len(starts), system.num_params)
+    origin, target = (np.asarray(v, dtype=np.complex128) for v in (origin, target))
+    for name, rows in (("origin", origin), ("target", target)):
+        if rows.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, one parameter row per start, got {rows.shape}")
     if not starts:
         return []
     x = np.array(starts, dtype=np.complex128)
     k = len(x)
-    homotopy.check_rows(k)
-    # the segment's (P,) or per-row (K, P) arrays, params_at(t) = at(t)
-    origin, target = homotopy.origin, homotopy.params_end
     dp = target - origin
 
     def at(t):
         return (1.0 - t) * origin + t * target
 
     params0 = at(0.0)
-    vals, scales, jac = sys_.full_state(x, params0)
+    vals, scales, jac = system.full_state(x, params0)
     res = _residuals(vals, scales)
     redo = [i for i, r in enumerate(res.tolist()) if not r < 10.0 * tol]
     if redo:
-        own = params0 if params0.ndim == 1 else params0[redo]
-        fixed = _newton(sys_, own, x[redo], tol, MAX_CORRECTOR_ITERS)
+        fixed = _newton(system, params0[redo], x[redo], tol, MAX_CORRECTOR_ITERS)
         for r in fixed[1].tolist():
             if not r < tol:
                 raise ValueError(f"start point is not a solution at t=0 (residual {r:.3e})")
@@ -389,8 +322,7 @@ def track_paths(homotopy: SegmentHomotopy, starts) -> list:
         if fresh:
             sel = fresh if len(fresh) < len(paths) else slice(None)
             # back is -dx/dt; rows without a tangent are zero
-            velocity = dp if dp.ndim == 1 else dp[sel]
-            back, ok = _lu_solve_scaled(jac[sel], sys_.param_tangent(x[sel], velocity), scales[sel])
+            back, ok = _lu_solve_scaled(jac[sel], system.param_tangent(x[sel], dp[sel]), scales[sel])
             back_dt[sel] = back
             speed[sel] = np.maximum.reduce(np.abs(back), axis=1)
             # The corrector only has to undo the predictor's curvature
@@ -402,7 +334,7 @@ def track_paths(homotopy: SegmentHomotopy, starts) -> list:
                 speed[[j for j, good in zip(fresh, ok) if not good]] = np.inf
             stale = [False] * len(paths)
         x_new, res_new, state_new = _newton(
-            sys_,
+            system,
             at(np.array(t_next)[:, None]),
             _hermite_guess(x, back_dt, speed, hs, step_back, back_prev, speed_prev, h_prev),
             tol,
@@ -459,7 +391,7 @@ def track_paths(homotopy: SegmentHomotopy, starts) -> list:
             step_back, back_prev, speed_prev, h_prev = (
                 a[live] for a in (step_back, back_prev, speed_prev, h_prev)
             )
-            origin, target, dp = (a if a.ndim == 1 else a[live] for a in (origin, target, dp))
+            origin, target, dp = (a[live] for a in (origin, target, dp))
 
     return results
 
@@ -533,14 +465,15 @@ def solve_total_degree(targets, rng: np.random.Generator | None = None):
         start_axis_roots.append([root * cmath.exp(2j * cmath.pi * k / d) for k in range(d)])
 
     system = PolySystem(rows, num_unknowns=n, num_params=len(p_end))
-    hom = SegmentHomotopy(system, p_start, p_end)
-    starts = (np.asarray(c, dtype=np.complex128) for c in itertools.product(*start_axis_roots))
-    return track_and_polish(hom, starts)
+    starts = [np.asarray(c, dtype=np.complex128) for c in itertools.product(*start_axis_roots)]
+    shape = (len(starts), len(p_end))
+    origin, target = (np.broadcast_to(np.asarray(p, dtype=np.complex128), shape) for p in (p_start, p_end))
+    return track_and_polish(system, origin, target, starts)
 
 
-def track_and_polish(homotopy: SegmentHomotopy, starts):
-    """Track every start to t=1 in lockstep and Newton-polish the
-    endpoints at ``params_end``, as one stack.
+def track_and_polish(system: PolySystem, origin, target, starts):
+    """Track every start to t=1 in lockstep, as ``track_paths``, and
+    Newton-polish each endpoint at its own ``target`` row, as one stack.
 
     A path that reached t=1 ends on a regular root when its polished
     residual is below ``CORRECTOR_TOL`` and one more Newton step from
@@ -552,12 +485,12 @@ def track_and_polish(homotopy: SegmentHomotopy, starts):
     Returns the (endpoint, residual) pairs that passed polish, in start
     order.
     """
-    system, p_end = homotopy.system, homotopy.params_end
-    results = track_paths(homotopy, starts)
+    results = track_paths(system, origin, target, starts)
     polished = []
     success = [i for i, r in enumerate(results) if r.success]
     if success:
-        x, res, (vals, scales, jac) = _newton(system, p_end, [results[i].endpoint for i in success], 1e-13, 30)
+        ends = [results[i].endpoint for i in success]
+        x, res, (vals, scales, jac) = _newton(system, np.asarray(target)[success], ends, 1e-13, 30)
         # one more Newton step from the polished point: at a regular root
         # it is a rounding-sized move, at a singular one it is not
         dx, ok = _lu_solve_scaled(jac, vals, scales)

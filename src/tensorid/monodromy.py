@@ -8,17 +8,19 @@ come back as new solutions; the loop runs until no loop has produced
 anything new for a while, a requested count is reached, or a loop
 budget is exhausted.
 
-Leaving a real base point, the first leg twists the start parameters by
-a random unit-modulus gamma.  The system is jointly linear in the
-weights and the parameters, so scaling every lambda by gamma turns a
-known solution at p0 into an exact solution at gamma * p0, and the
-segment gamma*p0 -> q1 stays clear of the real discriminant.
+Leaving a real base point, the first leg starts from the twisted base
+gamma * p0, for a random unit-modulus gamma.  The system is jointly
+linear in the weights and the parameters, so scaling every lambda by
+gamma turns a known solution at p0 into an exact solution at
+gamma * p0, and the segment gamma*p0 -> q1 stays clear of the real
+discriminant.
 
 The default stop rule, some number of consecutive fruitless loops, fixes
 before a loop runs how many more loops will run whatever they find.
 Those loops run as one batch: their triangles are drawn in order, and
 the registry travels around all of them as one stack, one tracker call
-per leg with each row on its own loop's segment.  The loops are then
+per leg with each row on its own loop's segment, given as its own
+origin and target parameter rows.  The loops are then
 settled in order, each inserting its endpoints and carrying, in one
 extra stack, whatever an earlier loop of the batch found; so every loop
 carries the registry it would carry alone, and the solutions, history
@@ -32,7 +34,6 @@ import numpy as np
 
 from .homotopy import (
     _SINGULAR_RATIO,
-    SegmentHomotopy,
     SingularJacobianError,
     _newton,
     condition_estimate,
@@ -167,7 +168,7 @@ class SolutionRegistry:
             vec = candidate.to_vector()
         else:
             vec = np.asarray(candidate, dtype=np.complex128)
-        vec, res, _ = _newton(self.system, self.base_params, vec[None], 5e-14, 25)
+        vec, res, _ = _newton(self.system, self.base_params[None], vec[None], 5e-14, 25)
         if not res[0] < RESIDUAL_TOL:
             return False
         dec = Decomposition.from_vector(vec[0], self.n)
@@ -232,14 +233,14 @@ def _transport(registry: SolutionRegistry, loops, solutions) -> list:
         for dec in solutions
     ]
     q1, q2 = (np.array([loop.aux_params[i] for loop in loops]) for i in (0, 1))
-    gamma = np.array([loop.gamma_out for loop in loops])
-    for leg, vertices in enumerate(((p0, q1), (q1, q2), (q2, p0))):
+    # the parameter rows of each loop's vertices; leg 0 leaves the
+    # twisted base, where the rescaled xs are solutions
+    twisted = np.array([loop.gamma_out for loop in loops])[:, None] * p0
+    for origin, target in ((twisted, q1), (q1, q2), (q2, np.broadcast_to(p0, q2.shape))):
         if not xs:
             break
         rows = np.array(owner)
-        start, end = (v if v is p0 else v[rows] for v in vertices)
-        twist = gamma[rows] if leg == 0 else 1.0
-        results = track_paths(SegmentHomotopy(registry.system, start, end, twist), xs)
+        results = track_paths(registry.system, origin[rows], target[rows], xs)
         xs = [r.endpoint for r in results if r.success]
         owner = [b for b, r in zip(owner, results) if r.success]
     ends = [[] for _ in loops]

@@ -184,9 +184,9 @@ class PolySystem:
 
     def _blocks(self, point, params):
         """(points, number of points, blocks): each point's flattened (E+1, N)
-        powers table, whose row e holds x**e, then its parameters (one
-        vector for all points or one per point), laid end to end; checks
-        the lengths."""
+        powers table, whose row e holds x**e, then its own parameters,
+        laid end to end; checks the lengths, and that there is one
+        parameter row per point."""
         x = np.asarray(point, dtype=np.complex128)
         p = np.asarray(params, dtype=np.complex128)
         if x.shape[-1] != self.num_unknowns:
@@ -197,9 +197,12 @@ class PolySystem:
             raise DimensionMismatchError(
                 f"got {p.shape[-1]} parameters, expected {self.num_params}"
             )
+        if p.shape[:-1] != x.shape[:-1]:
+            raise DimensionMismatchError(
+                f"got parameters of shape {p.shape} for points of shape {x.shape}: "
+                "need one parameter row per point"
+            )
         k = 1 if x.ndim == 1 else len(x)
-        if p.ndim < x.ndim:
-            p = p[None].repeat(k, axis=0)
         block = [np.empty_like(x), x]
         block[0].fill(1.0)
         for _ in range(1, self._max_exp):
@@ -216,9 +219,9 @@ class PolySystem:
         them, which is the only meaningful notion once coefficients span
         many orders of magnitude.
 
-        ``point`` may be a (K, N) stack of points, with one parameter
-        vector or a (K, P) stack; the results then carry the leading K
-        axis, and row k equals the call on row k alone.
+        ``point`` may be a (K, N) stack of points, with a (K, P) stack
+        of parameters; the results then carry the leading K axis, and
+        row k equals the call on row k alone.
         """
         x, k, blocks = self._blocks(point, params)
         (eq, eq_rows), (jac, jac_rows) = self._state.terms(blocks, k)
@@ -232,7 +235,8 @@ class PolySystem:
     def param_tangent(self, point, dparams) -> np.ndarray:
         """Directional derivative M(x) dp of the system along a parameter
         velocity dp; it does not depend on the parameters.  ``point`` may
-        be a (K, N) stack, as in ``full_state``."""
+        be a (K, N) stack, with a (K, P) stack of velocities, as in
+        ``full_state``."""
         x, k, blocks = self._blocks(point, dparams)
         ((values, rows),) = self._tangent.terms(blocks, k)
         return _sum_rows(values, rows).reshape(x.shape[:-1] + (-1,))

@@ -31,11 +31,15 @@ class UnpairedDecompositionError(RuntimeError):
     """A non-real decomposition has no conjugate partner in the set."""
 
 
-def is_real_point(values, real_tol: float = REAL_TOL) -> bool:
-    """Componentwise realness relative to the largest coordinate."""
-    v = np.asarray(values, dtype=np.complex128).ravel()
-    scale = 1.0 + np.max(np.abs(v), initial=0.0)
-    return bool(np.max(np.abs(v.imag), initial=0.0) < real_tol * scale)
+def is_real_point(values, real_tol: float = REAL_TOL):
+    """Componentwise realness relative to the largest coordinate.
+
+    One (N,) point gives a bool; a (K, N) stack gives a (K,) bool array,
+    row k judged relative to its own largest coordinate."""
+    v = np.asarray(values, dtype=np.complex128)
+    scale = 1.0 + np.max(np.abs(v), axis=-1, initial=0.0)
+    real = np.max(np.abs(v.imag), axis=-1, initial=0.0) < real_tol * scale
+    return bool(real) if v.ndim == 1 else real
 
 
 def _is_real_decomposition(dec: Decomposition) -> bool:

@@ -26,7 +26,7 @@ from tensorid.elliptic import (
     pencil_scan,
     projective_distance,
 )
-from tensorid.homotopy import SegmentHomotopy, track
+from tensorid.homotopy import track
 from tensorid.monodromy import canonical_distance
 from tensorid.poly import PolySystem
 from tensorid.realcert import classify
@@ -247,15 +247,12 @@ def test_criterion_8_property_suite(capsys, quintic_run):
         sys1 = PolySystem([cubic], num_unknowns=1, num_params=1)
         roots = [np.array([np.exp(2j * np.pi * k / 3)]) for k in range(3)]
         g = np.exp(2j * np.pi * 0.37)
-        legs = [
-            SegmentHomotopy(sys1, np.array([1.0 + 0j]), np.array([g])),
-            SegmentHomotopy(sys1, np.array([g]), np.array([1.0 + 0j])),
-        ]
+        legs = [([1.0 + 0j], [g]), ([g], [1.0 + 0j])]
         ends = []
         for root in roots:
             x_cur = root
-            for leg in legs:
-                res = track(leg, x_cur)
+            for origin, target in legs:
+                res = track(sys1, origin, target, x_cur)
                 assert res.success
                 x_cur = res.endpoint
             ends.append(complex(x_cur[0]))

@@ -72,6 +72,29 @@ def test_waring_missing_fixture():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "args, culprit",
+    [
+        (["waring", "--d", "3", "--n", "1", "--r", "2", "--fixture", "{dir}"], "{dir}"),
+        (["waring", "--d", "3", "--n", "1", "--r", "2", "--seed", "1", "--output", "{file}/x.json"], "{file}"),
+        (["segre", "profile", "--dims", "2,4", "--output", "{file}/x.json"], "{file}"),
+    ],
+    ids=["fixture-is-a-directory", "waring-output-under-a-file", "segre-output-under-a-file"],
+)
+def test_unopenable_file_exit_1(tmp_path, capsys, args, culprit):
+    # a path that cannot be read or written is an input error, named on
+    # stderr, not a traceback; the waring report fails after the solve
+    (tmp_path / "file").write_text("")
+    names = {"{dir}": str(tmp_path), "{file}": str(tmp_path / "file")}
+    for key, value in names.items():
+        args, culprit = [a.replace(key, value) for a in args], culprit.replace(key, value)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert culprit in err
+    assert "Traceback" not in err
+
+
 GOOD_CUBIC = [{"l": [0.5], "lambda": 1.0}, {"l": [-0.3], "lambda": 2.0}]
 
 

@@ -9,7 +9,6 @@ import pytest
 from tensorid import homotopy
 from tensorid.homotopy import (
     PathStatus,
-    SegmentHomotopy,
     _lu_solve_scaled,
     _newton,
     condition_estimate,
@@ -27,36 +26,28 @@ def _square_root_system():
 
 
 def test_track_follows_positive_branch():
-    sys_ = _square_root_system()
-    hom = SegmentHomotopy(sys_, [1.0], [4.0])
-    result = track(hom, [1.0])
+    result = track(_square_root_system(), [1.0], [4.0], [1.0])
     assert result.status is PathStatus.SUCCESS
     assert result.endpoint[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_track_follows_negative_branch():
-    sys_ = _square_root_system()
-    hom = SegmentHomotopy(sys_, [1.0], [4.0])
-    result = track(hom, [-1.0])
+    result = track(_square_root_system(), [1.0], [4.0], [-1.0])
     assert result.success
     assert result.endpoint[0] == pytest.approx(-2.0, abs=1e-8)
 
 
 def test_track_rejects_non_solution_start():
-    sys_ = _square_root_system()
-    hom = SegmentHomotopy(sys_, [1.0], [4.0])
     with pytest.raises(ValueError):
-        track(hom, [0.5])
+        track(_square_root_system(), [1.0], [4.0], [0.5])
 
 
 @pytest.mark.parametrize("start", [np.nan, 1e200])
 def test_track_rejects_non_finite_residual_start(start):
     # x^2 - p at nan or 1e200: the scaled residual is nan
-    sys_ = _square_root_system()
-    hom = SegmentHomotopy(sys_, [1.0], [4.0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="not a solution"):
-            track(hom, [start])
+            track(_square_root_system(), [1.0], [4.0], [start])
 
 
 def test_track_evaluates_each_state_once(monkeypatch):
@@ -69,7 +60,7 @@ def test_track_evaluates_each_state_once(monkeypatch):
 
     monkeypatch.setattr(PolySystem, "full_state", recording)
     sys_ = _square_root_system()
-    result = track(SegmentHomotopy(sys_, [1.0], [4.0 + 3.0j]), [1.0])
+    result = track(sys_, [1.0], [4.0 + 3.0j], [1.0])
     assert result.success
     assert len(calls) > result.steps_taken
     for (x0, p0), (x1, p1) in zip(calls, calls[1:]):
@@ -81,7 +72,7 @@ def test_newton_returns_state_at_its_point(max_move):
     # x^2 - p from 1.3 at p = 2: converges, or stops at the start when the
     # first update (about 0.12) exceeds max_move
     sys_ = _square_root_system()
-    params = np.array([2.0 + 0j])
+    params = np.array([[2.0 + 0j]])
     move = None if max_move is None else np.array([max_move])
     x, res, state = _newton(sys_, params, [[1.3]], 1e-12, 8, max_move=move)
     if max_move is None:
@@ -97,46 +88,28 @@ def test_track_reports_divergence(monkeypatch):
     # x * p - 1: as p -> 0 the root runs to infinity
     xp = [(1.0, (1,), 0), (-1.0, (0,), -1)]
     sys_ = PolySystem([xp], num_unknowns=1, num_params=1)
-    hom = SegmentHomotopy(sys_, [1.0], [0.0])
     monkeypatch.setattr(homotopy, "DIVERGENCE_NORM", 1e6)
-    result = track(hom, [1.0])
+    result = track(sys_, [1.0], [0.0], [1.0])
     assert result.status in (PathStatus.DIVERGED, PathStatus.SINGULAR)
-
-
-def test_gamma_requires_unit_modulus():
-    sys_ = _square_root_system()
-    with pytest.raises(ValueError):
-        SegmentHomotopy(sys_, [1.0], [4.0], gamma=2.0)
-
-
-def test_segment_endpoints_reproduced_exactly():
-    sys_ = _square_root_system()
-    gamma = cmath.exp(0.7j)
-    hom = SegmentHomotopy(sys_, [1.0 + 2.0j], [4.0 - 1.0j], gamma=gamma)
-    assert hom.params_at(0.0)[0] == gamma * (1.0 + 2.0j)
-    assert hom.params_at(1.0)[0] == 4.0 - 1.0j
 
 
 def test_branch_continuity_under_smaller_steps(monkeypatch):
     sys_ = _square_root_system()
-    hom = SegmentHomotopy(sys_, [1.0], [4.0 + 3.0j])
-    a = track(hom, [1.0])
+    a = track(sys_, [1.0], [4.0 + 3.0j], [1.0])
     monkeypatch.setattr(homotopy, "INITIAL_STEP", 0.025)
     monkeypatch.setattr(homotopy, "MAX_STEP", 0.05)
-    b = track(hom, [1.0])
+    b = track(sys_, [1.0], [4.0 + 3.0j], [1.0])
     assert a.success and b.success
     assert abs(a.endpoint[0] - b.endpoint[0]) < 1e-6
 
 
 def test_conjugation_equivariance():
-    # real system, real parameter endpoints, conjugate gammas
+    # real system, real target, origins twisted by conjugate gammas
     sys_ = _square_root_system()
     gamma = cmath.exp(1.1j)
-    hom = SegmentHomotopy(sys_, [2.0], [5.0], gamma=gamma)
-    hom_conj = SegmentHomotopy(sys_, [2.0], [5.0], gamma=gamma.conjugate())
     start = cmath.sqrt(gamma * 2.0)
-    res = track(hom, [start])
-    res_conj = track(hom_conj, [start.conjugate()])
+    res = track(sys_, [gamma * 2.0], [5.0], [start])
+    res_conj = track(sys_, [gamma.conjugate() * 2.0], [5.0], [start.conjugate()])
     assert res.success and res_conj.success
     assert abs(res.endpoint[0].conjugate() - res_conj.endpoint[0]) < 1e-6
 
@@ -194,7 +167,7 @@ def test_solve_total_degree_checks_its_targets(monkeypatch, targets, error, matc
     # a leading coefficient of at most PRUNE_TOL is dropped, so x - 2 has
     # degree 1: one start path, to the root x = 2
     found = []
-    _, starts = _captured(monkeypatch, homotopy, lambda: found.extend(solve_total_degree(targets)))
+    *_, starts = _captured(monkeypatch, homotopy, lambda: found.extend(solve_total_degree(targets)))
     assert len(starts) == 1
     assert [complex(x[0]) for x, _ in found] == [pytest.approx(2.0, abs=1e-12)]
 
@@ -203,9 +176,9 @@ def test_round_trip_permutes_solution_set():
     # x^2 - p with a complex round trip: endpoint returns to +-sqrt(p0)
     sys_ = _square_root_system()
     p0, p1 = 2.0 + 0.5j, -3.0 + 2.0j
-    out = track(SegmentHomotopy(sys_, [p0], [p1]), [cmath.sqrt(p0)])
+    out = track(sys_, [p0], [p1], [cmath.sqrt(p0)])
     assert out.success
-    back = track(SegmentHomotopy(sys_, [p1], [p0]), out.endpoint)
+    back = track(sys_, [p1], [p0], out.endpoint)
     assert back.success
     root = cmath.sqrt(p0)
     d = min(abs(back.endpoint[0] - root), abs(back.endpoint[0] + root))
@@ -261,7 +234,7 @@ def test_rejected_step_keeps_its_tangent(monkeypatch):
         return out
 
     monkeypatch.setattr(homotopy, "_newton", recording_newton)
-    result = track(SegmentHomotopy(_square_root_system(), [1.0], [-1.0 + 1e-3j]), [1.0])
+    result = track(_square_root_system(), [1.0], [-1.0 + 1e-3j], [1.0])
     accepted = sum(r < homotopy.CORRECTOR_TOL for r in corrected)
     assert result.success
     assert len(corrected) == result.steps_taken > accepted
@@ -321,32 +294,26 @@ def test_hermite_guess_falls_back_to_euler():
 
 
 def _captured(monkeypatch, module, run):
-    """The (homotopy, starts) that ``run`` hands to ``module.track_and_polish``."""
+    """The (system, origin, target, starts) that ``run`` hands to
+    ``module.track_and_polish``."""
     seen = []
     real = homotopy.track_and_polish
 
-    def capture(hom, starts):
+    def capture(system, origin, target, starts):
         starts = list(starts)
-        seen.append((hom, starts))
-        return real(hom, starts)
+        seen.append((system, origin, target, starts))
+        return real(system, origin, target, starts)
 
     monkeypatch.setattr(module, "track_and_polish", capture)
     run()
     return seen[0]
 
 
-def _row(hom, k):
-    """Row k of a segment homotopy with a shared gamma, as a segment of
-    its own."""
-    start, end = (v if v.ndim == 1 else v[k] for v in (hom.params_start, hom.params_end))
-    return SegmentHomotopy(hom.system, start, end, hom.gamma)
-
-
-def _assert_batch_matches_solo(hom, starts):
-    batch = track_paths(hom, starts)
+def _assert_batch_matches_solo(system, origin, target, starts):
+    batch = track_paths(system, origin, target, starts)
     assert len(batch) == len(starts)
     for k, (start, got) in enumerate(zip(starts, batch)):
-        alone = track(_row(hom, k), start)
+        alone = track(system, origin[k], target[k], start)
         assert got.status is alone.status
         assert got.steps_taken == alone.steps_taken
         assert got.final_residual == pytest.approx(alone.final_residual, rel=1e-6, abs=1e-18)
@@ -358,7 +325,8 @@ def _assert_batch_matches_solo(hom, starts):
 def _bilinear_section_homotopy(a1, a2, equations, rng):
     """A 2-homogeneous linear-product homotopy to the Segre section
     u^T E_k v = 0, E_k row k of ``equations``, with its C(a1+a2, a1)
-    start roots.
+    start roots, as (system, origin, target, starts) with one twisted
+    segment for every start.
 
     Unknowns u (a1 + 1), then v (a2 + 1); the parameters are the entries
     of the E_k, and the random complex affine chart alpha.u = 1,
@@ -390,15 +358,17 @@ def _bilinear_section_homotopy(a1, a2, equations, rng):
         starts.append(np.concatenate([u, v]))
     p_start = (ell[:, :, None] * m[:, None, :]).ravel()
     gamma = np.exp(2j * np.pi * rng.random())
-    return SegmentHomotopy(system, p_start, np.asarray(equations).ravel(), gamma), starts
+    shape = (len(starts), system.num_params)
+    origin, target = (np.broadcast_to(p, shape) for p in (gamma * p_start, np.asarray(equations).ravel()))
+    return system, origin, target, starts
 
 
 def test_section_batch_matches_solo_tracks():
     # a (2,4) Segre section: 15 paths of a bilinear system in 8 unknowns
     rng = np.random.default_rng(2)
-    hom, starts = _bilinear_section_homotopy(2, 4, rng.standard_normal((6, 15)), rng)
+    system, origin, target, starts = _bilinear_section_homotopy(2, 4, rng.standard_normal((6, 15)), rng)
     assert len(starts) == 15
-    batch = _assert_batch_matches_solo(hom, starts)
+    batch = _assert_batch_matches_solo(system, origin, target, starts)
     assert all(r.success for r in batch)
 
 
@@ -412,48 +382,44 @@ def test_total_degree_batch_with_surplus_paths_matches_solo(monkeypatch):
         {(1, 1): 1.0, (0, 0): -1.0},
         {(1, 1): 1.0, (1, 0): 1.0, (0, 0): -2.0},
     ]
-    hom, starts = _captured(
+    system, origin, target, starts = _captured(
         monkeypatch, homotopy, lambda: solve_total_degree(polys, rng=np.random.default_rng(3))
     )
     # the parameters are the coefficients of x^2, x*y, 1 in the first
     # equation and of x*y, x, y^2, 1 in the second
-    assert hom.system.num_params == 7
+    assert system.num_params == 7
     branch_start = [1.0, 0.0, -1.0, 0.0, 0.0, 1.0, -1.0]
     branch_end = [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, -1.0]
-    rows = len(starts)
-    hom = SegmentHomotopy(
-        hom.system,
-        np.vstack([np.broadcast_to(hom.origin, (rows, 7)), branch_start]),
-        np.vstack([np.broadcast_to(hom.params_end, (rows, 7)), branch_end]),
-    )
     monkeypatch.setattr(homotopy, "DIVERGENCE_NORM", 1e4)
-    batch = _assert_batch_matches_solo(hom, [*starts, np.array([1.0, 1.0])])
+    batch = _assert_batch_matches_solo(
+        system, np.vstack([origin, branch_start]), np.vstack([target, branch_end]), [*starts, np.array([1.0, 1.0])]
+    )
     statuses = {r.status for r in batch}
     assert statuses == {PathStatus.SUCCESS, PathStatus.SINGULAR, PathStatus.DIVERGED}
     assert batch[-1].status is PathStatus.SINGULAR
 
 
 def test_track_paths_of_no_starts():
-    assert track_paths(SegmentHomotopy(_square_root_system(), [1.0], [4.0]), []) == []
+    assert track_paths(_square_root_system(), np.empty((0, 1)), np.empty((0, 1)), []) == []
 
 
 def _segments():
-    """Four segments of x^2 - p, each with its own twist, and a start on
-    each; the last start is off by a relative 1e-8, so its residual needs
-    the start-point Newton."""
+    """Four segments of x^2 - p, each from its own twisted origin, as
+    (K, 1) origin and target rows, and a start on each; the last start is
+    off by a relative 1e-8, so its residual needs the start-point
+    Newton."""
     gammas = [cmath.exp(0.7j), cmath.exp(-2.1j), 1.0 + 0j, cmath.exp(2.9j)]
     p_start = [1.0 + 2.0j, -3.0 + 0.5j, 2.0 + 0j, 0.5 - 1.5j]
     p_end = [4.0 - 1.0j, 1.0 + 1.0j, -2.0 + 0.3j, 3.0 + 3.0j]
-    starts = [[cmath.sqrt(g * p)] for g, p in zip(gammas, p_start)]
+    origin = [g * p for g, p in zip(gammas, p_start)]
+    starts = [[cmath.sqrt(p)] for p in origin]
     starts[-1][0] *= 1.0 + 1e-8
-    return gammas, p_start, p_end, starts
+    return np.array(origin)[:, None], np.array(p_end)[:, None], starts
 
 
 def test_per_row_segments_match_one_start_calls(monkeypatch):
     sys_ = _square_root_system()
-    gammas, p_start, p_end, starts = _segments()
-    hom = SegmentHomotopy(sys_, np.array(p_start)[:, None], np.array(p_end)[:, None], np.array(gammas))
-    assert hom.rows == 4
+    origin, target, starts = _segments()
     redone = []
     newton = homotopy._newton
 
@@ -463,14 +429,14 @@ def test_per_row_segments_match_one_start_calls(monkeypatch):
         return newton(system, params, points, *args, **kwargs)
 
     monkeypatch.setattr(homotopy, "_newton", recording_newton)
-    batch = track_paths(hom, starts)
+    batch = track_paths(sys_, origin, target, starts)
     monkeypatch.undo()
-    # the start-point Newton ran on the last start alone, at its own twist
+    # the start-point Newton ran on the last start alone, at its own origin
     ((params, points),) = redone
     assert np.array_equal(points, [starts[-1]])
-    assert np.array_equal(params, hom.params_at(0.0)[-1:])
-    for g, ps, pe, start, got in zip(gammas, p_start, p_end, starts, batch):
-        alone = track(SegmentHomotopy(sys_, [ps], [pe], gamma=g), start)
+    assert np.array_equal(params, origin[-1:])
+    for k, (start, got) in enumerate(zip(starts, batch)):
+        alone = track(sys_, origin[k], target[k], start)
         assert got.status is alone.status is PathStatus.SUCCESS
         assert got.steps_taken == alone.steps_taken
         assert got.final_residual == alone.final_residual
@@ -481,13 +447,12 @@ def test_step_limit_ends_a_row_at_its_last_accepted_point(monkeypatch):
     # the four segments take 12 steps each, and a fifth that ends near
     # the branch point x = 0 takes 20; a limit of 15 stops the fifth alone
     sys_ = _square_root_system()
-    gammas, p_start, p_end, starts = _segments()
-    g, ps = cmath.exp(0.7j), 1.0 + 2.0j
-    gammas, p_start, p_end = [*gammas, g], [*p_start, ps], [*p_end, 1e-3 + 0j]
-    starts = [*starts, [cmath.sqrt(g * ps)]]
+    origin, target, starts = _segments()
+    twisted = cmath.exp(0.7j) * (1.0 + 2.0j)
+    origin, target = np.vstack([origin, [twisted]]), np.vstack([target, [1e-3 + 0j]])
+    starts = [*starts, [cmath.sqrt(twisted)]]
     monkeypatch.setattr(homotopy, "MAX_STEPS", 15)
-    hom = SegmentHomotopy(sys_, np.array(p_start)[:, None], np.array(p_end)[:, None], np.array(gammas))
-    batch = track_paths(hom, starts)
+    batch = track_paths(sys_, origin, target, starts)
     assert [r.status for r in batch] == [PathStatus.SUCCESS] * 4 + [PathStatus.STEP_LIMIT]
     assert batch[-1].steps_taken == homotopy.MAX_STEPS
 
@@ -501,9 +466,9 @@ def test_step_limit_ends_a_row_at_its_last_accepted_point(monkeypatch):
         return out
 
     monkeypatch.setattr(homotopy, "_newton", recording_newton)
-    for g, ps, pe, start, got in zip(gammas, p_start, p_end, starts, batch):
+    for k, (start, got) in enumerate(zip(starts, batch)):
         accepted.clear()
-        alone = track(SegmentHomotopy(sys_, [ps], [pe], gamma=g), start)
+        alone = track(sys_, origin[k], target[k], start)
         assert got.status is alone.status
         assert got.steps_taken == alone.steps_taken
         assert got.final_residual == alone.final_residual
@@ -511,49 +476,17 @@ def test_step_limit_ends_a_row_at_its_last_accepted_point(monkeypatch):
         assert np.array_equal(got.endpoint, accepted[-1])
 
 
-def test_shared_and_per_row_fields_mix(monkeypatch):
-    # one shared start vector with a twist per row; rows that end leave
-    # the per-row arrays, and the shared ones stay one vector
-    sys_ = _square_root_system()
-    gammas, _, p_end, _ = _segments()
-    hom = SegmentHomotopy(sys_, [2.0 + 1.0j], [4.0 - 1.0j], gamma=np.array(gammas))
-    assert hom.params_start.shape == hom.params_end.shape == (1,)
-    assert hom.origin.shape == (4, 1)
-    starts = [[cmath.sqrt(g * (2.0 + 1.0j))] for g in gammas]
-    seen = []
-    full_state = PolySystem.full_state
-
-    def recording(self, point, params=()):
-        seen.append((len(point), np.shape(params)))
-        return full_state(self, point, params)
-
-    monkeypatch.setattr(PolySystem, "full_state", recording)
-    batch = track_paths(hom, starts)
-    monkeypatch.undo()
-    assert all(shape in ((k, 1), (1,)) for k, shape in seen)
-    assert min(k for k, _ in seen) < 4  # some paths finished before others
-    for g, start, got in zip(gammas, starts, batch):
-        alone = track(SegmentHomotopy(sys_, [2.0 + 1.0j], [4.0 - 1.0j], gamma=g), start)
-        assert got.steps_taken == alone.steps_taken
-        assert np.array_equal(got.endpoint, alone.endpoint)
-
-
 @pytest.mark.parametrize(
-    "field, kwargs",
+    "name, origin, target",
     [
-        ("params_start", dict(params_start=np.ones((3, 1)))),
-        ("params_end", dict(params_end=np.ones((2, 2)))),
-        ("params_end", dict(params_end=np.ones(2))),
-        ("gamma", dict(gamma=np.array([1.0, 1.0j, 1.0001]))),
-        ("gamma", dict(gamma=np.ones((3, 1)))),
+        ("origin", np.ones((3, 1)), np.ones((2, 1))),
+        ("origin", [1.0], np.ones((2, 1))),
+        ("target", np.ones((2, 1)), np.ones((2, 2))),
+        ("target", np.ones((2, 1)), np.ones(2)),
     ],
+    ids=["origin-rows", "origin-shared", "target-params", "target-flat"],
 )
-def test_segment_names_the_bad_field(field, kwargs):
-    args = dict(system=_square_root_system(), params_start=[1.0], params_end=[4.0]) | kwargs
-    with pytest.raises(ValueError, match=field):
-        track_paths(SegmentHomotopy(**args), [[1.0], [-1.0]])
-
-
-def test_segment_fields_must_agree_on_rows():
-    with pytest.raises(ValueError, match="gamma has 3 rows"):
-        SegmentHomotopy(_square_root_system(), np.ones((2, 1)), [4.0], gamma=np.ones(3))
+def test_track_paths_names_a_bad_segment_shape(name, origin, target):
+    # two starts of x^2 - p need (2, 1) origin and target rows
+    with pytest.raises(ValueError, match=f"{name} must have shape \\(2, 1\\)"):
+        track_paths(_square_root_system(), origin, target, [[1.0], [-1.0]])

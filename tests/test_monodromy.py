@@ -7,7 +7,6 @@ from tensorid import monodromy
 from tensorid.homotopy import (
     PathResult,
     PathStatus,
-    SegmentHomotopy,
     SingularJacobianError,
     track,
 )
@@ -218,20 +217,18 @@ def _quintic_registry(copies):
 
 def test_triangle_loop_matches_solo_transports(monkeypatch):
     # the stacked legs give every transport the endpoint that chaining
-    # one-path track calls over the same three legs gives, bit for bit
+    # one-path track calls over the same three legs gives, bit for bit;
+    # leg 0 leaves the twisted base row that the loop's stack leaves from
     reg, loop = _quintic_registry(3)
     q1, q2 = loop.aux_params
-    legs = (
-        SegmentHomotopy(reg.system, reg.base_params, q1, gamma=loop.gamma_out),
-        SegmentHomotopy(reg.system, q1, q2),
-        SegmentHomotopy(reg.system, q2, reg.base_params),
-    )
+    twisted = (np.array([loop.gamma_out])[:, None] * reg.base_params)[0]
+    legs = ((twisted, q1), (q1, q2), (q2, reg.base_params))
     solo = []
     for dec in reg.solutions:
         x = dec.to_vector()
         x[1::2] *= loop.gamma_out
-        for leg in legs:
-            result = track(leg, x)
+        for origin, target in legs:
+            result = track(reg.system, origin, target, x)
             assert result.success
             x = result.endpoint
         solo.append(x)
@@ -261,7 +258,7 @@ def test_triangle_loop_counts_lost_transports(monkeypatch):
     reg, loop = _quintic_registry(2)
     stored = len(reg)
 
-    def failing_track_paths(homotopy, starts):
+    def failing_track_paths(system, origin, target, starts):
         return [PathResult(PathStatus.SINGULAR, np.asarray(x), 1.0, 1) for x in starts]
 
     monkeypatch.setattr(monodromy, "track_paths", failing_track_paths)
@@ -276,9 +273,9 @@ def test_triangle_loop_drops_a_transport_lost_mid_loop(monkeypatch):
     carried = []
     track_paths = monodromy.track_paths
 
-    def leg1_loses_row0(homotopy, starts):
+    def leg1_loses_row0(system, origin, target, starts):
         carried.append(len(starts))
-        results = track_paths(homotopy, starts)
+        results = track_paths(system, origin, target, starts)
         if len(carried) == 2:
             results[0] = PathResult(PathStatus.SINGULAR, results[0].endpoint, 1.0, 1)
         return results
@@ -351,9 +348,9 @@ def _recording_track_paths(monkeypatch):
     sizes = []
     track_paths = monodromy.track_paths
 
-    def recording(homotopy, starts):
+    def recording(system, origin, target, starts):
         sizes.append(len(starts))
-        return track_paths(homotopy, starts)
+        return track_paths(system, origin, target, starts)
 
     monkeypatch.setattr(monodromy, "track_paths", recording)
     return sizes
@@ -395,13 +392,13 @@ def test_a_transport_lost_mid_batch_counts_against_its_loop(monkeypatch):
     doomed = loops[1].aux_params[0]
     track_paths = monodromy.track_paths
 
-    def leg1_loses_one(homotopy, starts):
-        results = track_paths(homotopy, starts)
-        if homotopy.params_start.ndim == homotopy.params_end.ndim == 2:
-            for j, q1 in enumerate(homotopy.params_start):
-                if np.array_equal(q1, doomed):
-                    results[j] = PathResult(PathStatus.SINGULAR, results[j].endpoint, 1.0, 1)
-                    break
+    def leg1_loses_one(system, origin, target, starts):
+        # only leg 1 has origin rows equal to a q1
+        results = track_paths(system, origin, target, starts)
+        for j, q1 in enumerate(origin):
+            if np.array_equal(q1, doomed):
+                results[j] = PathResult(PathStatus.SINGULAR, results[j].endpoint, 1.0, 1)
+                break
         return results
 
     monkeypatch.setattr(monodromy, "track_paths", leg1_loses_one)
@@ -483,8 +480,8 @@ def test_binary_septic_form_takes_fewer_path_steps(monkeypatch):
     steps = []
     track_paths = monodromy.track_paths
 
-    def counting(homotopy, starts):
-        results = track_paths(homotopy, starts)
+    def counting(system, origin, target, starts):
+        results = track_paths(system, origin, target, starts)
         steps.extend(r.steps_taken for r in results)
         return results
 

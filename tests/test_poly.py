@@ -231,15 +231,23 @@ def test_stacked_evaluation_equals_single_calls(make):
     k, n, p = 4, system.num_unknowns, system.num_params
     x = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
     params = rng.standard_normal((k, p)) + 1j * rng.standard_normal((k, p))
-    dp = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-    for stack, rows in (
-        (system.full_state(x, params), [system.full_state(x[i], params[i]) for i in range(k)]),
-        (system.full_state(x, params[0]), [system.full_state(x[i], params[0]) for i in range(k)]),
-    ):
-        for got, want in zip(stack, zip(*rows)):
-            assert np.array_equal(got, np.stack(want))
+    dp = rng.standard_normal((k, p)) + 1j * rng.standard_normal((k, p))
+    stack, rows = system.full_state(x, params), [system.full_state(x[i], params[i]) for i in range(k)]
+    for got, want in zip(stack, zip(*rows)):
+        assert np.array_equal(got, np.stack(want))
     tangent = system.param_tangent(x, dp)
-    assert np.array_equal(tangent, np.stack([system.param_tangent(x[i], dp) for i in range(k)]))
+    assert np.array_equal(tangent, np.stack([system.param_tangent(x[i], dp[i]) for i in range(k)]))
     one = system.full_state(x[:1], params[:1])
     for got, want in zip(one, system.full_state(x[0], params[0])):
         assert np.array_equal(got, want[None])
+
+
+@pytest.mark.parametrize("shape", [(36,), (2, 36), (1, 36)], ids=["one-vector", "too-few-rows", "one-row"])
+def test_a_stack_needs_one_parameter_row_per_point(shape):
+    system = _segre_section_system()
+    x = np.ones((3, 6), dtype=complex)
+    for evaluate in (system.full_state, system.param_tangent):
+        with pytest.raises(DimensionMismatchError, match="one parameter row per point"):
+            evaluate(x, np.ones(shape, dtype=complex))
+    # one point takes one parameter vector
+    system.full_state(x[0], np.ones(36, dtype=complex))

@@ -26,6 +26,15 @@ def test_is_real_point_relative_threshold():
     assert is_real_point([])
 
 
+def test_is_real_point_judges_each_row_of_a_stack():
+    rows = [[1e6, 2e6 + 1e-4j], [1.0, 1.0 + 1e-6j], [0.0, 0.0], [1e-9j, 0.0]]
+    got = is_real_point(rows)
+    assert isinstance(got, np.ndarray) and got.dtype == bool
+    assert got.tolist() == [is_real_point(row) for row in rows] == [True, False, True, True]
+    assert isinstance(is_real_point(rows[0]), bool)
+    assert is_real_point(np.empty((0, 3))).shape == (0,)
+
+
 def test_classify_real_decomposition():
     real = _dec((1.5, 2.0), (-0.5, 1.0))
     out = classify([real])
