@@ -56,16 +56,23 @@ def _jsonable(obj):
     return obj
 
 
-def _write_report(payload: dict, default_name: str, output_path, **settings) -> str:
-    """Write one report; its ``config`` is ``settings`` and the output path."""
-    report = {"schema": SCHEMA, "config": {**settings, "output_path": output_path}}
-    report.update(payload)
+def _report_path(output_path, default_name: str) -> str:
+    """The report's path, its directory created if missing; an OSError
+    names the path when the directory cannot be made."""
     out = output_path
     if not out:
         out = os.path.join(os.environ.get("TENSORID_OUTPUT_DIR", "."), default_name)
     parent = os.path.dirname(out)
     if parent:
         os.makedirs(parent, exist_ok=True)
+    return out
+
+
+def _write_report(payload: dict, default_name: str, output_path, **settings) -> str:
+    """Write one report; its ``config`` is ``settings`` and the output path."""
+    report = {"schema": SCHEMA, "config": {**settings, "output_path": output_path}}
+    report.update(payload)
+    out = _report_path(output_path, default_name)
     with open(out, "w") as fh:
         json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -103,8 +110,15 @@ def cli():
 @click.option("--n", "n", type=int, required=True, help="Number of variables minus one.")
 @click.option("--r", "r", type=int, required=True, help="Decomposition rank.")
 @click.option("--fixture", default=None, help="JSON start decomposition (bundled names work).")
-@click.option("--max-loops", type=int, default=200, show_default=True)
-@click.option("--stable-loops", type=int, default=8, show_default=True)
+@click.option(
+    "--max-loops", type=int, default=200, show_default=True,
+    help="Most tracking rounds on the parameter graph; reaching it exits 2.",
+)
+@click.option(
+    "--stable-loops", type=int, default=8, show_default=True,
+    help="Least independent loops in the parameter graph: each pair of its 3 nodes "
+    "is joined by the fewest e edges with 3e - 2 >= this.",
+)
 @click.option("--target-count", type=int, default=None)
 @_seed_option
 @_output_option
@@ -137,6 +151,8 @@ def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, ou
         start, tensor = random_real_start(spec, seed=seed)
         source = {"random_seed": seed}
 
+    default_name = f"waring_d{d}_n{n}_r{r}.json"
+    _report_path(output_path, default_name)  # fail on an unwritable directory before the solve
     registry = enumerate_decompositions(spec, start, tensor, policy=policy, seed=seed)
     try:
         classified = classify(registry)
@@ -153,7 +169,7 @@ def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, ou
         "max_reconstruction_error": worst,
         "warning": registry.warning,
     }
-    out = _write_report(payload, f"waring_d{d}_n{n}_r{r}.json", output_path, seed=seed, stop=asdict(policy))
+    out = _write_report(payload, default_name, output_path, seed=seed, stop=asdict(policy))
     click.echo(
         f"decompositions={classified.total} real={classified.real_count} "
         f"autoconjugate={classified.autoconjugate_count} "

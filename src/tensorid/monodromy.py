@@ -1,39 +1,36 @@
 """Monodromy search for all decompositions of one target form.
 
-Starting from a single known solution of the coefficient-matching
-system at base parameters p0, each loop picks two fresh random complex
-parameter tuples q1, q2 and tracks every known solution along the
-triangle p0 -> q1 -> q2 -> p0.  Permuted sheets of the solution variety
-come back as new solutions; the loop runs until no loop has produced
-anything new for a while, a requested count is reached, or a loop
-budget is exhausted.
+The search runs on a fixed parameter graph (Duff, Hill, Jensen, Lee,
+Leykin and Sommars, "Solving polynomial systems via homotopy
+continuation and monodromy", IMA J. Numer. Anal. 2019).  Its three
+nodes are the base parameters p0 and two random tuples q1, q2, and each
+pair of nodes is joined by e edges.  Edge (u, v, gamma) is the segment
+from gamma * p_u to p_v, for a random unit-modulus gamma.  The system is
+jointly linear in the weights and the parameters, so scaling every
+lambda by gamma turns a solution at p_u into one at gamma * p_u; the
+distinct gammas make the e edges of one pair distinct paths, and the
+graph holds 3e - 2 independent cycles, each a monodromy loop.
 
-Leaving a real base point, the first leg starts from the twisted base
-gamma * p0, for a random unit-modulus gamma.  The system is jointly
-linear in the weights and the parameters, so scaling every lambda by
-gamma turns a known solution at p0 into an exact solution at
-gamma * p0, and the segment gamma*p0 -> q1 stays clear of the real
-discriminant.
-
-The default stop rule, some number of consecutive fruitless loops, fixes
-before a loop runs how many more loops will run whatever they find.
-Those loops run as one batch: their triangles are drawn in order, and
-the registry travels around all of them as one stack, one tracker call
-per leg with each row on its own loop's segment, given as its own
-origin and target parameter rows.  The loops are then
-settled in order, each inserting its endpoints and carrying, in one
-extra stack, whatever an earlier loop of the batch found; so every loop
-carries the registry it would carry alone, and the solutions, history
-and lost transports are those of running the loops one at a time.
+Each node keeps its own registry, a partial fiber, and each edge a
+partial matching between the fibers at its ends.  A round tracks, on
+every edge, the points of one end that the edge has not matched yet,
+from the end with more of them, and inserts the endpoints into the far
+node's registry.  So each solution is tracked along each edge once, in
+one direction or the other, and a solution found at any node spreads to
+the others in later rounds.  A leg that fails leaves its point
+unmatched on that edge; the point it should have reached, once some
+other edge finds it, is tracked back along the same edge.
 """
 
 import cmath
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .homotopy import (
     _SINGULAR_RATIO,
+    PathStatus,
     SingularJacobianError,
     _newton,
     condition_estimate,
@@ -44,10 +41,13 @@ from .waring import Decomposition
 DEDUP_TOL = 1e-6
 RESIDUAL_TOL = 1e-10
 LAMBDA_TOL = 1e-10
-# The largest stack a batch of loops is sized to.  Every distinct stack
-# size costs the evaluator a cached copy of its index tables (see
-# poly._TermTable), and per-path cost stops falling beyond about 16 rows.
-MAX_STACK = 16
+# The most legs one tracker call carries.  Every distinct stack size
+# costs the evaluator a cached copy of its index tables (see
+# poly._TermTable); 8 rows keep the septic run's peak RSS within about
+# 1 MB of one-leg calls, where 16 rows cost about 7 MB more.
+MAX_STACK = 8
+# the node pairs, in the order their edges are drawn
+PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _has_perfect_matching(allowed: np.ndarray) -> bool:
@@ -107,7 +107,13 @@ def canonical_distance(a: Decomposition, b: Decomposition) -> float:
 
 @dataclass
 class StopPolicy:
-    """When to stop looping: whichever condition is met first."""
+    """When to stop: whichever condition is met first.
+
+    ``stable_loops`` sizes the parameter graph: each pair of its nodes
+    is joined by the smallest e edges with 3e - 2 >= stable_loops, so
+    the graph holds at least that many independent loops.
+    ``max_loops`` bounds the tracking rounds.
+    """
 
     stable_loops: int = 8
     target_count: int | None = None
@@ -128,6 +134,10 @@ class LoopSpec:
     gamma_out: complex
 
 
+def _unit(rng: np.random.Generator) -> complex:
+    return cmath.exp(2j * cmath.pi * rng.random())
+
+
 def draw_loop(rng: np.random.Generator, twist_exit: bool, sampler) -> LoopSpec:
     """Sample the random data of one loop.
 
@@ -136,7 +146,7 @@ def draw_loop(rng: np.random.Generator, twist_exit: bool, sampler) -> LoopSpec:
     loop vertices stay generic.
     """
     aux = [np.asarray(sampler(rng), dtype=np.complex128) for _ in range(2)]
-    gamma = cmath.exp(2j * cmath.pi * rng.random()) if twist_exit else 1.0 + 0j
+    gamma = _unit(rng) if twist_exit else 1.0 + 0j
     return LoopSpec(tuple(aux), gamma)
 
 
@@ -147,8 +157,12 @@ class SolutionRegistry:
     parameters, satisfies the system to ``RESIDUAL_TOL`` (scaled), has
     no weight of modulus below ``LAMBDA_TOL``, and sits at least
     ``DEDUP_TOL`` from every other entry in canonical distance.
-    ``transports_lost`` counts the loop transports dropped because one
-    of their legs failed, and ``stop_reason`` says why ``solve`` stopped:
+
+    The registry that ``solve`` returns also carries the search's
+    ledger: ``graph`` is the parameter graph's shape, ``history`` holds
+    one record per tracking round, ``transports_lost`` counts the legs
+    whose endpoint was not matched (the leg failed, or its endpoint was
+    rejected), and ``stop_reason`` says why the search stopped:
     "stable", "target_count" or "loop_budget".
     """
 
@@ -157,13 +171,18 @@ class SolutionRegistry:
         self.base_params = np.asarray(base_params, dtype=np.complex128)
         self.n = int(n)
         self.solutions: list = []
+        self.last_index: int | None = None
+        self.graph: dict | None = None
         self.history: list = []
         self.warning: str | None = None
         self.transports_lost = 0
         self.stop_reason: str | None = None
 
     def insert(self, candidate) -> bool:
-        """Polish, validate and store a candidate; False on duplicate or reject."""
+        """Polish, validate and store a candidate; False on duplicate or
+        reject.  ``last_index`` is then the index of the entry the
+        candidate was stored as or equals, or None if it was rejected."""
+        self.last_index = None
         if isinstance(candidate, Decomposition):
             vec = candidate.to_vector()
         else:
@@ -174,9 +193,11 @@ class SolutionRegistry:
         dec = Decomposition.from_vector(vec[0], self.n)
         if any(abs(s.lam) < LAMBDA_TOL for s in dec.summands):
             return False
-        for stored in self.solutions:
+        for k, stored in enumerate(self.solutions):
             if canonical_distance(dec, stored) < DEDUP_TOL:
+                self.last_index = k
                 return False
+        self.last_index = len(self.solutions)
         self.solutions.append(dec)
         return True
 
@@ -204,7 +225,8 @@ class SolutionRegistry:
             "n": self.n,
             "d": d,
             "solutions": sols,
-            "history": [{"loop": i, "new": k} for i, k in self.history],
+            "graph": self.graph,
+            "history": self.history,
             "transports_lost": self.transports_lost,
             "stop_reason": self.stop_reason,
         }
@@ -216,70 +238,94 @@ def _scale_lambdas(vec: np.ndarray, n: int, factor: complex) -> np.ndarray:
     return out
 
 
-def _transport(registry: SolutionRegistry, loops, solutions) -> list:
-    """Carry ``solutions`` around the triangle of every loop in ``loops``
-    as one stack: one ``track_paths`` call per leg, each row on the
-    segment of its own loop.  The transports that finish a leg go on to
-    the next.
+@dataclass
+class Edge:
+    """The segment from gamma * p_u to p_v, ``ends`` = (u, v), and the
+    matching it has recorded: ``matched[0]`` maps point indices at u to
+    indices at v and ``matched[1]`` the reverse; a point whose leg was
+    lost maps to None."""
 
-    Returns, per loop, the endpoints of the transports that came back,
-    in the order of ``solutions``, and how many were lost on the way.
-    """
-    p0 = registry.base_params
-    owner = [b for b in range(len(loops)) for _ in solutions]
-    xs = [
-        _scale_lambdas(dec.to_vector(), registry.n, loop.gamma_out)
-        for loop in loops
-        for dec in solutions
+    ends: tuple
+    gamma: complex
+    matched: tuple = field(default_factory=lambda: ({}, {}))
+
+
+def _pending(edge: Edge, nodes) -> list:
+    """The legs ``edge`` still owes, from the end with more unmatched
+    points (u on a tie), as (edge, side, index): side 0 runs u -> v and
+    side 1 runs v -> u."""
+    waiting = [
+        [i for i in range(len(nodes[end])) if i not in done]
+        for end, done in zip(edge.ends, edge.matched)
     ]
-    q1, q2 = (np.array([loop.aux_params[i] for loop in loops]) for i in (0, 1))
-    # the parameter rows of each loop's vertices; leg 0 leaves the
-    # twisted base, where the rescaled xs are solutions
-    twisted = np.array([loop.gamma_out for loop in loops])[:, None] * p0
-    for origin, target in ((twisted, q1), (q1, q2), (q2, np.broadcast_to(p0, q2.shape))):
-        if not xs:
-            break
-        rows = np.array(owner)
-        results = track_paths(registry.system, origin[rows], target[rows], xs)
-        xs = [r.endpoint for r in results if r.success]
-        owner = [b for b, r in zip(owner, results) if r.success]
-    ends = [[] for _ in loops]
-    for b, x in zip(owner, xs):
-        ends[b].append(x)
-    return [(e, len(solutions) - len(e)) for e in ends]
+    side = int(len(waiting[1]) > len(waiting[0]))
+    return [(edge, side, i) for i in waiting[side]]
 
 
-def triangle_loops(registry: SolutionRegistry, loops, target_count: int | None = None) -> list:
-    """Carry every stored solution around each loop's triangle, the loops
-    in order; returns how many endpoints were new, per loop.
+def _round(nodes, legs) -> dict:
+    """Track ``legs`` in calls of at most ``MAX_STACK`` rows, each row
+    on its own edge, then insert every endpoint into its far node's
+    registry and record the match on the edge, in leg order.
 
-    Each loop carries the registry as it stands when the loop's turn
-    comes, and inserts its endpoints in stored order.  The snapshot
-    taken before the first loop travels around every triangle as one
-    stack; a solution that an earlier loop of the batch inserted travels
-    around a later loop's triangle in one extra stack.  A transport whose
-    leg fails is dropped and counted in ``registry.transports_lost``.
-    Once the registry holds ``target_count`` solutions, the remaining
-    loops are dropped.
+    Lost legs are added to ``nodes[0].transports_lost``.  Returns the
+    round's record: legs, legs by status, path-steps, lost legs and the
+    new points per node.
     """
-    snapshot = len(registry)
-    carried = _transport(registry, loops, registry.solutions[:snapshot])
-    news = []
-    for loop, (xs, lost) in zip(loops, carried):
-        found = registry.solutions[snapshot:]
-        if found:
-            ((more, more_lost),) = _transport(registry, [loop], found)
-            xs, lost = xs + more, lost + more_lost
-        registry.transports_lost += lost
-        news.append(sum(registry.insert(x) for x in xs))
-        if target_count is not None and len(registry) >= target_count:
-            break
-    return news
+    system, n = nodes[0].system, nodes[0].n
+    origin, target, starts = [], [], []
+    for edge, side, i in legs:
+        u, v = (nodes[end].base_params for end in edge.ends)
+        x = nodes[edge.ends[side]].solutions[i].to_vector()
+        if side == 0:
+            origin.append(edge.gamma * u)
+            target.append(v)
+            starts.append(_scale_lambdas(x, n, edge.gamma))
+        else:
+            origin.append(v)
+            target.append(edge.gamma * u)
+            starts.append(x)
+    results = []
+    for k in range(0, len(legs), MAX_STACK):
+        rows = slice(k, k + MAX_STACK)
+        results += track_paths(system, np.array(origin[rows]), np.array(target[rows]), starts[rows])
+
+    record = {
+        "legs": len(legs),
+        "status": {s.value: 0 for s in PathStatus},
+        "steps": 0,
+        "lost": 0,
+        "new": [0] * len(nodes),
+    }
+    for (edge, side, i), result in zip(legs, results):
+        record["status"][result.status.value] += 1
+        record["steps"] += result.steps_taken
+        far = edge.ends[1 - side]
+        j = None
+        if result.success:
+            y = result.endpoint
+            if side == 1:
+                y = _scale_lambdas(y, n, 1 / edge.gamma)
+            record["new"][far] += nodes[far].insert(y)
+            j = nodes[far].last_index
+        edge.matched[side][i] = j
+        if j is None:
+            record["lost"] += 1
+        else:
+            edge.matched[1 - side].setdefault(j, i)
+    nodes[0].transports_lost += record["lost"]
+    return record
 
 
 def triangle_loop(registry: SolutionRegistry, loop: LoopSpec) -> int:
-    """``triangle_loops`` on one loop: how many of its endpoints were new."""
-    return triangle_loops(registry, [loop])[0]
+    """One loop p0 -> q1 -> q2 -> p0, as three single-edge rounds: every
+    stored solution along the edge (p0, q1, gamma_out), then every point
+    that reached q1 along (q1, q2, 1), then every point that reached q2
+    along (q2, p0, 1).  Returns how many endpoints were new at p0."""
+    nodes = [registry] + [SolutionRegistry(registry.system, q, registry.n) for q in loop.aux_params]
+    before = len(registry)
+    for edge in (Edge((0, 1), loop.gamma_out), Edge((1, 2), 1.0), Edge((2, 0), 1.0)):
+        _round(nodes, [(edge, 0, i) for i in range(len(nodes[edge.ends[0]]))])
+    return len(registry) - before
 
 
 def solve(
@@ -297,26 +343,28 @@ def solve(
         base_params: parameters of the target form.
         start: known decomposition at the base parameters.
         sampler: sampler(rng) for the auxiliary parameter tuples.
-        policy: stop conditions (defaults: 8 fruitless loops, cap 200).
-        seed: randomness for the loop instances.
+        policy: stop conditions (defaults: 4 edges per node pair, so 10
+            independent loops, and at most 200 rounds).
+        seed: randomness for the graph: q1, q2, then each edge's gamma,
+            pair by pair in ``PAIRS`` order.
 
-    The stop rule is checked before every batch of loops.  A batch is
-    as many loops as the rule will run whatever they find (the fruitless
-    loops still needed, within the loop budget), at most ``MAX_STACK``
-    transports in all; its loops are drawn in order and carried as one
-    stack by ``triangle_loops``, with the results of running them one
-    at a time.
+    The search runs rounds (see ``_round``) until no edge owes a leg
+    and the three fibers have one size ("stable"), the base fiber
+    holds ``target_count`` solutions, or ``max_loops`` rounds have run
+    ("loop_budget", which also sets ``warning``).  When no edge owes a
+    leg but the fibers differ in size, as lost legs can leave them, a
+    fresh edge joins each pair of unequal nodes, and its legs run in
+    the rounds that follow, within the same budget.
 
     Returns:
-        SolutionRegistry; its ``stop_reason`` says which condition ended
-        the search, and its ``warning`` field is set when the loop
-        budget ran out before the count stabilized.
+        The base node's SolutionRegistry, with the graph's shape and
+        one record per round.
 
     Raises:
         ValueError: if the start does not solve the base system.
         SingularJacobianError: if the start's Jacobian at the base
             parameters fails the tracker's 1e14 pivot-ratio gate (for
-            example two equal summands); every transport would be lost.
+            example two equal summands); every leg would be lost.
     """
     policy = policy or StopPolicy()
     base = np.asarray(base_params, dtype=np.complex128)
@@ -331,33 +379,32 @@ def solve(
             f"{ratio:.1e} exceeds {_SINGULAR_RATIO:.0e}, so no path can leave it"
         )
 
-    scale = float(np.max(np.abs(base))) if base.size else 1.0
-    real_base = float(np.max(np.abs(base.imag))) <= 1e-12 * (1.0 + scale)
     rng = np.random.default_rng(seed)
-
-    fruitless, loop_index = 0, 0
+    nodes = [registry] + [
+        SolutionRegistry(system, sampler(rng), start.n) for _ in range(2)
+    ]
+    e = math.ceil((policy.stable_loops + 2) / 3)  # the least e with 3e - 2 >= stable_loops
+    edges = [Edge(pair, _unit(rng)) for pair in PAIRS for _ in range(e)]
+    registry.graph = {"nodes": len(nodes), "edges_per_pair": e, "fresh_edges": 0}
     while True:
         if policy.target_count is not None and len(registry) >= policy.target_count:
             registry.stop_reason = "target_count"
             return registry
-        if fruitless >= policy.stable_loops:
+        legs = [leg for edge in edges for leg in _pending(edge, nodes)]
+        if not legs and len({len(node) for node in nodes}) == 1:
             registry.stop_reason = "stable"
             return registry
-        if loop_index == policy.max_loops:
+        if len(registry.history) == policy.max_loops:
             registry.stop_reason = "loop_budget"
             registry.warning = (
-                f"loop budget {policy.max_loops} exhausted before {policy.stable_loops} "
-                f"consecutive fruitless loops"
+                f"loop budget of {policy.max_loops} rounds exhausted before every edge "
+                f"matched the node fibers"
             )
             return registry
-        # the stop rule runs at least this many more loops; they share stacks
-        batch = min(
-            policy.stable_loops - fruitless,
-            policy.max_loops - loop_index,
-            max(1, MAX_STACK // len(registry)),
-        )
-        loops = [draw_loop(rng, twist_exit=real_base, sampler=sampler) for _ in range(batch)]
-        for new in triangle_loops(registry, loops, policy.target_count):
-            registry.history.append((loop_index, new))
-            loop_index += 1
-            fruitless = fruitless + 1 if new == 0 else 0
+        if not legs:
+            fresh = [Edge(pair, _unit(rng)) for pair in PAIRS
+                     if len(nodes[pair[0]]) != len(nodes[pair[1]])]
+            registry.graph["fresh_edges"] += len(fresh)
+            edges += fresh
+            legs = [leg for edge in fresh for leg in _pending(edge, nodes)]
+        registry.history.append({"round": len(registry.history), **_round(nodes, legs)})

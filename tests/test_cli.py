@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tensorid import segre, waring
+from tensorid import cli, segre, waring
 from tensorid.cli import main
 
 
@@ -81,9 +81,14 @@ def test_waring_missing_fixture():
     ],
     ids=["fixture-is-a-directory", "waring-output-under-a-file", "segre-output-under-a-file"],
 )
-def test_unopenable_file_exit_1(tmp_path, capsys, args, culprit):
+def test_unopenable_file_exit_1(tmp_path, capsys, monkeypatch, args, culprit):
     # a path that cannot be read or written is an input error, named on
-    # stderr, not a traceback; the waring report fails after the solve
+    # stderr, not a traceback; an unwritable waring report fails before
+    # the solve, which must not be reached
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "enumerate_decompositions", no_solve)
     (tmp_path / "file").write_text("")
     names = {"{dir}": str(tmp_path), "{file}": str(tmp_path / "file")}
     for key, value in names.items():

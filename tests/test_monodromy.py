@@ -1,4 +1,4 @@
-"""Loop orchestration, the registry and the canonical metric."""
+"""The parameter graph's rounds, the registry and the canonical metric."""
 
 import numpy as np
 import pytest
@@ -17,16 +17,18 @@ from tensorid.monodromy import (
     draw_loop,
     solve,
     triangle_loop,
-    triangle_loops,
 )
 from tensorid.poly import PolySystem
+from tensorid.realcert import classify
 from tensorid.waring import (
     Decomposition,
     Summand,
     WaringSpec,
     build_system,
+    bundled_fixture_path,
     decomposition_sampler,
     enumerate_decompositions,
+    load_start,
     random_real_start,
     sylvester_oracle,
     tensor_from_decomposition,
@@ -94,13 +96,12 @@ def test_registry_serialize_shape():
     start, tensor = random_real_start(spec, seed=2)
     reg = SolutionRegistry(build_system(spec), np.asarray(tensor.coeffs), n=1)
     reg.insert(start)
-    reg.history.append((0, 1))
     blob = reg.serialize(d=3)
     assert blob["r"] == 2 and blob["n"] == 1 and blob["d"] == 3
     assert len(blob["solutions"]) == 1
     summand = blob["solutions"][0]["summands"][0]
     assert len(summand["l"]) == 1 and len(summand["l"][0]) == 2
-    assert blob["history"] == [{"loop": 0, "new": 1}]
+    assert blob["graph"] is None and blob["history"] == []
 
 
 def test_draw_loop_uses_sampler_and_twist():
@@ -120,14 +121,14 @@ def test_draw_loop_uses_sampler_and_twist():
 
 
 def test_binary_cubic_loops_find_nothing_new():
-    # unique decomposition: every loop after the first returns 0 new
+    # unique decomposition: no round adds a point at the base node
     spec = WaringSpec(3, 1, 2)
     start, tensor = random_real_start(spec, seed=4)
     reg = enumerate_decompositions(
         spec, start, tensor, policy=StopPolicy(stable_loops=5, max_loops=50), seed=4
     )
     assert len(reg) == 1
-    assert all(new == 0 for _, new in reg.history)
+    assert all(record["new"][0] == 0 for record in reg.history)
     oracle = sylvester_oracle(tensor, 2)
     assert canonical_distance(oracle, reg.solutions[0]) < 1e-6
 
@@ -169,8 +170,8 @@ def test_registry_monotone_history():
     reg = enumerate_decompositions(
         spec, start, tensor, policy=StopPolicy(stable_loops=3, max_loops=20), seed=5
     )
-    assert all(new >= 0 for _, new in reg.history)
-    assert [i for i, _ in reg.history] == list(range(len(reg.history)))
+    assert all(min(record["new"]) >= 0 for record in reg.history)
+    assert [record["round"] for record in reg.history] == list(range(len(reg.history)))
 
 
 def test_triangle_loop_transports_all_solutions():
@@ -198,10 +199,12 @@ def test_registry_rejects_non_finite_residual(value):
     assert len(reg) == 1
 
 
+
+
 def _quintic_registry(copies):
     """A (5,1,3) registry holding the start and ``copies - 1`` reorderings
-    of its summands, so that a loop carries ``copies`` transports; every
-    endpoint is the one decomposition again."""
+    of its summands, so that a loop's first leg carries ``copies`` points;
+    every endpoint is the one decomposition again."""
     spec = WaringSpec(5, 1, 3)
     start, tensor = random_real_start(spec, seed=6)
     base = np.asarray(tensor.coeffs)
@@ -216,25 +219,25 @@ def _quintic_registry(copies):
 
 
 def test_triangle_loop_matches_solo_transports(monkeypatch):
-    # the stacked legs give every transport the endpoint that chaining
-    # one-path track calls over the same three legs gives, bit for bit;
-    # leg 0 leaves the twisted base row that the loop's stack leaves from
-    reg, loop = _quintic_registry(3)
+    # the loop's three single-edge rounds give the endpoints that chaining
+    # one-path track calls gives, bit for bit, with each vertex's
+    # registry polishing and deduplicating what reaches it: the two
+    # reorderings reach q1 as one point
+    reg, loop = _quintic_registry(2)
+    system, p0 = reg.system, reg.base_params
     q1, q2 = loop.aux_params
-    twisted = (np.array([loop.gamma_out])[:, None] * reg.base_params)[0]
-    legs = ((twisted, q1), (q1, q2), (q2, reg.base_params))
-    solo = []
+    at_q1 = SolutionRegistry(system, q1, n=1)
     for dec in reg.solutions:
         x = dec.to_vector()
         x[1::2] *= loop.gamma_out
-        for origin, target in legs:
-            result = track(reg.system, origin, target, x)
-            assert result.success
-            x = result.endpoint
-        solo.append(x)
-    expected = SolutionRegistry(reg.system, reg.base_params, n=1)
-    expected.solutions = reg.solutions[:]
-    expected_new = sum(expected.insert(x) for x in solo)
+        result = track(system, loop.gamma_out * p0, q1, x)
+        assert result.success
+        at_q1.insert(result.endpoint)
+    assert len(at_q1) == 1
+    at_q2 = SolutionRegistry(system, q2, n=1)
+    for dec in at_q1.solutions:
+        at_q2.insert(track(system, q1, q2, dec.to_vector()).endpoint)
+    solo = [track(system, q2, p0, dec.to_vector()).endpoint for dec in at_q2.solutions]
 
     inserted = []
     insert = reg.insert
@@ -244,14 +247,10 @@ def test_triangle_loop_matches_solo_transports(monkeypatch):
         return insert(candidate)
 
     monkeypatch.setattr(reg, "insert", recording_insert)
-    assert triangle_loop(reg, loop) == expected_new
-    assert len(inserted) == len(solo) == 3
-    for got, want in zip(inserted, solo):
-        assert np.array_equal(got, want)
-    assert reg.transports_lost == expected.transports_lost == 0
-    assert [d.to_vector().tobytes() for d in reg.solutions] == [
-        d.to_vector().tobytes() for d in expected.solutions
-    ]
+    assert triangle_loop(reg, loop) == 0
+    assert len(inserted) == len(solo) == 1
+    assert np.array_equal(inserted[0], solo[0])
+    assert reg.transports_lost == 0 and len(reg) == 2
 
 
 def test_triangle_loop_counts_lost_transports(monkeypatch):
@@ -268,7 +267,8 @@ def test_triangle_loop_counts_lost_transports(monkeypatch):
 
 
 def test_triangle_loop_drops_a_transport_lost_mid_loop(monkeypatch):
-    # row 0 fails on leg 1; row 1 finishes alone and comes back home
+    # both points reach q1 as one, and that one is lost on leg 1, so
+    # nothing comes back home
     reg, loop = _quintic_registry(2)
     carried = []
     track_paths = monodromy.track_paths
@@ -282,7 +282,7 @@ def test_triangle_loop_drops_a_transport_lost_mid_loop(monkeypatch):
 
     monkeypatch.setattr(monodromy, "track_paths", leg1_loses_row0)
     assert triangle_loop(reg, loop) == 0
-    assert carried == [2, 2, 1]
+    assert carried == [2, 1]
     assert reg.transports_lost == 1
     assert len(reg) == 2
 
@@ -299,43 +299,22 @@ def test_solve_rejects_singular_start():
               decomposition_sampler(spec, double))
 
 
-def _one_loop_at_a_time(system, base_params, start, sampler, policy, seed):
-    """``solve`` with every loop run alone: the stop rule checked before
-    each loop, and one ``triangle_loop`` per loop."""
-    base = np.asarray(base_params, dtype=complex)
-    registry = SolutionRegistry(system, base, n=start.n)
-    assert registry.insert(start)
-    real_base = float(np.max(np.abs(base.imag))) <= 1e-12 * (1.0 + float(np.max(np.abs(base))))
-    rng = np.random.default_rng(seed)
-    fruitless = 0
-    for loop_index in range(policy.max_loops):
-        if policy.target_count is not None and len(registry) >= policy.target_count:
-            break
-        if fruitless >= policy.stable_loops:
-            break
-        loop = draw_loop(rng, twist_exit=real_base, sampler=sampler)
-        new = triangle_loop(registry, loop)
-        registry.history.append((loop_index, new))
-        fruitless = fruitless + 1 if new == 0 else 0
-    return registry
-
-
 def _assert_same_run(got, want):
-    assert got.history == want.history
-    assert got.transports_lost == want.transports_lost
+    assert got.serialize() == want.serialize()
     assert [d.to_vector().tobytes() for d in got.solutions] == [
         d.to_vector().tobytes() for d in want.solutions
     ]
 
 
 def _square_roots():
-    """x^2 - a = 0, lam - b = 0 as a one-summand 'decomposition' (x, lam)
-    at a complex base (a, b): two solutions, swapped by every loop whose
-    triangle winds around a = 0."""
-    rows = [[(1.0, (2, 0), -1), (-1.0, (0, 0), 0)], [(1.0, (0, 1), -1), (-1.0, (0, 0), 1)]]
+    """lam x^2 - a = 0, lam - b = 0 as a one-summand 'decomposition'
+    (x, lam) at a complex base (a, b): jointly linear in lam and the
+    parameters, like a Waring system, with two solutions x = +-sqrt(a/b),
+    swapped by every loop that winds once around a = 0."""
+    rows = [[(1.0, (2, 1), -1), (-1.0, (0, 0), 0)], [(1.0, (0, 1), -1), (-1.0, (0, 0), 1)]]
     system = PolySystem(rows, num_unknowns=2, num_params=2)
     base = np.array([1.0 + 0.5j, 2.0 + 1.0j])
-    start = Decomposition((Summand((np.sqrt(base[0]),), base[1]),))
+    start = Decomposition((Summand((np.sqrt(base[0] / base[1]),), base[1]),))
 
     def sampler(rng):
         return rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -344,114 +323,116 @@ def _square_roots():
 
 
 def _recording_track_paths(monkeypatch):
-    """Record the number of starts of every ``track_paths`` call."""
-    sizes = []
+    """Record every ``track_paths`` call's results."""
+    calls = []
     track_paths = monodromy.track_paths
 
     def recording(system, origin, target, starts):
-        sizes.append(len(starts))
-        return track_paths(system, origin, target, starts)
-
-    monkeypatch.setattr(monodromy, "track_paths", recording)
-    return sizes
-
-
-def test_batch_carries_what_an_earlier_loop_found(monkeypatch):
-    # seed 3: the first batch is loops 0-3; loop 1 finds the second root,
-    # so loops 2 and 3 carry it in one extra stack each
-    system, base, start, sampler = _square_roots()
-    policy = StopPolicy(stable_loops=4)
-    want = _one_loop_at_a_time(system, base, start, sampler, policy, seed=3)
-    sizes = _recording_track_paths(monkeypatch)
-    got = solve(system, base, start, sampler, policy, seed=3)
-    assert want.history == [(0, 0), (1, 1), (2, 0), (3, 0), (4, 0), (5, 0)]
-    _assert_same_run(got, want)
-    # legs of loops 0-3 as one stack, the extra legs of loops 2 and 3,
-    # then loops 4-5 as one stack of both roots
-    assert sizes == [4] * 3 + [1] * 6 + [4] * 3
-    assert got.stop_reason == "stable"
-
-
-def test_target_count_mid_batch_stops_at_the_same_loop():
-    system, base, start, sampler = _square_roots()
-    policy = StopPolicy(target_count=2)
-    want = _one_loop_at_a_time(system, base, start, sampler, policy, seed=3)
-    got = solve(system, base, start, sampler, policy, seed=3)
-    assert want.history == [(0, 0), (1, 1)]
-    _assert_same_run(got, want)
-    assert got.stop_reason == "target_count" and got.warning is None
-
-
-def test_a_transport_lost_mid_batch_counts_against_its_loop(monkeypatch):
-    # two transports per loop; on leg 1 (q1 -> q2), the first transport
-    # of the loop with the given q1 fails, in a batch and alone
-    reg, _ = _quintic_registry(2)
-    sampler = decomposition_sampler(WaringSpec(5, 1, 3), reg.solutions[0])
-    rng = np.random.default_rng(1)
-    loops = [draw_loop(rng, twist_exit=True, sampler=sampler) for _ in range(3)]
-    doomed = loops[1].aux_params[0]
-    track_paths = monodromy.track_paths
-
-    def leg1_loses_one(system, origin, target, starts):
-        # only leg 1 has origin rows equal to a q1
         results = track_paths(system, origin, target, starts)
-        for j, q1 in enumerate(origin):
-            if np.array_equal(q1, doomed):
-                results[j] = PathResult(PathStatus.SINGULAR, results[j].endpoint, 1.0, 1)
-                break
+        calls.append((np.array(origin), np.array(target), results))
         return results
 
-    monkeypatch.setattr(monodromy, "track_paths", leg1_loses_one)
-    alone, _ = _quintic_registry(2)
-    lost_after = []
-    for loop in loops:
-        triangle_loop(alone, loop)
-        lost_after.append(alone.transports_lost)
-    assert lost_after == [0, 1, 1]
+    monkeypatch.setattr(monodromy, "track_paths", recording)
+    return calls
 
-    inserted = []
-    insert = reg.insert
 
-    def recording_insert(candidate):
-        inserted.append(reg.transports_lost)
-        return insert(candidate)
+def test_solve_stacks_at_most_max_stack_starts(monkeypatch):
+    # both roots on 12 edges: a round of more than 8 legs is cut into
+    # calls of 8 and the rest
+    system, base, start, sampler = _square_roots()
+    calls = _recording_track_paths(monkeypatch)
+    reg = solve(system, base, start, sampler, StopPolicy(), seed=3)
+    assert len(reg) == 2 and reg.stop_reason == "stable"
+    sizes = [len(results) for _, _, results in calls]
+    assert max(sizes) == monodromy.MAX_STACK == 8
+    assert sum(sizes) == sum(record["legs"] for record in reg.history)
+    assert any(record["legs"] > 8 for record in reg.history)
 
-    monkeypatch.setattr(reg, "insert", recording_insert)
-    assert triangle_loops(reg, loops) == [0, 0, 0]
-    # loop 0 inserts two endpoints, loop 1 one after its loss, loop 2 two
-    assert inserted == [0, 0, 1, 1, 1]
-    assert reg.transports_lost == alone.transports_lost == 1
-    assert [d.to_vector().tobytes() for d in reg.solutions] == [
-        d.to_vector().tobytes() for d in alone.solutions
-    ]
+
+def test_target_count_stops_after_the_round_that_reaches_it():
+    system, base, start, sampler = _square_roots()
+    full = solve(system, base, start, sampler, StopPolicy(), seed=3)
+    first = next(k for k, record in enumerate(full.history) if record["new"][0])
+    got = solve(system, base, start, sampler, StopPolicy(target_count=2), seed=3)
+    assert got.stop_reason == "target_count" and got.warning is None
+    assert len(got) == 2
+    assert got.history == full.history[: first + 1]
+
+
+def test_ledger_is_deterministic_and_counts_every_leg(monkeypatch):
+    # the report's per-round records repeat exactly, and their legs,
+    # statuses and steps are those of the tracker's PathResults
+    spec = WaringSpec(5, 1, 3)
+    start, tensor = random_real_start(spec, seed=11)
+    args = (spec, start, tensor)
+    first = enumerate_decompositions(*args, seed=5).serialize(d=5)
+    calls = _recording_track_paths(monkeypatch)
+    reg = enumerate_decompositions(*args, seed=5)
+    assert reg.serialize(d=5) == first
+    assert first["graph"] == {"nodes": 3, "edges_per_pair": 4, "fresh_edges": 0}
+    results = [r for _, _, rs in calls for r in rs]
+    history = first["history"]
+    assert sum(record["legs"] for record in history) == len(results) == 12
+    for status in PathStatus:
+        assert sum(record["status"][status.value] for record in history) == sum(
+            r.status is status for r in results)
+    assert sum(record["steps"] for record in history) == sum(r.steps_taken for r in results)
+    assert sum(record["lost"] for record in history) == first["transports_lost"] == sum(
+        not r.success for r in results)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
-def test_binary_forms_match_loops_run_alone(d):
+def test_binary_forms_match_legs_tracked_alone(d, monkeypatch):
     # the six forms of the waring-binary benchmark workload, at the
-    # default stop rule: every loop confirms, and form 7001 loses one
-    # transport
+    # default stop rule: a tracker call per leg gives the registry and
+    # the ledger of the chunked run, bit for bit, and no leg is lost
     spec = WaringSpec(d, 1, (d + 1) // 2)
     for i in range(2):
         form_seed = 1000 * d + i
         start, tensor = random_real_start(spec, seed=form_seed)
         args = (build_system(spec), np.asarray(tensor.coeffs), start,
                 decomposition_sampler(spec, start), StopPolicy(), form_seed)
-        got, want = solve(*args), _one_loop_at_a_time(*args)
-        _assert_same_run(got, want)
-        assert len(got) == 1 and len(got.history) == 8
-        assert got.transports_lost == (1 if form_seed == 7001 else 0)
+        chunked = solve(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(monodromy, "MAX_STACK", 1)
+            alone = solve(*args)
+        _assert_same_run(alone, chunked)
+        assert len(chunked) == 1 and chunked.stop_reason == "stable"
+        assert sum(record["legs"] for record in chunked.history) == 12
+        assert chunked.transports_lost == 0
 
 
-def test_solve_stacks_at_most_max_stack_starts(monkeypatch):
-    # 20 fruitless loops to go: the first batch is cut to 16 loops of one
-    # transport, and once both roots are known, to 8 loops of two
-    system, base, start, sampler = _square_roots()
-    sizes = _recording_track_paths(monkeypatch)
-    reg = solve(system, base, start, sampler, StopPolicy(stable_loops=20), seed=3)
-    assert len(reg) == 2
-    assert max(sizes) == monodromy.MAX_STACK == 16
-    assert sizes[:3] == [16] * 3
+def test_a_lost_leg_is_matched_from_the_other_end(monkeypatch):
+    # the first leg, p0 -> q1 on the first edge, fails; another edge
+    # brings the solution to q1, and a later round tracks it back along
+    # the failed edge onto the start
+    spec = WaringSpec(5, 1, 3)
+    start, tensor = random_real_start(spec, seed=7)
+    base = np.asarray(tensor.coeffs, dtype=complex)
+    calls = []
+    track_paths = monodromy.track_paths
+
+    def first_leg_fails(system, origin, target, starts):
+        results = track_paths(system, origin, target, starts)
+        if not calls:
+            results[0] = PathResult(PathStatus.SINGULAR, results[0].endpoint, 1.0, 1)
+        calls.append((np.array(origin), np.array(target), results))
+        return results
+
+    monkeypatch.setattr(monodromy, "track_paths", first_leg_fails)
+    reg = solve(build_system(spec), base, start, decomposition_sampler(spec, start),
+                StopPolicy(), seed=7)
+    assert reg.transports_lost == 1 and reg.stop_reason == "stable"
+    assert len(reg) == 1
+    assert canonical_distance(reg.solutions[0], sylvester_oracle(tensor, 3)) < 1e-6
+    twisted_p0 = calls[0][0][0]
+    gamma = twisted_p0[0] / base[0]
+    back = [r for _, target, rs in calls[1:] for row, r in zip(target, rs)
+            if np.array_equal(row, twisted_p0)]
+    assert len(back) == 1 and back[0].success
+    home = back[0].endpoint.copy()
+    home[1::2] /= gamma
+    assert canonical_distance(Decomposition.from_vector(home, 1), start) < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -459,10 +440,12 @@ def test_solve_stacks_at_most_max_stack_starts(monkeypatch):
     [
         (StopPolicy(stable_loops=2), "stable"),
         (StopPolicy(target_count=1), "target_count"),
-        (StopPolicy(stable_loops=3, max_loops=2), "loop_budget"),
+        (StopPolicy(max_loops=1), "loop_budget"),
     ],
 )
 def test_solve_records_why_it_stopped(policy, reason):
+    # 2 edges per pair: round 0 leaves p0 on its 4 edges and round 1
+    # matches q1 to q2 on theirs; a budget of 1 round stops before that
     spec = WaringSpec(3, 1, 2)
     start, tensor = random_real_start(spec, seed=4)
     reg = solve(build_system(spec), np.asarray(tensor.coeffs), start,
@@ -470,7 +453,59 @@ def test_solve_records_why_it_stopped(policy, reason):
     assert reg.stop_reason == reason
     assert reg.serialize(d=3)["stop_reason"] == reason
     assert (reg.warning is not None) == (reason == "loop_budget")
-    assert len(reg.history) == {"stable": 2, "target_count": 0, "loop_budget": 2}[reason]
+    assert len(reg.history) == {"stable": 2, "target_count": 0, "loop_budget": 1}[reason]
+    if reason == "stable":
+        assert [record["legs"] for record in reg.history] == [4, 2]
+
+
+def _failing(track_paths, rounds):
+    """``track_paths`` with every leg of the first ``rounds`` calls lost."""
+    calls = []
+
+    def failing(system, origin, target, starts):
+        calls.append(len(starts))
+        results = track_paths(system, origin, target, starts)
+        if len(calls) <= rounds:
+            results = [PathResult(PathStatus.SINGULAR, r.endpoint, 1.0, 1) for r in results]
+        return results
+
+    return failing
+
+
+def test_fresh_edges_join_fibers_of_unequal_size(monkeypatch):
+    # every leg of round 0 is lost, so q1 and q2 stay empty with no leg
+    # owed: one fresh edge to each of them starts the search again
+    spec = WaringSpec(3, 1, 2)
+    start, tensor = random_real_start(spec, seed=4)
+    monkeypatch.setattr(monodromy, "track_paths", _failing(monodromy.track_paths, 1))
+    reg = solve(build_system(spec), np.asarray(tensor.coeffs), start,
+                decomposition_sampler(spec, start), StopPolicy(stable_loops=2), seed=4)
+    assert reg.stop_reason == "stable" and len(reg) == 1
+    assert reg.graph["fresh_edges"] == 2
+    assert reg.transports_lost == reg.history[0]["lost"] == 4
+    assert reg.history[1]["legs"] == 2
+
+
+def test_every_leg_lost_ends_at_the_loop_budget(monkeypatch):
+    spec = WaringSpec(3, 1, 2)
+    start, tensor = random_real_start(spec, seed=4)
+    monkeypatch.setattr(monodromy, "track_paths", _failing(monodromy.track_paths, 10**6))
+    reg = solve(build_system(spec), np.asarray(tensor.coeffs), start,
+                decomposition_sampler(spec, start), StopPolicy(stable_loops=2, max_loops=5),
+                seed=4)
+    assert reg.stop_reason == "loop_budget" and reg.warning is not None
+    assert len(reg.history) == 5 and len(reg) == 1
+    assert reg.graph["fresh_edges"] == 8
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_septic_fixture_at_more_loop_seeds(seed):
+    spec = WaringSpec(7, 2, 12)
+    start, tensor = load_start(str(bundled_fixture_path("deg7_rank12.json")), spec)
+    reg = enumerate_decompositions(spec, start, tensor, policy=StopPolicy(stable_loops=2), seed=seed)
+    assert reg.stop_reason == "stable"
+    cls = classify(reg)
+    assert (cls.total, cls.real_count, cls.autoconjugate_count, cls.conjugate_pair_count) == (5, 1, 2, 1)
 
 
 def test_binary_septic_form_takes_fewer_path_steps(monkeypatch):
