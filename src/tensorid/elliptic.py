@@ -8,20 +8,22 @@ realness pattern of those lines and of their contact points splits the
 real points of space into four types s1..s4.
 
 Neither query tracks a path.  On a plane the two quadrics restrict to
-two conics, whose pencil has a real singular member: a pair of lines,
-real or conjugate, read off one 3x3 symmetric eigenproblem, and each
-line meets the other conic at the roots of one quadratic (Richter-Gebert,
-Perspectives on Projective Geometry, ch. 11).  The quadric
+two conics, whose pencil has a real singular member, found among its
+three generalized eigenvalues: a pair of lines, real or conjugate, read
+off one 3x3 symmetric eigenproblem, and each line meets the other conic
+at the roots of one quadratic (Richter-Gebert, Perspectives on
+Projective Geometry, ch. 11).  The quadric
 Q_P = (P.Q2.P) Q1 - (P.Q1.P) Q2 of the pencil contains P, and a secant
 through P meets it in three points, P and its two contacts, so it lies
 on Q_P.  The two secants through P are the two lines of Q_P through P,
 read off one 2x2 symmetric eigenproblem on the tangent plane of Q_P at
-P; each line meets the curve where it meets Q1, at the roots of one
-quadratic.  A real section is closed under conjugation:
-``merge_section_points`` reads its dedup and its conjugation gaps off
-one ``projective_distances`` matrix, returns each non-real point beside
-its conjugate, and rejects a section whose non-real points
-``realcert.conjugate_partners`` does not pair off.
+P.  On such a line the two quadrics are proportional, so it meets the
+curve where it meets the one of Q1, Q2 that P is further from, at the
+roots of the same quadratic.  A real section is closed under
+conjugation: ``merge_section_points`` reads its dedup and its
+conjugation gaps off one ``projective_distances`` matrix, returns each
+non-real point beside its conjugate, and rejects a section whose
+non-real points ``realcert.conjugate_partners`` does not pair off.
 """
 
 import cmath
@@ -29,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .realcert import REAL_TOL, conjugate_partners, is_real_point
 
@@ -114,11 +117,11 @@ class PlaneSignature:
 
 @dataclass(frozen=True)
 class SecantLine:
-    """Line P + t*d recorded by its direction and two contact parameters."""
+    """A secant through a point P: its unit direction d (d.P = 0), its
+    two contacts with the curve, projectively normalized, whether the
+    line is real, and whether each contact is."""
 
     direction: np.ndarray
-    t1: complex
-    t2: complex
     points: tuple
     is_real_line: bool
     points_real: tuple
@@ -213,28 +216,23 @@ def _singular_member(a: np.ndarray, b: np.ndarray):
     b (unit Frobenius norms) as the ``eigh`` of its unit-norm matrix,
     eigenvalues ordered by modulus.
 
-    det(a + t b) = det(a) + t tr(adj(a) b) + t^2 tr(adj(b) a) + t^3 det(b)
-    is a real cubic, so some member is real and singular.  Its roots are
-    found in the chart, t or s = 1/t, with the larger leading coefficient
-    and read in the other chart outside the unit disk.  A member with
-    vertex v and nonzero eigenvalues |lam_1| <= |lam_2| scores
-    |lam_1 / lam_2| (how clearly it is rank 2) times max(|v.a.v|, |v.b.v|),
-    which vanishes at a multiple root, known only to sqrt(eps)."""
-    nxt, lst = [1, 2, 0], [2, 0, 1]  # adjugates of symmetric 3x3 matrices, from cyclic minors
-    adj_a, adj_b = (m[nxt][:, nxt] * m[lst][:, lst] - m[nxt][:, lst] * m[lst][:, nxt] for m in (a, b))
-    cubic = [np.sum(adj_b * b) / 3.0, np.sum(adj_b * a), np.sum(adj_a * b), np.sum(adj_a * a) / 3.0]
-    if max(map(abs, cubic)) < 1e-12:
+    Each singular member is beta a - alpha b for a generalized
+    eigenvalue (alpha, beta) of (a, b), and det(a + t b) is a real
+    cubic, so some member is real.  A member with vertex v and nonzero
+    eigenvalues |lam_1| <= |lam_2| scores |lam_1 / lam_2| (how clearly
+    it is rank 2) times max(|v.a.v|, |v.b.v|), which vanishes at a
+    multiple root, known only to sqrt(eps)."""
+    pairs = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True, check_finite=False)
+    if (np.abs(pairs).max(axis=0) < 1e-12).any():
         raise DegeneratePlaneError("every conic of the pencil is singular on the plane")
-    first, second = (a, b) if abs(cubic[0]) >= abs(cubic[3]) else (b, a)
-    roots = np.roots(cubic if first is a else cubic[::-1]).tolist()
-    roots += [math.inf] * (3 - len(roots))
     best, best_score = None, -1.0
-    for x in roots:
-        near = abs(x) <= 1.0
-        r = x if near else 1.0 / x
+    for alpha, beta in pairs.T:
+        w = np.array([beta, -alpha])
+        w /= w[np.argmax(np.abs(w))]  # its larger entry 1, the other r with |r| <= 1
+        r = w[np.argmin(np.abs(w))]
         if abs(r.imag) > REAL_TOL * (1.0 + abs(r)):
             continue
-        m = first + r.real * second if near else r.real * first + second
+        m = w[0].real * a + w[1].real * b
         lam, vecs = np.linalg.eigh(m / np.linalg.norm(m))
         order = np.argsort(np.abs(lam))
         lam, vecs = lam[order], vecs[:, order]
@@ -376,13 +374,15 @@ def secant_lines_through(pencil: QuadricPencil, point):
 
     Returns a list of exactly two SecantLine records, found in closed
     form as the lines through the point on the quadric of the pencil
-    through it; the contact parameters of each line are ordered by (real
-    part, imaginary part) and both contact points satisfy both quadrics
-    to 1e-9 (scaled).
+    through it; each line meets the curve where it meets the quadric the
+    point is further from, at the roots of one quadratic.  The lines are
+    both real, or a conjugate pair with conjugate directions.
 
     Raises DegeneratePointError when the point lies on the curve or is
-    a cone vertex of the pencil, a contact is tangential (parameters
-    within 1e-8), or the direction count is not two.
+    a cone vertex of the pencil, a contact is tangential (its two
+    contacts within ``DEDUP_TOL``, which ``_quadratic_roots`` returns as
+    one double root), or the two lines coincide (directions within
+    ``DEDUP_TOL``).
     """
     p = np.asarray(point, dtype=np.complex128).ravel()
     if p.size != 4:
@@ -396,13 +396,9 @@ def secant_lines_through(pencil: QuadricPencil, point):
     p = np.real(normalize_projective(p))
     p = p / np.linalg.norm(p)
 
-    q1m = pencil.q1.matrix
-    q2m = pencil.q2.matrix
-    s1 = float(np.linalg.norm(q1m, ord="fro"))
-    s2 = float(np.linalg.norm(q2m, ord="fro"))
-    c1 = float(p @ q1m @ p)
-    c2 = float(p @ q2m @ p)
-    if abs(c1) < 1e-10 * s1 and abs(c2) < 1e-10 * s2:
+    q1m, q2m = (q.matrix / np.linalg.norm(q.matrix) for q in (pencil.q1, pencil.q2))
+    c1, c2 = p @ q1m @ p, p @ q2m @ p
+    if max(abs(c1), abs(c2)) < 1e-10:
         raise DegeneratePointError("point lies on the curve")
 
     # A secant meets the quadric qp of the pencil through p in three
@@ -410,58 +406,31 @@ def secant_lines_through(pencil: QuadricPencil, point):
     # the two lines of qp through p, inside its tangent plane there.  On
     # an orthonormal basis of that plane modulo p, qp is the binary form
     # lam0 y0^2 + lam1 y1^2, zero at y = (sqrt(lam1), +-sqrt(-lam0)): a
-    # real pair of lines when the signs differ, a conjugate pair if not.
-    qp = (c2 * q1m - c1 * q2m) / (s1 * s2)
+    # real pair of lines when the signs differ, and a conjugate pair
+    # d = a +- ib when not.  On a line of qp the two quadrics are
+    # proportional, so the contacts with the one p is further from lie
+    # on both.
+    qp = c2 * q1m - c1 * q2m
     normal = qp @ p
     if np.linalg.norm(normal) < 1e-10 * np.linalg.norm(qp):
         raise DegeneratePointError("point is the vertex of a cone of the pencil")
     basis = np.linalg.svd(np.array([p, normal]))[2][2:].T
     lam, vecs = np.linalg.eigh(basis.T @ qp @ basis)
     y0, y1 = np.sqrt(np.array([lam[1], -lam[0]], dtype=np.complex128))
+    far = q1m if abs(c1) >= abs(c2) else q2m
 
-    found: list = []  # (direction, t1, t2, contacts) of the genuine secants
+    lines = []
     for d in (basis @ vecs @ [y0, sign * y1] for sign in (1.0, -1.0)):
-        d = normalize_projective(d)  # a real line then has real contact parameters
-        a1 = complex(d @ q1m @ d)
-        a2 = complex(d @ q2m @ d)
-        if abs(a1) / s1 >= abs(a2) / s2:
-            coeffs = (a1, complex(2.0 * (p @ q1m @ d)), complex(c1))
-        else:
-            coeffs = (a2, complex(2.0 * (p @ q2m @ d)), complex(c2))
-        roots = np.roots(coeffs)
-        if roots.size != 2:
-            continue
-        t1, t2 = roots
-        if abs(t1 - t2) < 1e-8 * (1.0 + max(abs(t1), abs(t2))):
-            raise DegeneratePointError("tangential contact: the two parameters collide")
-        if (t2.real, t2.imag) < (t1.real, t1.imag):
-            t1, t2 = t2, t1
-        xs = [p + t * d for t in (t1, t2)]
-        if any(
-            abs(x @ qm @ x) / (float(np.linalg.norm(x)) ** 2 * sq) > 1e-9
-            for x in xs
-            for qm, sq in ((q1m, s1), (q2m, s2))
-        ):
-            continue  # not a genuine common intersection
-        found.append((d, t1, t2, xs))
-
-    # from each direction, then each direction's conjugate, to each direction
-    dirs = np.array([d for d, *_ in found]).reshape(len(found), 4)
-    sines = projective_distances(np.concatenate([dirs, dirs.conj()]), dirs)
-    lines: list = []
-    kept: list = []
-    for i, (d, t1, t2, xs) in enumerate(found):
-        if (sines[i, kept] < DEDUP_TOL).any():
-            continue
-        kept.append(i)
-        pts = [normalize_projective(x) for x in xs]
-        lines.append(SecantLine(direction=d, t1=complex(t1), t2=complex(t2), points=tuple(pts),
-                                is_real_line=bool(sines[len(found) + i, i] < TANGENT_TOL),
-                                points_real=tuple(is_real_point(x) for x in pts)))
-
-    if len(lines) != 2:
-        raise DegeneratePointError(f"expected 2 secant lines, found {len(lines)}")
-    return [lines[i] for i in _lex_order([ln.direction for ln in lines])]
+        d = d / np.linalg.norm(d)  # so that (s, t) -> s p + t d is an isometry
+        roots = _quadratic_roots(p @ far @ p, p @ far @ d, d @ far @ d)
+        if len(roots) == 1:
+            raise DegeneratePointError("tangential contact: the line touches the curve")
+        points = tuple(normalize_projective(s * p + t * d) for s, t in roots)
+        lines.append(SecantLine(direction=d, points=points, is_real_line=bool(lam[0] * lam[1] < 0),
+                                points_real=tuple(is_real_point(x) for x in points)))
+    if projective_distance(lines[0].direction, lines[1].direction) < DEDUP_TOL:
+        raise DegeneratePointError("the two secant lines coincide")
+    return lines
 
 
 def classify_point(pencil: QuadricPencil, point) -> str:
@@ -478,21 +447,10 @@ def classify_point(pencil: QuadricPencil, point) -> str:
         lines = secant_lines_through(pencil, point)
     except DegeneratePointError:
         return DEGENERATE
-    flags = [ln.is_real_line for ln in lines]
-    if all(flags):
-        reals = sorted(sum(ln.points_real) for ln in lines)
-        if reals == [2, 2]:
-            return S1
-        if reals == [0, 2]:
-            return S2
-        if reals == [0, 0]:
-            return S3
-        return DEGENERATE
-    if not any(flags):
-        d = np.array([ln.direction for ln in lines])
-        if conjugate_partners(projective_distances(d.conj(), d), TANGENT_TOL) == [1, 0]:
-            return S4
-    return DEGENERATE
+    if not lines[0].is_real_line:
+        return S4
+    reals = tuple(sorted(sum(ln.points_real) for ln in lines))
+    return {(2, 2): S1, (0, 2): S2, (0, 0): S3}.get(reals, DEGENERATE)
 
 
 def sample_real_points(pencil: QuadricPencil, count: int, seed: int = 0):

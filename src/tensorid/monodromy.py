@@ -126,28 +126,8 @@ class StopPolicy:
             raise ValueError("target_count must be positive")
 
 
-@dataclass
-class LoopSpec:
-    """One triangle: two auxiliary parameter tuples and the exit twist."""
-
-    aux_params: tuple
-    gamma_out: complex
-
-
 def _unit(rng: np.random.Generator) -> complex:
     return cmath.exp(2j * cmath.pi * rng.random())
-
-
-def draw_loop(rng: np.random.Generator, twist_exit: bool, sampler) -> LoopSpec:
-    """Sample the random data of one loop.
-
-    The two auxiliary instances come from sampler(rng), which must
-    return a parameter tuple drawn from a continuous distribution so the
-    loop vertices stay generic.
-    """
-    aux = [np.asarray(sampler(rng), dtype=np.complex128) for _ in range(2)]
-    gamma = _unit(rng) if twist_exit else 1.0 + 0j
-    return LoopSpec(tuple(aux), gamma)
 
 
 class SolutionRegistry:
@@ -316,14 +296,15 @@ def _round(nodes, legs) -> dict:
     return record
 
 
-def triangle_loop(registry: SolutionRegistry, loop: LoopSpec) -> int:
-    """One loop p0 -> q1 -> q2 -> p0, as three single-edge rounds: every
-    stored solution along the edge (p0, q1, gamma_out), then every point
-    that reached q1 along (q1, q2, 1), then every point that reached q2
-    along (q2, p0, 1).  Returns how many endpoints were new at p0."""
-    nodes = [registry] + [SolutionRegistry(registry.system, q, registry.n) for q in loop.aux_params]
+def triangle_loop(registry: SolutionRegistry, aux_params, gamma_out: complex) -> int:
+    """One loop p0 -> q1 -> q2 -> p0, with (q1, q2) = ``aux_params``, as
+    three single-edge rounds: every stored solution along the edge
+    (p0, q1, gamma_out), then every point that reached q1 along
+    (q1, q2, 1), then every point that reached q2 along (q2, p0, 1).
+    Returns how many endpoints were new at p0."""
+    nodes = [registry] + [SolutionRegistry(registry.system, q, registry.n) for q in aux_params]
     before = len(registry)
-    for edge in (Edge((0, 1), loop.gamma_out), Edge((1, 2), 1.0), Edge((2, 0), 1.0)):
+    for edge in (Edge((0, 1), gamma_out), Edge((1, 2), 1.0), Edge((2, 0), 1.0)):
         _round(nodes, [(edge, 0, i) for i in range(len(nodes[edge.ends[0]]))])
     return len(registry) - before
 

@@ -346,3 +346,51 @@ def test_secant_oracle_cross_check(pencil, source):
 def test_classify_degenerate_on_curve_point(pencil):
     on_curve = real_representative(sample_real_points(pencil, count=1, seed=19)[0])
     assert classify_point(pencil, on_curve) == DEGENERATE
+
+
+def _tangent_line_point(pencil, seed, s):
+    """The point c + s t on the tangent line of the curve at c, the first
+    real curve point sampled with ``seed``; t is the unit tangent
+    orthogonal to c, signed so that its largest coordinate is positive."""
+    c = sample_real_points(pencil, count=3, seed=seed)[0]
+    t = np.linalg.svd(np.array([pencil.q1.matrix @ c, pencil.q2.matrix @ c, c]))[2][-1]
+    return c + s * t * np.sign(t[np.argmax(np.abs(t))])
+
+
+def test_point_on_a_tangent_line_is_degenerate(pencil):
+    # the tangent line at c is a secant through the point with a double
+    # contact at c; a root finder that split that contact by about 1e-7
+    # typed this point s1
+    point = _tangent_line_point(pencil, seed=0, s=0.05)
+    assert classify_point(pencil, point) == DEGENERATE
+    with pytest.raises(DegeneratePointError, match="tangential"):
+        secant_lines_through(pencil, point)
+
+
+def test_random_point_type_counts(pencil):
+    # counts of 2,000 standard normal points, as typed before the secant
+    # solve moved onto the plane section's quadratic
+    points = np.random.default_rng(0).standard_normal((2000, 4))
+    tags = [classify_point(pencil, x) for x in points]
+    assert {tag: tags.count(tag) for tag in (S1, S2, S3, S4, DEGENERATE)} == {
+        S1: 67, S2: 585, S3: 953, S4: 395, DEGENERATE: 0
+    }
+
+
+def test_secant_directions_are_real_or_conjugate(pencil):
+    # an s4 point's two lines are conjugates, an s1-s3 point's are real
+    points = [construct_point_of_type(pencil, tag, seed=3) for tag in (S1, S2, S3, S4)]
+    points += list(np.random.default_rng(5).standard_normal((200, 4)))
+    seen = set()
+    for point in points:
+        tag = classify_point(pencil, point)
+        seen.add(tag)
+        d0, d1 = (ln.direction / np.linalg.norm(ln.direction) for ln in secant_lines_through(pencil, point))
+        if tag == S4:
+            # the sine of the angle as the residual of projecting d1 onto
+            # conj(d0): ``projective_distance`` reads it through the
+            # cosine, which cannot resolve a sine below sqrt(eps)
+            assert np.linalg.norm(d1 - np.vdot(d0.conj(), d1) * d0.conj()) < 1e-8
+        else:
+            assert is_real_point(d0) and is_real_point(d1)
+    assert seen == {S1, S2, S3, S4}

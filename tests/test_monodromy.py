@@ -1,5 +1,7 @@
 """The parameter graph's rounds, the registry and the canonical metric."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from tensorid.monodromy import (
     SolutionRegistry,
     StopPolicy,
     canonical_distance,
-    draw_loop,
     solve,
     triangle_loop,
 )
@@ -104,22 +105,6 @@ def test_registry_serialize_shape():
     assert blob["graph"] is None and blob["history"] == []
 
 
-def test_draw_loop_uses_sampler_and_twist():
-    rng = np.random.default_rng(0)
-    calls = []
-
-    def sampler(r):
-        calls.append(1)
-        return np.full(4, 2.0 + 1.0j)
-
-    loop = draw_loop(rng, twist_exit=True, sampler=sampler)
-    assert len(calls) == 2
-    assert np.allclose(loop.aux_params[0], 2.0 + 1.0j)
-    assert abs(abs(loop.gamma_out) - 1.0) < 1e-12
-    plain = draw_loop(rng, twist_exit=False, sampler=sampler)
-    assert plain.gamma_out == 1.0 + 0j
-
-
 def test_binary_cubic_loops_find_nothing_new():
     # unique decomposition: no round adds a point at the base node
     spec = WaringSpec(3, 1, 2)
@@ -181,9 +166,7 @@ def test_triangle_loop_transports_all_solutions():
     base = np.asarray(tensor.coeffs)
     reg = SolutionRegistry(sys_, base, n=1)
     reg.insert(start)
-    rng = np.random.default_rng(0)
-    loop = draw_loop(rng, twist_exit=True, sampler=decomposition_sampler(spec, start))
-    new = triangle_loop(reg, loop)
+    new = triangle_loop(reg, *_loop_draws(decomposition_sampler(spec, start)))
     assert new >= 0
     assert len(reg) >= 1  # the start never disappears
 
@@ -199,6 +182,12 @@ def test_registry_rejects_non_finite_residual(value):
     assert len(reg) == 1
 
 
+def _loop_draws(sampler):
+    """A triangle's two auxiliary parameter tuples and its exit twist,
+    drawn from ``sampler`` and one unit-modulus gamma with seed 0."""
+    rng = np.random.default_rng(0)
+    aux = tuple(np.asarray(sampler(rng), dtype=np.complex128) for _ in range(2))
+    return aux, cmath.exp(2j * cmath.pi * rng.random())
 
 
 def _quintic_registry(copies):
@@ -213,9 +202,7 @@ def _quintic_registry(copies):
     summands = start.summands
     for shift in range(1, copies):
         reg.solutions.append(Decomposition(summands[shift:] + summands[:shift]))
-    rng = np.random.default_rng(0)
-    loop = draw_loop(rng, twist_exit=True, sampler=decomposition_sampler(spec, start))
-    return reg, loop
+    return reg, _loop_draws(decomposition_sampler(spec, start))
 
 
 def test_triangle_loop_matches_solo_transports(monkeypatch):
@@ -225,12 +212,12 @@ def test_triangle_loop_matches_solo_transports(monkeypatch):
     # reorderings reach q1 as one point
     reg, loop = _quintic_registry(2)
     system, p0 = reg.system, reg.base_params
-    q1, q2 = loop.aux_params
+    (q1, q2), gamma = loop
     at_q1 = SolutionRegistry(system, q1, n=1)
     for dec in reg.solutions:
         x = dec.to_vector()
-        x[1::2] *= loop.gamma_out
-        result = track(system, loop.gamma_out * p0, q1, x)
+        x[1::2] *= gamma
+        result = track(system, gamma * p0, q1, x)
         assert result.success
         at_q1.insert(result.endpoint)
     assert len(at_q1) == 1
@@ -247,7 +234,7 @@ def test_triangle_loop_matches_solo_transports(monkeypatch):
         return insert(candidate)
 
     monkeypatch.setattr(reg, "insert", recording_insert)
-    assert triangle_loop(reg, loop) == 0
+    assert triangle_loop(reg, *loop) == 0
     assert len(inserted) == len(solo) == 1
     assert np.array_equal(inserted[0], solo[0])
     assert reg.transports_lost == 0 and len(reg) == 2
@@ -261,7 +248,7 @@ def test_triangle_loop_counts_lost_transports(monkeypatch):
         return [PathResult(PathStatus.SINGULAR, np.asarray(x), 1.0, 1) for x in starts]
 
     monkeypatch.setattr(monodromy, "track_paths", failing_track_paths)
-    assert triangle_loop(reg, loop) == 0
+    assert triangle_loop(reg, *loop) == 0
     assert reg.transports_lost == stored == 2
     assert reg.serialize(d=5)["transports_lost"] == stored
 
@@ -281,7 +268,7 @@ def test_triangle_loop_drops_a_transport_lost_mid_loop(monkeypatch):
         return results
 
     monkeypatch.setattr(monodromy, "track_paths", leg1_loses_row0)
-    assert triangle_loop(reg, loop) == 0
+    assert triangle_loop(reg, *loop) == 0
     assert carried == [2, 1]
     assert reg.transports_lost == 1
     assert len(reg) == 2
