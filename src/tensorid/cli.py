@@ -8,9 +8,12 @@ and, under ``config``, the output path and every setting the run read:
 the seed where a command draws at random, and the stop policy of
 ``waring``; complex numbers serialize as [re, im] pairs.
 
-Exit codes: 0 success, 1 usage or input error (a fixture or report
-path that cannot be opened among them), 2 solve did not stabilize
-within the loop budget, 3 signature search exhausted its attempts.
+Exit codes: 0 success, 1 usage or input error, 2 solve did not
+stabilize within the loop budget, 3 signature search exhausted its
+attempts.  ``main`` maps every ``ValueError``, ``RuntimeError`` and
+``OSError`` to exit 1 with ``error: <message>`` on stderr: a fixture
+or report path that cannot be opened, a section ``segre.solve_section``
+rejects, and a registry ``realcert.classify`` cannot pair among them.
 """
 
 import json
@@ -23,7 +26,7 @@ import numpy as np
 from . import elliptic as ell
 from . import segre as seg
 from .monodromy import StopPolicy
-from .realcert import UnpairedDecompositionError, classify
+from .realcert import classify
 from .waring import (
     WaringSpec,
     bundled_fixture_path,
@@ -37,23 +40,11 @@ from .waring import (
 SCHEMA = "tensorid/report/v1"
 
 
-def _jsonable(obj):
-    """Recursively convert numpy containers; complex becomes [re, im]."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, complex) and not isinstance(obj, float):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """complex as [re, im]; numpy arrays and scalars as Python values."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    return obj.tolist()
 
 
 def _report_path(output_path, default_name: str) -> str:
@@ -74,7 +65,7 @@ def _write_report(payload: dict, default_name: str, output_path, **settings) -> 
     report.update(payload)
     out = _report_path(output_path, default_name)
     with open(out, "w") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     return out
 
@@ -154,10 +145,7 @@ def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, ou
     default_name = f"waring_d{d}_n{n}_r{r}.json"
     _report_path(output_path, default_name)  # fail on an unwritable directory before the solve
     registry = enumerate_decompositions(spec, start, tensor, policy=policy, seed=seed)
-    try:
-        classified = classify(registry)
-    except UnpairedDecompositionError as err:
-        raise click.ClickException(str(err))
+    classified = classify(registry)
     worst = max(reconstruction_error(spec, dec, tensor) for dec in registry.solutions)
 
     payload = {
@@ -298,15 +286,7 @@ def segre_section(dims, span_real, seed, output_path):
         space = seg.span_through_points(spec, span_real, seed=seed)
     else:
         space = seg.random_section_space(spec, seed=seed)
-    if space.codim != spec.variety_dim:
-        raise click.ClickException(
-            f"space has codimension {space.codim}; the section is square only "
-            f"at codimension {spec.variety_dim}"
-        )
-    try:
-        result = seg.solve_section(spec, space, seed=seed)
-    except seg.DeficientSectionError as err:
-        raise click.ClickException(str(err))
+    result = seg.solve_section(spec, space, seed=seed)
     payload = {
         "command": "segre section",
         "spec": list(spec.dims),

@@ -19,8 +19,9 @@ on Q_P.  The two secants through P are the two lines of Q_P through P,
 read off one 2x2 symmetric eigenproblem on the tangent plane of Q_P at
 P.  On such a line the two quadrics are proportional, so it meets the
 curve where it meets the one of Q1, Q2 that P is further from, at the
-roots of the same quadratic.  A real section is closed under
-conjugation: ``merge_section_points`` reads its dedup and its
+roots of the same quadratic; a double root of it (``_quadratic_roots``)
+is a double contact, the one test of tangency.  A real section is closed
+under conjugation: ``merge_section_points`` reads its dedup and its
 conjugation gaps off one ``projective_distances`` matrix, returns each
 non-real point beside its conjugate, and rejects a section whose
 non-real points ``realcert.conjugate_partners`` does not pair off.
@@ -35,7 +36,6 @@ import scipy.linalg
 
 from .realcert import REAL_TOL, conjugate_partners, is_real_point
 
-TANGENT_TOL = 1e-6
 DEDUP_TOL = 1e-6
 PLANE_ATTEMPTS = 400  # random planes drawn before a sampler gives up
 # sigma2/sigma1 of a section's best singular conic below which it is a double
@@ -273,11 +273,11 @@ def intersect_plane(pencil: QuadricPencil, plane):
         (points, PlaneSignature)
 
     Raises:
-        TangentPlaneError: two contact points closer than 1e-6; the
-            error carries the double point.
+        TangentPlaneError: three points found, one of them the double
+            root of its line's quadratic; the error carries that point.
         DegeneratePlaneError: fewer than four isolated intersections,
             among them the tangent planes of the pencil's cones (two
-            double points) and planes with a four-fold contact (whose
+            double roots) and planes with a four-fold contact (whose
             best singular member is within ``RANK_TWO_TOL`` of a double
             line), or non-real points that are not conjugation-closed.
     """
@@ -305,29 +305,24 @@ def intersect_plane(pencil: QuadricPencil, plane):
         roots = _quadratic_roots(vertex @ other @ vertex, vertex @ other @ d, d @ other @ d)
         return [basis @ (s * vertex + t * d) for s, t in roots]
 
-    ends = meet(y1 * vecs[:, 1] + y2 * vecs[:, 2])
+    lines = [meet(y1 * vecs[:, 1] + y2 * vecs[:, 2])]
     if lam[1] * lam[2] < 0:
-        ends += meet(y1 * vecs[:, 1] - y2 * vecs[:, 2])
+        lines.append(meet(y1 * vecs[:, 1] - y2 * vecs[:, 2]))
     else:
-        ends += [np.conjugate(x) for x in ends]
+        lines.append([np.conjugate(x) for x in lines[0]])
     try:
-        found, real_count = merge_section_points(ends)
+        found, real_count = merge_section_points([x for line in lines for x in line])
     except ValueError as err:
         raise DegeneratePlaneError(str(err)) from err
 
     if len(found) < 4:
-        # A double contact comes as a double root, recognized by its
-        # parallel conic gradients (a transverse root has independent
-        # ones).  Two of them make the plane tangent to a cone of the
+        # A line whose quadratic has a double root touches the curve
+        # there.  Two of them make the plane tangent to a cone of the
         # pencil along the line through them.
-        touching = []
-        for p in found:
-            g1, g2 = m1 @ (basis.T @ p), m2 @ (basis.T @ p)
-            if np.linalg.norm(np.cross(g1, g2)) < TANGENT_TOL * (np.linalg.norm(g1) * np.linalg.norm(g2) + 1e-30):
-                touching.append(p)
-        if len(found) == 3 and touching:
-            raise TangentPlaneError("plane has a double contact with the curve", double_point=touching[0])
-        if len(found) == 2 == len(touching):
+        double = [normalize_projective(line[0]) for line in lines if len(line) == 1]
+        if len(found) == 3 and double:
+            raise TangentPlaneError("plane has a double contact with the curve", double_point=double[0])
+        if len(found) == 2 == len(double):
             raise DegeneratePlaneError("plane touches the curve at two points: it is tangent to a cone of the pencil")
         raise DegeneratePlaneError(f"expected 4 intersection points, found {len(found)}")
     return found, PlaneSignature(real_count, 4 - real_count)
@@ -351,16 +346,15 @@ def pencil_scan(pencil: QuadricPencil, k_values):
 
     The planes of this family share the base line x2 = x3 = 0, which
     must meet the curve in two fixed points: both quadrics restricted to
-    the base line must be proportional binary quadratics with distinct
-    roots (checked; ValueError otherwise).  Tangent members are reported
-    as records with the double point instead of a signature.
+    the base line must be proportional, their ``_quadratic_roots`` two
+    (checked; ValueError otherwise).  Tangent members are reported as
+    records with the double point instead of a signature.
     """
     r1, r2 = (q.matrix[[0, 0, 1], [0, 1, 1]] for q in (pencil.q1, pencil.q2))
     cross = np.linalg.norm(np.cross(r1, r2))
     if cross > 1e-9 * (np.linalg.norm(r1) * np.linalg.norm(r2) + 1e-30):
         raise ValueError("base line x2=x3=0 does not meet the curve in fixed points")
-    a, b, c = (r1 if np.linalg.norm(r1) >= np.linalg.norm(r2) else r2)
-    if abs(b * b - a * c) < 1e-12 * (a * a + b * b + c * c):
+    if len(_quadratic_roots(*(r1 if np.linalg.norm(r1) >= np.linalg.norm(r2) else r2))) == 1:
         raise ValueError("base line is tangent to the curve")
 
     return [

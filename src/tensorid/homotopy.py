@@ -299,7 +299,6 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
     size = np.maximum.reduce(np.abs(x), axis=1)  # max |x| of each row
     back_dt = np.zeros_like(x)  # -dx/dt at x
     speed = np.zeros(k)  # max |dx/dt|, inf without a tangent
-    floor = np.zeros(k)  # the corrector's move floor
     # the previous accepted point, as the step back to it from x, its
     # -dx/dt and max |dx/dt|, and the step h between the two points; a
     # row without a previous point has speed_prev inf
@@ -325,21 +324,20 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
             back, ok = _lu_solve_scaled(jac[sel], system.param_tangent(x[sel], dp[sel]), scales[sel])
             back_dt[sel] = back
             speed[sel] = np.maximum.reduce(np.abs(back), axis=1)
-            # The corrector only has to undo the predictor's curvature
-            # error; budget it one predictor length plus a floor, and
-            # treat anything larger as a failed step so that h halves.
-            # Without a tangent the corrector starts at x, uncapped.
-            floor[sel] = 1.5e-8 * (1.0 + size[sel])
             if not all(ok):
                 speed[[j for j, good in zip(fresh, ok) if not good]] = np.inf
             stale = [False] * len(paths)
+        # The corrector only has to undo the predictor's curvature
+        # error; budget it one predictor length plus a floor, and treat
+        # anything larger as a failed step so that h halves.  Without a
+        # tangent the corrector starts at x, uncapped.
         x_new, res_new, state_new = _newton(
             system,
             at(np.array(t_next)[:, None]),
             _hermite_guess(x, back_dt, speed, hs, step_back, back_prev, speed_prev, h_prev),
             tol,
             MAX_CORRECTOR_ITERS,
-            max_move=hs * speed + floor,
+            max_move=hs * speed + 1.5e-8 * (1.0 + size),
         )
 
         accepted = [r < tol for r in res_new.tolist()]
@@ -385,8 +383,8 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
             paths, t, step, streak, steps, stale = (
                 [v[j] for j in live] for v in (paths, t, step, streak, steps, stale)
             )
-            x, res, size, scales, jac, back_dt, speed, floor = (
-                a[live] for a in (x, res, size, scales, jac, back_dt, speed, floor)
+            x, res, size, scales, jac, back_dt, speed = (
+                a[live] for a in (x, res, size, scales, jac, back_dt, speed)
             )
             step_back, back_prev, speed_prev, h_prev = (
                 a[live] for a in (step_back, back_prev, speed_prev, h_prev)

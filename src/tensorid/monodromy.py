@@ -229,6 +229,11 @@ class Edge:
     gamma: complex
     matched: tuple = field(default_factory=lambda: ({}, {}))
 
+    @property
+    def factors(self) -> tuple:
+        """(gamma, 1): a leg's start is scaled by its own end's factor and its endpoint unscaled by the far end's."""
+        return (self.gamma, 1.0)
+
 
 def _pending(edge: Edge, nodes) -> list:
     """The legs ``edge`` still owes, from the end with more unmatched
@@ -254,16 +259,10 @@ def _round(nodes, legs) -> dict:
     system, n = nodes[0].system, nodes[0].n
     origin, target, starts = [], [], []
     for edge, side, i in legs:
-        u, v = (nodes[end].base_params for end in edge.ends)
-        x = nodes[edge.ends[side]].solutions[i].to_vector()
-        if side == 0:
-            origin.append(edge.gamma * u)
-            target.append(v)
-            starts.append(_scale_lambdas(x, n, edge.gamma))
-        else:
-            origin.append(v)
-            target.append(edge.gamma * u)
-            starts.append(x)
+        here, there = (nodes[edge.ends[s]] for s in (side, 1 - side))
+        origin.append(edge.factors[side] * here.base_params)
+        target.append(edge.factors[1 - side] * there.base_params)
+        starts.append(_scale_lambdas(here.solutions[i].to_vector(), n, edge.factors[side]))
     results = []
     for k in range(0, len(legs), MAX_STACK):
         rows = slice(k, k + MAX_STACK)
@@ -282,9 +281,7 @@ def _round(nodes, legs) -> dict:
         far = edge.ends[1 - side]
         j = None
         if result.success:
-            y = result.endpoint
-            if side == 1:
-                y = _scale_lambdas(y, n, 1 / edge.gamma)
+            y = _scale_lambdas(result.endpoint, n, 1 / edge.factors[1 - side])
             record["new"][far] += nodes[far].insert(y)
             j = nodes[far].last_index
         edge.matched[side][i] = j

@@ -208,8 +208,8 @@ def solve_section(spec: SegreSpec, space: LinearSpace, seed: int = 0) -> Section
 
     Raises DeficientSectionError naming the reason: the section is not
     finite (the pencil is singular, or the equations at some u leave a
-    line of v), an infinite eigenvalue, a double point, non-real points
-    not closed under conjugation, or a count other than the degree.
+    line of v), an infinite eigenvalue, a double point, or non-real
+    points not closed under conjugation.  D distinct u give D points.
     """
     a1, a2 = spec.dims
     if space.codim != spec.variety_dim:
@@ -243,8 +243,6 @@ def solve_section(spec: SegreSpec, space: LinearSpace, seed: int = 0) -> Section
     except ValueError as err:
         raise DeficientSectionError(str(err)) from err
     want = degree(spec)
-    if len(found) != want:
-        raise DeficientSectionError(f"expected {want} section points, found {len(found)}")
     return SectionResult(points=tuple(found), signature=(real_count, want - real_count), degree_expected=want)
 
 

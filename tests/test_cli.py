@@ -6,6 +6,7 @@ import pytest
 
 from tensorid import cli, segre, waring
 from tensorid.cli import main
+from tensorid.realcert import UnpairedDecompositionError
 
 
 def read_report(path):
@@ -274,8 +275,36 @@ def test_segre_section_span(tmp_path):
     assert all(len(c) == 2 for p in report["points"] for c in p)
 
 
-def test_segre_section_wrong_span_codim():
+def test_segre_section_wrong_span_codim(capsys):
+    # the span of 3 points in the 8-dimensional (2,2) space has
+    # codimension 6, and a section is square only at codimension 4
     assert main(["segre", "section", "--dims", "2,2", "--span-real", "3"]) == 1
+    err = capsys.readouterr().err
+    assert all(word in err for word in ("codimension", "4", "6"))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, module, name, error",
+    [
+        (["segre", "section", "--dims", "2,2"], segre, "solve_section", segre.DeficientSectionError),
+        (["waring", "--d", "3", "--n", "1", "--r", "2"], cli, "classify", UnpairedDecompositionError),
+    ],
+    ids=["deficient-section", "unpaired-decomposition"],
+)
+def test_solver_rejection_exit_1(tmp_path, capsys, monkeypatch, args, module, name, error):
+    # a section or registry the solver rejects is an input error: exit 1
+    # with the message on stderr, no traceback and no report
+    def reject(*args, **kwargs):
+        raise error("rejected by the solver")
+
+    monkeypatch.setattr(cli, "enumerate_decompositions", lambda *args, **kwargs: None)
+    monkeypatch.setattr(module, name, reject)
+    out = tmp_path / "report.json"
+    assert main([*args, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: rejected by the solver\n"
+    assert not out.exists()
 
 
 def test_segre_search_found(tmp_path):

@@ -264,6 +264,44 @@ def test_pencil_scan_chambers(pencil):
     ) < 1e-7
 
 
+def _quadric(a, b, c, d2, d3):
+    """a x0^2 + 2b x0 x1 + c x1^2 + d2 x2^2 + d3 x3^2."""
+    m = np.diag([a, c, d2, d3])
+    m[0, 1] = m[1, 0] = b
+    return elliptic.Quadric(m)
+
+
+@pytest.mark.parametrize(
+    "q1, q2, message",
+    [
+        # both restrict to multiples of (x0 - x1)^2 on the base line x2 = x3 = 0
+        ((1.0, -1.0, 1.0, 1.0, -1.0), (2.0, -2.0, 2.0, -1.0, -3.0), "base line is tangent to the curve"),
+        # x0^2 - x1^2 and x0^2 + x1^2 vanish at different points of it
+        ((1.0, 0.0, -1.0, 1.0, -1.0), (1.0, 0.0, 1.0, -1.0, -3.0), "does not meet the curve in fixed points"),
+    ],
+    ids=["tangent", "not-fixed"],
+)
+def test_pencil_scan_rejects_its_base_line(q1, q2, message):
+    pencil = elliptic.QuadricPencil(_quadric(*q1), _quadric(*q2))
+    with pytest.raises(ValueError, match=message):
+        pencil_scan(pencil, [0.0])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tangent_planes_of_random_pencils(seed):
+    # the plane alpha grad q1(c) + beta grad q2(c) holds the tangent line
+    # of the curve at the real point c, so it touches the curve there;
+    # on these 15 planes the double point was within 2.1e-8 of c
+    rng = np.random.default_rng(seed)
+    m1, m2 = rng.standard_normal((2, 4, 4))
+    pencil = elliptic.QuadricPencil(elliptic.Quadric(m1 + m1.T), elliptic.Quadric(m2 + m2.T))
+    for c in sample_real_points(pencil, 3, seed=seed):
+        alpha, beta = rng.standard_normal(2)
+        with pytest.raises(TangentPlaneError) as err:
+            intersect_plane(pencil, alpha * (pencil.q1.matrix @ c) + beta * (pencil.q2.matrix @ c))
+        assert projective_distance(err.value.double_point, c) < 1e-7
+
+
 def test_secant_lines_through_generic_point(pencil):
     point = construct_point_of_type(pencil, S1, seed=5)
     lines = secant_lines_through(pencil, point)
