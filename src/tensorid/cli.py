@@ -6,7 +6,8 @@ quadric-pencil secant geometry, ``segre`` the linear-section counts.
 Every run writes a self-contained JSON report that embeds a schema id
 and, under ``config``, the output path and every setting the run read:
 the seed where a command draws at random, and the stop policy of
-``waring``; complex numbers serialize as [re, im] pairs.
+``waring``; complex numbers serialize as [re, im] pairs.  ``_write_report``
+writes each report, then prints the command's summary and ``report: <path>``.
 
 Exit codes: 0 success, 1 usage or input error, 2 solve did not
 stabilize within the loop budget, 3 signature search exhausted its
@@ -59,15 +60,16 @@ def _report_path(output_path, default_name: str) -> str:
     return out
 
 
-def _write_report(payload: dict, default_name: str, output_path, **settings) -> str:
-    """Write one report; its ``config`` is ``settings`` and the output path."""
+def _write_report(summary: str, payload: dict, default_name: str, output_path, **settings) -> None:
+    """Write one report, whose ``config`` is ``settings`` and the output
+    path, then print ``summary`` and the ``report:`` line."""
     report = {"schema": SCHEMA, "config": {**settings, "output_path": output_path}}
     report.update(payload)
     out = _report_path(output_path, default_name)
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
-    return out
+    click.echo(f"{summary}\nreport: {out}")
 
 
 def _parse_csv(text: str, kind, count: int | None = None, name: str = "value"):
@@ -102,11 +104,11 @@ def cli():
 @click.option("--r", "r", type=int, required=True, help="Decomposition rank.")
 @click.option("--fixture", default=None, help="JSON start decomposition (bundled names work).")
 @click.option(
-    "--max-loops", type=int, default=200, show_default=True,
+    "--max-loops", type=int, default=StopPolicy.max_loops, show_default=True,
     help="Most tracking rounds on the parameter graph; reaching it exits 2.",
 )
 @click.option(
-    "--stable-loops", type=int, default=8, show_default=True,
+    "--stable-loops", type=int, default=StopPolicy.stable_loops, show_default=True,
     help="Least independent loops in the parameter graph: each pair of its 3 nodes "
     "is joined by the fewest e edges with 3e - 2 >= this.",
 )
@@ -157,15 +159,14 @@ def waring_cmd(d, n, r, fixture, max_loops, stable_loops, target_count, seed, ou
         "max_reconstruction_error": worst,
         "warning": registry.warning,
     }
-    out = _write_report(payload, default_name, output_path, seed=seed, stop=asdict(policy))
-    click.echo(
+    summary = (
         f"decompositions={classified.total} real={classified.real_count} "
         f"autoconjugate={classified.autoconjugate_count} "
-        f"conjugate_pairs={classified.conjugate_pair_count}"
+        f"conjugate_pairs={classified.conjugate_pair_count}\n"
+        f"identifiable_over_R={classified.identifiable_over_R} "
+        f"identifiable_over_C={classified.identifiable_over_C}"
     )
-    click.echo(f"identifiable_over_R={classified.identifiable_over_R} "
-               f"identifiable_over_C={classified.identifiable_over_C}")
-    click.echo(f"report: {out}")
+    _write_report(summary, payload, default_name, output_path, seed=seed, stop=asdict(policy))
     return 2 if registry.warning else 0
 
 
@@ -182,14 +183,11 @@ def elliptic_plane(coeffs, output_path):
     plane = _parse_csv(coeffs, float, 4, "--coeffs")
     record = ell.plane_record(ell.example_pencil(), plane)
     payload = {"command": "elliptic plane", "plane": plane, **record}
-    out = _write_report(payload, "elliptic_plane.json", output_path)
-    if record["status"] == "transverse":
-        click.echo(f"signature={record['signature']}")
-    elif record["status"] == "tangent":
-        click.echo("tangent plane (double contact)")
-    else:
-        click.echo("degenerate section")
-    click.echo(f"report: {out}")
+    summary = {
+        "transverse": f"signature={record.get('signature')}",
+        "tangent": "tangent plane (double contact)",
+    }.get(record["status"], "degenerate section")
+    _write_report(summary, payload, "elliptic_plane.json", output_path)
     return 0
 
 
@@ -214,9 +212,7 @@ def elliptic_point(construct, coords, seed, output_path):
         "constructed": construct,
         "classification": tag,
     }
-    out = _write_report(payload, "elliptic_point.json", output_path, seed=seed)
-    click.echo(f"classification={tag}")
-    click.echo(f"report: {out}")
+    _write_report(f"classification={tag}", payload, "elliptic_point.json", output_path, seed=seed)
     return 0
 
 
@@ -241,9 +237,8 @@ def elliptic_pencil_scan(from_k, to_k, steps, output_path):
         "records": records,
         "status_counts": counts,
     }
-    out = _write_report(payload, "elliptic_pencil_scan.json", output_path)
-    click.echo(" ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-    click.echo(f"report: {out}")
+    summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    _write_report(summary, payload, "elliptic_pencil_scan.json", output_path)
     return 0
 
 
@@ -268,9 +263,8 @@ def segre_profile(dims, output_path):
     spec = _segre_spec(dims)
     prof = seg.almost_unbalanced_profile(spec)
     payload = {"command": "segre profile", "spec": list(spec.dims), **prof}
-    out = _write_report(payload, "segre_profile.json", output_path)
-    click.echo(f"a_q={prof['a_q']} D={prof['D']} parity={prof['parity']}")
-    click.echo(f"report: {out}")
+    summary = f"a_q={prof['a_q']} D={prof['D']} parity={prof['parity']}"
+    _write_report(summary, payload, "segre_profile.json", output_path)
     return 0
 
 
@@ -295,9 +289,7 @@ def segre_section(dims, span_real, seed, output_path):
         "L": space.equations,
         "points": list(result.points),
     }
-    out = _write_report(payload, "segre_section.json", output_path, seed=seed)
-    click.echo(f"signature={result.signature}")
-    click.echo(f"report: {out}")
+    _write_report(f"signature={result.signature}", payload, "segre_section.json", output_path, seed=seed)
     return 0
 
 
@@ -326,17 +318,13 @@ def segre_search(dims, target, max_attempts, seed, output_path):
     except seg.SignatureNotFoundError as err:
         payload["status"] = "not_found"
         payload["attempts"] = err.attempts
-        out = _write_report(payload, "segre_search.json", output_path, seed=seed)
-        click.echo(f"not found in {err.attempts} attempts")
-        click.echo(f"report: {out}")
+        _write_report(f"not found in {err.attempts} attempts", payload, "segre_search.json", output_path, seed=seed)
         return 3
     payload["status"] = "found"
     payload["signature"] = list(result.signature)
     payload["L"] = space.equations
     payload["points"] = list(result.points)
-    out = _write_report(payload, "segre_search.json", output_path, seed=seed)
-    click.echo(f"signature={result.signature}")
-    click.echo(f"report: {out}")
+    _write_report(f"signature={result.signature}", payload, "segre_search.json", output_path, seed=seed)
     return 0
 
 

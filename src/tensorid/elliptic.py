@@ -128,9 +128,11 @@ class SecantLine:
 
 
 def normalize_projective(x) -> np.ndarray:
-    """Scale so the coordinate of largest modulus equals one."""
+    """Scale so the first coordinate within a relative 1e-9 of the largest
+    modulus equals one: rounding cannot pick among ties such as (1, i, 0, 0)."""
     v = np.asarray(x, dtype=np.complex128).ravel()
-    idx = int(np.argmax(np.abs(v)))
+    size = np.abs(v)
+    idx = int(np.argmax(size >= (1.0 - 1e-9) * size.max()))
     if v[idx] == 0:
         raise ValueError("zero vector has no projective normalization")
     return v / v[idx]

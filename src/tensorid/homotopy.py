@@ -83,21 +83,26 @@ _SINGULAR_RATIO = 1e14
 _GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
-def _pivoted_lu(lu):
-    """Factor each matrix of a (K, N, N) stack in place with LAPACK getrf;
-    every lu[i] must be Fortran-ordered.
+def _scaled_lu(jac, scales):
+    """Row-scale each matrix of a (K, N, N) stack of Jacobians by the
+    weights 1 / (1 + scales) and factor it with LAPACK getrf.
 
-    Returns (pivots, ratios) with ratio = max|U_ii| / min|U_ii|, inf where
-    a pivot is zero or the factors are not finite, which they are not
-    for a matrix with a non-finite entry.
+    Returns (lu, pivots, ratios, weights), where ratios[k] = max|U_ii| /
+    min|U_ii| of matrix k, inf where a pivot is zero or the factors are
+    not finite (as for a matrix with a non-finite entry).  Every solve and
+    every condition estimate reads these ratios.
     """
+    weights = 1.0 / (1.0 + scales)
+    # the transposes of the row-scaled matrices, C-ordered, so that each
+    # lu[i] is Fortran-ordered
+    lu = np.multiply(jac.transpose(0, 2, 1), weights[:, None, :], order="C").transpose(0, 2, 1)
     pivots = [_GETRF(a, overwrite_a=True)[1] for a in lu]
     finite = np.isfinite(lu).all(axis=(1, 2)).tolist()
     ratios = []
     for i, diag in enumerate(np.abs(lu.diagonal(0, 1, 2)).tolist()):
         small = min(diag)
         ratios.append(max(diag) / small if finite[i] and small > 0.0 else math.inf)
-    return pivots, ratios
+    return lu, pivots, ratios, weights
 
 
 def _lu_solve_scaled(jac, rhs, scales):
@@ -109,12 +114,8 @@ def _lu_solve_scaled(jac, rhs, scales):
     is not finite.  Each matrix gets its own LAPACK getrf and getrs, so a
     path sees the pivots and the gate it would see alone.
     """
-    weights = 1.0 / (1.0 + scales)
-    # the transposes of the row-scaled matrices, C-ordered, so that each
-    # lu[i] is Fortran-ordered
-    lu = np.multiply(jac.transpose(0, 2, 1), weights[:, None, :], order="C").transpose(0, 2, 1)
+    lu, pivots, ratios, weights = _scaled_lu(jac, scales)
     b = rhs * weights
-    pivots, ratios = _pivoted_lu(lu)
     out = np.zeros(b.shape, dtype=np.complex128)
     ok = []
     for i, ratio in enumerate(ratios):
@@ -128,13 +129,12 @@ def _lu_solve_scaled(jac, rhs, scales):
     return out, ok
 
 
-def condition_estimate(jac, scales=None) -> float:
-    """Pivot-ratio condition estimate of a (row-scaled) Jacobian; inf
-    when the scaled Jacobian is singular or not finite."""
-    a = np.array(jac, dtype=np.complex128, order="F")
-    if scales is not None:
-        a *= (1.0 / (1.0 + scales))[:, None]
-    return _pivoted_lu(a[None])[1][0] if a.size else math.inf
+def condition_estimate(jac, scales) -> float:
+    """The pivot ratio of the row-scaled (N, N) Jacobian ``jac``, the
+    ratio every tracker step gates on; inf when the scaled Jacobian is
+    singular, not finite or empty."""
+    jac = np.asarray(jac, dtype=np.complex128)
+    return _scaled_lu(jac[None], np.asarray(scales)[None])[2][0] if jac.size else math.inf
 
 
 def _residuals(vals, scales):
@@ -257,9 +257,10 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
     parameter velocity they came from are unchanged.  A path leaves the
     stack when it ends, and so do its segment's rows.
 
-    Returns one PathResult per start, in start order.  Raises ValueError
-    when ``origin`` or ``target`` is not one parameter row per start, or
-    when a start is not a solution at t=0.
+    Each start is first Newton-polished at its origin to ``CORRECTOR_TOL``
+    (one already below it does not move).  Returns one PathResult per
+    start, in start order.  Raises ValueError when ``origin`` or ``target``
+    is not one parameter row per start, or a start does not polish.
     """
     tol = CORRECTOR_TOL
     starts = list(starts)
@@ -270,24 +271,16 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
             raise ValueError(f"{name} must have shape {shape}, one parameter row per start, got {rows.shape}")
     if not starts:
         return []
-    x = np.array(starts, dtype=np.complex128)
-    k = len(x)
+    k = len(starts)
     dp = target - origin
 
     def at(t):
         return (1.0 - t) * origin + t * target
 
-    params0 = at(0.0)
-    vals, scales, jac = system.full_state(x, params0)
-    res = _residuals(vals, scales)
-    redo = [i for i, r in enumerate(res.tolist()) if not r < 10.0 * tol]
-    if redo:
-        fixed = _newton(system, params0[redo], x[redo], tol, MAX_CORRECTOR_ITERS)
-        for r in fixed[1].tolist():
-            if not r < tol:
-                raise ValueError(f"start point is not a solution at t=0 (residual {r:.3e})")
-        x[redo], res[redo] = fixed[0], fixed[1]
-        scales[redo], jac[redo] = fixed[2][1:]
+    x, res, (_, scales, jac) = _newton(system, at(0.0), starts, tol, MAX_CORRECTOR_ITERS)
+    for r in res.tolist():
+        if not r < tol:
+            raise ValueError(f"start point is not a solution at t=0 (residual {r:.3e})")
 
     results = [None] * k
     paths = list(range(k))  # the start of each live row

@@ -19,7 +19,9 @@ node's registry.  So each solution is tracked along each edge once, in
 one direction or the other, and a solution found at any node spreads to
 the others in later rounds.  A leg that fails leaves its point
 unmatched on that edge; the point it should have reached, once some
-other edge finds it, is tracked back along the same edge.
+other edge finds it, is tracked back along the same edge.  A leg landing
+on a point its edge matched to another has jumped paths; rounds count
+jumps.  Stored entries and tracked starts solve to ``CORRECTOR_TOL``.
 """
 
 import cmath
@@ -30,6 +32,7 @@ import numpy as np
 
 from .homotopy import (
     _SINGULAR_RATIO,
+    CORRECTOR_TOL,
     PathStatus,
     SingularJacobianError,
     _newton,
@@ -39,12 +42,12 @@ from .homotopy import (
 from .waring import Decomposition
 
 DEDUP_TOL = 1e-6
-RESIDUAL_TOL = 1e-10
 LAMBDA_TOL = 1e-10
-# The most legs one tracker call carries.  Every distinct stack size
-# costs the evaluator a cached copy of its index tables (see
-# poly._TermTable); 8 rows keep the septic run's peak RSS within about
-# 1 MB of one-leg calls, where 16 rows cost about 7 MB more.
+# The most legs one tracker call carries.  It bounds the tracker's own
+# (K, N, N) arrays and the evaluator's cached copy of its index tables
+# per distinct stack size (see poly._TermTable); 8 rows keep the septic
+# run's peak RSS within about 1 MB of one-leg calls, where 16 rows cost
+# about 7 MB more, and one call per round cost 27 MB more on degree 8.
 MAX_STACK = 8
 # the node pairs, in the order their edges are drawn
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -134,9 +137,9 @@ class SolutionRegistry:
     """Deduplicated solutions of one coefficient-matching system.
 
     Every stored decomposition is Newton-polished against the base
-    parameters, satisfies the system to ``RESIDUAL_TOL`` (scaled), has
-    no weight of modulus below ``LAMBDA_TOL``, and sits at least
-    ``DEDUP_TOL`` from every other entry in canonical distance.
+    parameters, satisfies the system to the tracker's ``CORRECTOR_TOL``
+    (scaled), has no weight of modulus below ``LAMBDA_TOL``, and sits at
+    least ``DEDUP_TOL`` from every other entry in canonical distance.
 
     The registry that ``solve`` returns also carries the search's
     ledger: ``graph`` is the parameter graph's shape, ``history`` holds
@@ -168,7 +171,7 @@ class SolutionRegistry:
         else:
             vec = np.asarray(candidate, dtype=np.complex128)
         vec, res, _ = _newton(self.system, self.base_params[None], vec[None], 5e-14, 25)
-        if not res[0] < RESIDUAL_TOL:
+        if not res[0] < CORRECTOR_TOL:
             return False
         dec = Decomposition.from_vector(vec[0], self.n)
         if any(abs(s.lam) < LAMBDA_TOL for s in dec.summands):
@@ -185,20 +188,11 @@ class SolutionRegistry:
         return len(self.solutions)
 
     def serialize(self, d: int | None = None) -> dict:
-        def pair(z):
-            z = complex(z)
-            return [z.real, z.imag]
-
-        sols = []
-        for dec in self.solutions:
-            sols.append(
-                {
-                    "summands": [
-                        {"l": [pair(v) for v in s.l], "lambda": pair(s.lam)}
-                        for s in dec.summands
-                    ]
-                }
-            )
+        """The registry as a report section; the report's JSON hook writes its complex values."""
+        sols = [
+            {"summands": [{"l": list(s.l), "lambda": s.lam} for s in dec.summands]}
+            for dec in self.solutions
+        ]
         r = self.solutions[0].r if self.solutions else None
         return {
             "r": r,
@@ -253,8 +247,9 @@ def _round(nodes, legs) -> dict:
     registry and record the match on the edge, in leg order.
 
     Lost legs are added to ``nodes[0].transports_lost``.  Returns the
-    round's record: legs, legs by status, path-steps, lost legs and the
-    new points per node.
+    round's record: legs, legs by status, path-steps, lost legs, jumps
+    (legs landing on a point the edge matched to a different one; a point
+    whose own leg was lost takes none) and the new points per node.
     """
     system, n = nodes[0].system, nodes[0].n
     origin, target, starts = [], [], []
@@ -273,6 +268,7 @@ def _round(nodes, legs) -> dict:
         "status": {s.value: 0 for s in PathStatus},
         "steps": 0,
         "lost": 0,
+        "jumps": 0,
         "new": [0] * len(nodes),
     }
     for (edge, side, i), result in zip(legs, results):
@@ -288,7 +284,7 @@ def _round(nodes, legs) -> dict:
         if j is None:
             record["lost"] += 1
         else:
-            edge.matched[1 - side].setdefault(j, i)
+            record["jumps"] += edge.matched[1 - side].setdefault(j, i) not in (i, None)
     nodes[0].transports_lost += record["lost"]
     return record
 

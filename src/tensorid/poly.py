@@ -76,10 +76,10 @@ class _TermTable:
     index arrays are built once per K.  So a stack costs the numpy calls
     of one point, and the copy for one point is the table itself.  The
     copies are cached for the life of the table, one per distinct K ever
-    seen, each about K times the table's size.  So callers bound K (a
-    monodromy round is tracked in calls of at most ``monodromy.MAX_STACK``
-    = 8 paths): the two tables of the (8,2,15) Waring system grow the peak
-    RSS by 322 MB over stack sizes 1 to 64, and by 22 MB over 1 to 16.
+    seen, each about K times the table's size, so callers bound K:
+    ``monodromy.MAX_STACK`` caps both these copies and the tracker's own
+    (K, N, N) arrays at 8 paths.  The two tables of the (8,2,15) Waring
+    system grow the peak RSS by 322 MB over K = 1 to 64, 22 MB over 1 to 16.
     """
 
     def __init__(self, parts, num_unknowns: int, powers: int):

@@ -44,6 +44,16 @@ def test_projective_helpers():
     assert np.max(np.abs(rep.imag)) == 0.0
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_normalize_projective_is_not_decided_by_rounding(sign):
+    # (1, +-i, 0, 0) with its second coordinate one ulp larger or smaller
+    # normalizes by the first coordinate both times
+    ulp = [np.nextafter(1.0, target) for target in (2.0, 0.0)]
+    got = [normalize_projective([1.0, sign * 1j * m, 0.0, 0.0]) for m in ulp]
+    assert [w[0] for w in got] == [1.0, 1.0]
+    assert np.array_equal(got[0], [1.0, sign * 1j * ulp[0], 0.0, 0.0])
+
+
 def test_merge_section_points_dedups_and_puts_real_first():
     z = np.array([1.0, 2.0 + 1.0j, 0.5])
     real = np.array([0.0, 3.0, -1.0])

@@ -210,7 +210,53 @@ def test_lu_solve_rejects_non_finite_imaginary_part():
     out, ok = _lu_solve_scaled(np.array([[[1e-300 + 0j]]]), np.array([[1e10j]]), np.zeros((1, 1)))
     assert not ok[0] and out[0, 0] == 0
     jac = np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]])
-    assert condition_estimate(jac) == np.inf
+    with np.errstate(invalid="ignore"):  # row scaling multiplies inf by 0
+        assert condition_estimate(jac, np.zeros(2)) == np.inf
+
+
+def test_condition_estimate_gates_exactly_as_the_solve_does():
+    # random Jacobians, ones graded from cond 1e10 to 1e17 about the 1e14
+    # gate, singular ones (rank 2, a zero row) and non-finite ones, each
+    # with random row scales: the estimate is above 1e14 exactly where
+    # the row-scaled solve rejects the matrix
+    rng = np.random.default_rng(0)
+    n = 5
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    jacs = [cplx(n, n) for _ in range(4)]
+    q, _ = np.linalg.qr(cplx(n, n))
+    jacs += [q @ np.diag(np.logspace(0, -k, n)) @ q.conj().T for k in range(10, 18)]
+    jacs += [cplx(n, 2) @ cplx(2, n), np.vstack([cplx(n - 1, n), np.zeros(n)])]
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        jac = cplx(n, n)
+        jac[1, 3] = bad
+        jacs.append(jac)
+    scales = rng.uniform(0.0, 1e3, (len(jacs), n))
+    with np.errstate(invalid="ignore"):  # row scaling multiplies inf by 0
+        _, ok = _lu_solve_scaled(np.array(jacs), cplx(len(jacs), n), scales)
+        for jac, row, good in zip(jacs, scales, ok):
+            assert (condition_estimate(jac, row) > 1e14) is (not good)
+    assert 6 <= ok.count(False) < len(jacs) - 6
+
+
+def test_start_above_tolerance_is_polished_before_the_first_step(monkeypatch):
+    # x^2 - p at p = 1 from x = 1 + 4.5e-10: the scaled residual, about
+    # 3e-10, lies between CORRECTOR_TOL and ten times it
+    sys_ = _square_root_system()
+    tol, p0 = homotopy.CORRECTOR_TOL, np.array([[1.0 + 0j]])
+
+    def residual(x):
+        return homotopy._residuals(*sys_.full_state(np.array(x, dtype=complex), p0)[:2])[0]
+
+    start = 1.0 + 4.5e-10
+    assert tol < residual([[start]]) < 10.0 * tol
+    predicted_from = []
+    guess = homotopy._hermite_guess
+    monkeypatch.setattr(homotopy, "_hermite_guess", lambda x, *a: predicted_from.append(x.copy()) or guess(x, *a))
+    assert track(sys_, [1.0], [4.0], [start]).success
+    assert predicted_from[0][0, 0] != start and residual(predicted_from[0]) < tol
 
 
 def test_rejected_step_keeps_its_tangent(monkeypatch):
@@ -420,21 +466,33 @@ def _segments():
 def test_per_row_segments_match_one_start_calls(monkeypatch):
     sys_ = _square_root_system()
     origin, target, starts = _segments()
-    redone = []
+    evaluated = []  # the evaluations of the start-point Newton
     newton = homotopy._newton
+    full_state = PolySystem.full_state
 
     def recording_newton(system, params, points, *args, **kwargs):
-        if kwargs.get("max_move") is None:
-            redone.append((np.array(params), np.array(points)))
-        return newton(system, params, points, *args, **kwargs)
+        if kwargs.get("max_move") is not None:
+            return newton(system, params, points, *args, **kwargs)
+        monkeypatch.setattr(PolySystem, "full_state", recording)
+        try:
+            return newton(system, params, points, *args, **kwargs)
+        finally:
+            monkeypatch.setattr(PolySystem, "full_state", full_state)
+
+    def recording(self, point, params=()):
+        evaluated.append((np.array(point), np.array(params)))
+        return full_state(self, point, params)
 
     monkeypatch.setattr(homotopy, "_newton", recording_newton)
     batch = track_paths(sys_, origin, target, starts)
     monkeypatch.undo()
-    # the start-point Newton ran on the last start alone, at its own origin
-    ((params, points),) = redone
-    assert np.array_equal(points, [starts[-1]])
-    assert np.array_equal(params, origin[-1:])
+    # every start entered the start-point Newton at its own origin, and
+    # only the last, rough one iterated there
+    (points, params), *iterations = evaluated
+    assert np.array_equal(points, starts) and np.array_equal(params, origin)
+    assert iterations
+    for _, params in iterations:
+        assert np.array_equal(params, origin[-1:])
     for k, (start, got) in enumerate(zip(starts, batch)):
         alone = track(sys_, origin[k], target[k], start)
         assert got.status is alone.status is PathStatus.SUCCESS

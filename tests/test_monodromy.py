@@ -1,11 +1,13 @@
 """The parameter graph's rounds, the registry and the canonical metric."""
 
 import cmath
+import json
 
 import numpy as np
 import pytest
 
 from tensorid import monodromy
+from tensorid.cli import _json_default
 from tensorid.homotopy import (
     PathResult,
     PathStatus,
@@ -13,6 +15,7 @@ from tensorid.homotopy import (
     track,
 )
 from tensorid.monodromy import (
+    Edge,
     SolutionRegistry,
     StopPolicy,
     canonical_distance,
@@ -101,7 +104,10 @@ def test_registry_serialize_shape():
     assert blob["r"] == 2 and blob["n"] == 1 and blob["d"] == 3
     assert len(blob["solutions"]) == 1
     summand = blob["solutions"][0]["summands"][0]
-    assert len(summand["l"]) == 1 and len(summand["l"][0]) == 2
+    (l,) = summand["l"]
+    assert l == reg.solutions[0].summands[0].l[0] and isinstance(summand["lambda"], complex)
+    # the report's JSON hook writes each complex value as an [re, im] pair
+    assert json.loads(json.dumps(summand, default=_json_default))["l"] == [[l.real, l.imag]]
     assert blob["graph"] is None and blob["history"] == []
 
 
@@ -307,6 +313,30 @@ def _square_roots():
         return rng.standard_normal(2) + 1j * rng.standard_normal(2)
 
     return system, base, start, sampler
+
+
+def test_round_counts_legs_that_jump_onto_a_matched_point(monkeypatch):
+    # both roots leave p0 along one edge, and both legs are made to end
+    # where the first one ends: the second leg has jumped
+    system, base, start, sampler = _square_roots()
+    (summand,) = start.summands
+    home = SolutionRegistry(system, base, n=1)
+    for sign in (1, -1):
+        assert home.insert([sign * summand.l[0], summand.lam])
+    far = SolutionRegistry(system, sampler(np.random.default_rng(0)), n=1)
+    track_paths = monodromy.track_paths
+    monkeypatch.setattr(
+        monodromy, "track_paths",
+        lambda system, origin, target, starts: [track_paths(system, origin, target, starts)[0]] * len(starts),
+    )
+    edge = Edge((0, 1), cmath.exp(0.3j))
+    record = monodromy._round([home, far], [(edge, 0, 0), (edge, 0, 1)])
+    assert record["jumps"] == 1 and record["lost"] == 0 and len(far) == 1
+    assert edge.matched == ({0: 0, 1: 0}, {0: 0})
+    # landing on a point whose own leg along the edge was lost is no jump
+    edge = Edge((0, 1), cmath.exp(0.3j), ({}, {0: None}))
+    record = monodromy._round([home, far], [(edge, 0, 0)])
+    assert record["jumps"] == 0 and edge.matched == ({0: 0}, {0: None})
 
 
 def _recording_track_paths(monkeypatch):
