@@ -8,9 +8,16 @@ solutions along the induced ODE J dx/dt = -dF/dp * dp/dt: a cubic
 Hermite predictor through the last two accepted points and their
 tangents (Euler on a path's first step, or where the cubic strays
 further from the Euler guess than the Euler step is long), then a short
-Newton corrector at the new t.  Step control doubles the step after
-three consecutive accepted steps, halves it on corrector failure and
-declares the path singular once the step falls below ``MIN_STEP``.
+Newton corrector at the new t.  Interior steps accept at ``TRACK_TOL``;
+the start polish and every step landing at t=1 keep ``CORRECTOR_TOL``.
+Step control sizes the next step from the corrector's effort: a step it
+finishes in at most two iterations doubles the step, three multiply it
+by 1.25 and four by 0.9 (up to ``MAX_STEP``); a rejected step halves it,
+and a path whose step falls below ``MIN_STEP`` ends singular.  The
+tangent at an accepted point is solved with the corrector's last
+factorization, one Newton update away, so it costs a ``getrs`` and no
+``getrf``; only a point the corrector accepted without iterating is
+factored afresh.
 ``track_paths`` advances all starts in lockstep, each with its own
 segment, t and step, through stacked evaluations; ``track`` is its
 one-start call.
@@ -54,7 +61,13 @@ class PathStatus(Enum):
 INITIAL_STEP = 0.05
 MAX_STEP = 0.1
 CORRECTOR_TOL = 1e-10
+# interior steps only need to stay in the corrector's basin; the start
+# and every endpoint at t=1 are held to CORRECTOR_TOL
+TRACK_TOL = 1e-8
 MAX_CORRECTOR_ITERS = 4
+# the factor by which an accepted step grows, indexed by the corrector
+# iterations it took (0 to MAX_CORRECTOR_ITERS)
+STEP_GROWTH = (2.0, 2.0, 2.0, 1.25, 0.9)
 DIVERGENCE_NORM = 1e8
 # Coefficient-matching Jacobians of degree-7 and degree-8 forms are ill
 # conditioned (condition numbers near 1e9 at generic points), so paths
@@ -73,6 +86,11 @@ class PathResult:
     endpoint: np.ndarray
     final_residual: float
     steps_taken: int
+    # the path's Newton linear solves (start polish and every corrector
+    # iteration) and its getrf calls: those plus the fresh tangent
+    # factorizations of points accepted without iterating
+    newton: int = 0
+    factorizations: int = 0
 
     @property
     def success(self) -> bool:
@@ -105,28 +123,41 @@ def _scaled_lu(jac, scales):
     return lu, pivots, ratios, weights
 
 
-def _lu_solve_scaled(jac, rhs, scales):
-    """Row-scaled LU solves of a (K, N, N) stack of Jacobians.
-
-    Returns (out, ok): out[k] solves jac[k] out[k] = rhs[k], and the
-    list entry ok[k] is False, with out[k] zero, where that matrix is not
-    finite, has a zero pivot or a pivot ratio above 1e14, or the solution
-    is not finite.  Each matrix gets its own LAPACK getrf and getrs, so a
-    path sees the pivots and the gate it would see alone.
-    """
+def _factors(jac, scales):
+    """The row-scaled factorization (lu, pivots, weights) of each matrix
+    of a (K, N, N) stack, as a list with None where the matrix is not
+    finite, has a zero pivot or a pivot ratio above 1e14.  Each matrix
+    gets its own LAPACK getrf, so a path sees the pivots and the gate it
+    would see alone."""
     lu, pivots, ratios, weights = _scaled_lu(jac, scales)
-    b = rhs * weights
-    out = np.zeros(b.shape, dtype=np.complex128)
+    return [None if ratio > _SINGULAR_RATIO else (lu[i], pivots[i], weights[i]) for i, ratio in enumerate(ratios)]
+
+
+def _solve(factors, rhs):
+    """Solve with a list of ``_factors``: row k of the (K, N) ``rhs`` by
+    factorization k, one LAPACK getrs each.
+
+    Returns (out, ok): the list entry ok[k] is False, with out[k] zero,
+    where factors[k] is None or the solution is not finite.
+    """
+    out = np.zeros(rhs.shape, dtype=np.complex128)
     ok = []
-    for i, ratio in enumerate(ratios):
-        ok.append(not ratio > _SINGULAR_RATIO)
-        if ok[i]:
-            out[i] = _GETRS(lu[i], pivots[i], b[i])[0]
+    for i, factor in enumerate(factors):
+        ok.append(factor is not None)
+        if factor is not None:
+            lu, pivots, weights = factor
+            out[i] = _GETRS(lu, pivots, rhs[i] * weights)[0]
     if not np.isfinite(out).all():
         bad = ~np.isfinite(out).all(axis=1)
         out[bad] = 0.0
         ok = [good and not worse for good, worse in zip(ok, bad.tolist())]
     return out, ok
+
+
+def _lu_solve_scaled(jac, rhs, scales):
+    """Row-scaled LU solves of a (K, N, N) stack of Jacobians: out[k]
+    solves jac[k] out[k] = rhs[k], as ``_solve`` with ``_factors``."""
+    return _solve(_factors(jac, scales), rhs)
 
 
 def condition_estimate(jac, scales) -> float:
@@ -145,10 +176,16 @@ def _residuals(vals, scales):
 def _newton(system, params, points, tol, max_iters, max_move=None):
     """Newton iteration at fixed parameters for a (K, N) stack of points.
 
-    ``params`` is the (K, P) stack of each row's parameters, and
-    ``max_move`` None or a (K,) array.  Returns (best_points,
-    best_residuals, best_state), where best_state is the (values,
-    scales, jacobian) stack of ``system.full_state`` at best_points.
+    ``params`` is the (K, P) stack of each row's parameters, ``tol`` one
+    tolerance or a (K,) array of them, and ``max_move`` None or a (K,)
+    array.  Returns (best_points, best_residuals, best_state, iterations,
+    factors): best_state is the (values, scales, jacobian) stack of
+    ``system.full_state`` at best_points, iterations[k] counts row k's
+    iterations (one getrf each), and factors[k] is the ``_factors`` entry
+    of its last one (None for a row that made none).  A row that ends
+    below its tolerance after iterating got there on its last update, so
+    its factorization is of the Jacobian one Newton update before its
+    best point.
 
     Each row iterates as it would alone and stops on tolerance, a
     singular linear solve, a residual increase past the best seen, or
@@ -161,9 +198,11 @@ def _newton(system, params, points, tol, max_iters, max_move=None):
     """
     x = np.array(points, dtype=np.complex128)
     k = len(x)
+    tol = np.broadcast_to(tol, (k,)).tolist()
+    iterations, factors = [0] * k, [None] * k
     best = [x, *system.full_state(x, params)]
     best_res = _residuals(best[1], best[2]).tolist()
-    rows = [i for i in range(k) if not best_res[i] < tol]
+    rows = [i for i in range(k) if not best_res[i] < tol[i]]
     cur, move = best, max_move
     if len(rows) < k:
         cur, params = [a[rows] for a in best], params[rows]
@@ -171,7 +210,11 @@ def _newton(system, params, points, tol, max_iters, max_move=None):
     for _ in range(max_iters):
         if not rows:
             break
-        dx, ok = _lu_solve_scaled(cur[3], cur[1], cur[2])
+        fac = _factors(cur[3], cur[2])
+        for i, factor in zip(rows, fac):
+            iterations[i] += 1
+            factors[i] = factor
+        dx, ok = _solve(fac, cur[1])
         if move is not None:
             far = (np.maximum.reduce(np.abs(dx), axis=1) > move).tolist()
             ok = [good and not too_far for good, too_far in zip(ok, far)]
@@ -188,7 +231,7 @@ def _newton(system, params, points, tol, max_iters, max_move=None):
             if r < best_res[i]:
                 best_res[i] = r
                 better.append(j)
-            keep.append(math.isfinite(r) and not best_res[i] < tol and not r > 10.0 * best_res[i])
+            keep.append(math.isfinite(r) and not best_res[i] < tol[i] and not r > 10.0 * best_res[i])
         if len(better) == k:
             best = cur
         elif better:
@@ -201,7 +244,7 @@ def _newton(system, params, points, tol, max_iters, max_move=None):
                 break
             cur, params = [a[keep] for a in cur], params[keep]
             move = None if move is None else move[keep]
-    return best[0], np.array(best_res), tuple(best[1:])
+    return best[0], np.array(best_res), tuple(best[1:]), iterations, factors
 
 
 def _hermite_guess(x, back_dt, speed, h, step_back, back_prev, speed_prev, h_prev):
@@ -246,23 +289,23 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
     segment (1 - t) * origin[k] + t * target[k].
 
     ``origin`` and ``target`` are (K, P) arrays, one parameter row per
-    start.  Each path keeps its own t, step, streak, step count and
-    status, and makes exactly the accept and reject decisions it makes
-    when tracked alone; the live paths share each evaluation of the
-    system and of its parameter tangent, as one (K, N) stack.  The
-    predictor of each path is ``_hermite_guess`` from its last two
-    accepted points; their tangents are computed once each, after the
-    step that reached the point.  A rejected step keeps both tangents
-    and the previous point, since the points, the Jacobian and the
-    parameter velocity they came from are unchanged.  A path leaves the
-    stack when it ends, and so do its segment's rows.
+    start.  Each path keeps its own t, step, step count and status, and
+    makes exactly the accept and reject decisions it makes when tracked
+    alone; the live paths share each evaluation of the system and of its
+    parameter tangent, as one (K, N) stack.  The predictor of each path
+    is ``_hermite_guess`` from its last two accepted points; their
+    tangents are computed once each, after the step that reached the
+    point, with the factorization the corrector left there (a fresh one
+    where the corrector did not iterate).  A rejected step keeps both
+    tangents and the previous point, since the points, the Jacobian and
+    the parameter velocity they came from are unchanged.  A path leaves
+    the stack when it ends, and so do its segment's rows.
 
     Each start is first Newton-polished at its origin to ``CORRECTOR_TOL``
     (one already below it does not move).  Returns one PathResult per
     start, in start order.  Raises ValueError when ``origin`` or ``target``
     is not one parameter row per start, or a start does not polish.
     """
-    tol = CORRECTOR_TOL
     starts = list(starts)
     shape = (len(starts), system.num_params)
     origin, target = (np.asarray(v, dtype=np.complex128) for v in (origin, target))
@@ -277,16 +320,27 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
     def at(t):
         return (1.0 - t) * origin + t * target
 
-    x, res, (_, scales, jac) = _newton(system, at(0.0), starts, tol, MAX_CORRECTOR_ITERS)
+    def factor_afresh(rows, fact, scales, jac):
+        # a point accepted without a corrector iteration has no
+        # factorization to solve its tangent with
+        if rows:
+            for j, f in zip(rows, _factors(jac[rows], scales[rows])):
+                fact[j] = f
+                factorizations[j] += 1
+
+    x, res, (_, scales, jac), newton, fact = _newton(
+        system, at(0.0), starts, CORRECTOR_TOL, MAX_CORRECTOR_ITERS
+    )
     for r in res.tolist():
-        if not r < tol:
+        if not r < CORRECTOR_TOL:
             raise ValueError(f"start point is not a solution at t=0 (residual {r:.3e})")
+    factorizations = list(newton)
+    factor_afresh([j for j in range(k) if not newton[j]], fact, scales, jac)
 
     results = [None] * k
     paths = list(range(k))  # the start of each live row
     t = [0.0] * k
     step = [INITIAL_STEP] * k
-    streak = [0] * k
     steps = [0] * k
     stale = [True] * k  # the row's predictor tangent needs computing
     size = np.maximum.reduce(np.abs(x), axis=1)  # max |x| of each row
@@ -301,12 +355,15 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
     h_prev = np.ones(k)
 
     def end(j, status, point, residual):
-        results[paths[j]] = PathResult(status, point.copy(), float(residual), steps[j])
+        results[paths[j]] = PathResult(
+            status, point.copy(), float(residual), steps[j], newton[j], factorizations[j]
+        )
 
     while paths:
         t_next = [1.0 if s >= 1.0 - u else u + s for u, s in zip(t, step)]
         h = [v - u for v, u in zip(t_next, t)]
         hs = np.array(h)
+        tol = np.array([CORRECTOR_TOL if u == 1.0 else TRACK_TOL for u in t_next])
 
         # Cubic Hermite predictor along the parameter velocity, from the
         # tangents at x and at the previous accepted point.
@@ -314,17 +371,20 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
         if fresh:
             sel = fresh if len(fresh) < len(paths) else slice(None)
             # back is -dx/dt; rows without a tangent are zero
-            back, ok = _lu_solve_scaled(jac[sel], system.param_tangent(x[sel], dp[sel]), scales[sel])
+            back, ok = _solve([fact[j] for j in fresh], system.param_tangent(x[sel], dp[sel]))
             back_dt[sel] = back
             speed[sel] = np.maximum.reduce(np.abs(back), axis=1)
             if not all(ok):
                 speed[[j for j, good in zip(fresh, ok) if not good]] = np.inf
             stale = [False] * len(paths)
+        # the tangents were the factorizations' last use; free them before
+        # the corrector leaves the next ones
+        del fact
         # The corrector only has to undo the predictor's curvature
         # error; budget it one predictor length plus a floor, and treat
         # anything larger as a failed step so that h halves.  Without a
         # tangent the corrector starts at x, uncapped.
-        x_new, res_new, state_new = _newton(
+        x_new, res_new, state_new, iters, fact = _newton(
             system,
             at(np.array(t_next)[:, None]),
             _hermite_guess(x, back_dt, speed, hs, step_back, back_prev, speed_prev, h_prev),
@@ -333,11 +393,14 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
             max_move=hs * speed + 1.5e-8 * (1.0 + size),
         )
 
-        accepted = [r < tol for r in res_new.tolist()]
+        accepted = (res_new < tol).tolist()
         size_new = np.maximum.reduce(np.abs(x_new), axis=1)
         norms = size_new.tolist()
+        unfactored = []
         for j, acc in enumerate(accepted):
             steps[j] += 1
+            newton[j] += iters[j]
+            factorizations[j] += iters[j]
             if acc:
                 t[j] = t_next[j]
                 stale[j] = True
@@ -345,25 +408,24 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
                     end(j, PathStatus.DIVERGED, x_new[j], res_new[j])
                 elif not t[j] < 1.0:
                     end(j, PathStatus.SUCCESS, x_new[j], res_new[j])
-                streak[j] += 1
-                if streak[j] >= 3:
-                    step[j] = min(step[j] * 2.0, MAX_STEP)
-                    streak[j] = 0
+                elif not iters[j]:
+                    unfactored.append(j)
+                step[j] = min(step[j] * STEP_GROWTH[iters[j]], MAX_STEP)
             else:
-                streak[j] = 0
                 step[j] = h[j] / 2.0
                 if step[j] < MIN_STEP:
                     end(j, PathStatus.SINGULAR, x[j], res[j])
+        factor_afresh(unfactored, fact, *state_new[1:])
         if all(accepted):
             # every row is stale, so the next tangents overwrite back_dt
             # and speed whole
             step_back, h_prev = x - x_new, hs
             back_prev, back_dt, speed_prev, speed = back_dt, back_prev, speed, speed_prev
-            x, res, size, (_, scales, jac) = x_new, res_new, size_new, state_new
+            x, res, size = x_new, res_new, size_new
         elif any(accepted):
             step_back[accepted] = x[accepted] - x_new[accepted]
-            new = (back_dt, speed, hs, x_new, res_new, size_new, *state_new[1:])
-            for a, b in zip((back_prev, speed_prev, h_prev, x, res, size, scales, jac), new):
+            new = (back_dt, speed, hs, x_new, res_new, size_new)
+            for a, b in zip((back_prev, speed_prev, h_prev, x, res, size), new):
                 a[accepted] = b[accepted]
 
         live = []
@@ -373,12 +435,10 @@ def track_paths(system: PolySystem, origin, target, starts) -> list:
             if results[i] is None:
                 live.append(j)
         if len(live) < len(paths):
-            paths, t, step, streak, steps, stale = (
-                [v[j] for j in live] for v in (paths, t, step, streak, steps, stale)
+            paths, t, step, steps, stale, fact, newton, factorizations = (
+                [v[j] for j in live] for v in (paths, t, step, steps, stale, fact, newton, factorizations)
             )
-            x, res, size, scales, jac, back_dt, speed = (
-                a[live] for a in (x, res, size, scales, jac, back_dt, speed)
-            )
+            x, res, size, back_dt, speed = (a[live] for a in (x, res, size, back_dt, speed))
             step_back, back_prev, speed_prev, h_prev = (
                 a[live] for a in (step_back, back_prev, speed_prev, h_prev)
             )
@@ -481,7 +541,7 @@ def track_and_polish(system: PolySystem, origin, target, starts):
     success = [i for i, r in enumerate(results) if r.success]
     if success:
         ends = [results[i].endpoint for i in success]
-        x, res, (vals, scales, jac) = _newton(system, np.asarray(target)[success], ends, 1e-13, 30)
+        x, res, (vals, scales, jac), *_ = _newton(system, np.asarray(target)[success], ends, 1e-13, 30)
         # one more Newton step from the polished point: at a regular root
         # it is a rounding-sized move, at a singular one it is not
         dx, ok = _lu_solve_scaled(jac, vals, scales)

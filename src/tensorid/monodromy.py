@@ -170,7 +170,7 @@ class SolutionRegistry:
             vec = candidate.to_vector()
         else:
             vec = np.asarray(candidate, dtype=np.complex128)
-        vec, res, _ = _newton(self.system, self.base_params[None], vec[None], 5e-14, 25)
+        vec, res, *_ = _newton(self.system, self.base_params[None], vec[None], 5e-14, 25)
         if not res[0] < CORRECTOR_TOL:
             return False
         dec = Decomposition.from_vector(vec[0], self.n)
@@ -247,9 +247,11 @@ def _round(nodes, legs) -> dict:
     registry and record the match on the edge, in leg order.
 
     Lost legs are added to ``nodes[0].transports_lost``.  Returns the
-    round's record: legs, legs by status, path-steps, lost legs, jumps
-    (legs landing on a point the edge matched to a different one; a point
-    whose own leg was lost takes none) and the new points per node.
+    round's record: legs, legs by status, path-steps, the legs' Newton
+    linear solves and LU factorizations (``PathResult.newton`` and
+    ``factorizations``), lost legs, jumps (legs landing on a point the
+    edge matched to a different one; a point whose own leg was lost
+    takes none) and the new points per node.
     """
     system, n = nodes[0].system, nodes[0].n
     origin, target, starts = [], [], []
@@ -267,6 +269,8 @@ def _round(nodes, legs) -> dict:
         "legs": len(legs),
         "status": {s.value: 0 for s in PathStatus},
         "steps": 0,
+        "newton": 0,
+        "factorizations": 0,
         "lost": 0,
         "jumps": 0,
         "new": [0] * len(nodes),
@@ -274,6 +278,8 @@ def _round(nodes, legs) -> dict:
     for (edge, side, i), result in zip(legs, results):
         record["status"][result.status.value] += 1
         record["steps"] += result.steps_taken
+        record["newton"] += result.newton
+        record["factorizations"] += result.factorizations
         far = edge.ends[1 - side]
         j = None
         if result.success:

@@ -74,7 +74,7 @@ def test_newton_returns_state_at_its_point(max_move):
     sys_ = _square_root_system()
     params = np.array([[2.0 + 0j]])
     move = None if max_move is None else np.array([max_move])
-    x, res, state = _newton(sys_, params, [[1.3]], 1e-12, 8, max_move=move)
+    x, res, state, *_ = _newton(sys_, params, [[1.3]], 1e-12, 8, max_move=move)
     if max_move is None:
         assert res[0] < 1e-12
     else:
@@ -262,7 +262,10 @@ def test_start_above_tolerance_is_polished_before_the_first_step(monkeypatch):
 def test_rejected_step_keeps_its_tangent(monkeypatch):
     # x^2 - p from p = 1 to just above p = -1 passes near the branch point
     # p = 0, where the corrector rejects steps; the tangent is recomputed
-    # only after an accepted step, so once per accepted step
+    # only after an accepted step, so once per accepted step.  A step is
+    # accepted at TRACK_TOL inside the segment and at CORRECTOR_TOL at its
+    # end, t = 1
+    target = -1.0 + 1e-3j
     tangents = []
     param_tangent = PolySystem.param_tangent
     monkeypatch.setattr(
@@ -273,18 +276,104 @@ def test_rejected_step_keeps_its_tangent(monkeypatch):
     corrected = []
     newton = homotopy._newton
 
-    def recording_newton(*args, **kwargs):
-        out = newton(*args, **kwargs)
+    def recording_newton(system, params, *args, **kwargs):
+        out = newton(system, params, *args, **kwargs)
         if kwargs.get("max_move") is not None:
-            corrected.extend(out[1].tolist())
+            tol = homotopy.CORRECTOR_TOL if params[0, 0] == target else homotopy.TRACK_TOL
+            corrected.append(out[1][0] < tol)
         return out
 
     monkeypatch.setattr(homotopy, "_newton", recording_newton)
-    result = track(_square_root_system(), [1.0], [-1.0 + 1e-3j], [1.0])
-    accepted = sum(r < homotopy.CORRECTOR_TOL for r in corrected)
+    result = track(_square_root_system(), [1.0], [target], [1.0])
+    accepted = sum(corrected)
     assert result.success
     assert len(corrected) == result.steps_taken > accepted
     assert len(tangents) == accepted
+
+
+def _linear_system():
+    # x - p: every path is a straight line, which the predictor lands on
+    return PolySystem([[(1.0, (1,), -1), (-1.0, (0,), 0)]], num_unknowns=1, num_params=1)
+
+
+@pytest.mark.parametrize(
+    "system, origin, target, start, reused",
+    [
+        (_square_root_system(), 1.0, -1.0 + 1e-3j, 1.0 + 1e-9, True),
+        (_linear_system(), 1.0, 4.0 + 3.0j, 1.0, False),
+    ],
+    ids=["corrected", "predicted-exactly"],
+)
+def test_accepted_step_tangent_calls_no_getrf(monkeypatch, system, origin, target, start, reused):
+    # every getrf is a corrector iteration (the start polish's included)
+    # or the fresh factorization of a point the corrector accepted
+    # without iterating: the tangent at any other accepted point solves
+    # with the corrector's last factorization.  The square root's
+    # corrector iterates at every step, and the line's never does
+    getrf = []
+    real_getrf = homotopy._GETRF
+    monkeypatch.setattr(homotopy, "_GETRF", lambda *a, **kw: getrf.append(1) or real_getrf(*a, **kw))
+    tangents = []
+    param_tangent = PolySystem.param_tangent
+    monkeypatch.setattr(
+        PolySystem,
+        "param_tangent",
+        lambda self, point, dp: tangents.append(1) or param_tangent(self, point, dp),
+    )
+    corrections = []  # (getrf calls, iterations, accepted short of t = 1) per corrector call
+    newton = homotopy._newton
+
+    def recording_newton(system, params, points, tol, *args, **kwargs):
+        before = len(getrf)
+        out = newton(system, params, points, tol, *args, **kwargs)
+        onward = bool((out[1] < tol)[0] and params[0, 0] != target)
+        corrections.append((len(getrf) - before, out[3][0], onward))
+        return out
+
+    monkeypatch.setattr(homotopy, "_newton", recording_newton)
+    result = track(system, [origin], [target], [start])
+    assert result.success
+    assert all(calls == iterations for calls, iterations, _ in corrections)
+    iterations = sum(iterations for _, iterations, _ in corrections)
+    fresh = sum(onward and not iterations for _, iterations, onward in corrections)
+    assert len(tangents) == sum(onward for *_, onward in corrections)
+    assert result.newton == iterations
+    assert result.factorizations == len(getrf) == iterations + fresh
+    assert fresh == (0 if reused else len(tangents))
+
+
+def test_step_grows_with_corrector_effort(monkeypatch):
+    # x^2 - p from p = 1 to just above p = -1, past the branch point: a
+    # step the corrector finishes in at most two iterations doubles h, up
+    # to MAX_STEP, three multiply it by 1.25 and four by 0.9, and a
+    # rejected step halves it
+    target = -1.0 + 1e-3j
+    growth = {0: 2.0, 1: 2.0, 2: 2.0, 3: 1.25, 4: 0.9}
+    hs, steps = [], []  # steps: (h, iterations, accepted, lands at t = 1)
+    guess = homotopy._hermite_guess
+    monkeypatch.setattr(
+        homotopy, "_hermite_guess", lambda x, back, speed, h, *a: hs.append(float(h[0])) or guess(x, back, speed, h, *a)
+    )
+    newton = homotopy._newton
+
+    def recording_newton(system, params, points, tol, *args, **kwargs):
+        out = newton(system, params, points, tol, *args, **kwargs)
+        if kwargs.get("max_move") is not None:
+            steps.append((hs[-1], out[3][0], bool((out[1] < tol)[0]), params[0, 0] == target))
+        return out
+
+    monkeypatch.setattr(homotopy, "_newton", recording_newton)
+    assert track(_square_root_system(), [1.0], [target], [1.0]).success
+    seen = set()
+    for (h, iterations, accepted, _), (h_next, *_, last) in zip(steps, steps[1:]):
+        want = min(h * growth[iterations], homotopy.MAX_STEP) if accepted else h / 2.0
+        if last:  # the step to t = 1 is cut at the end of the segment
+            assert h_next <= want * (1.0 + 1e-9)
+        else:
+            assert h_next == pytest.approx(want, rel=1e-9)
+        seen.add((iterations if accepted else "rejected", want == homotopy.MAX_STEP))
+    # doubling, the cap, the slower growth and the halving all occurred
+    assert {(2, False), (2, True), (3, False), (4, False), ("rejected", False)} <= seen
 
 
 def _cubic_samples(t):
