@@ -17,6 +17,7 @@ from .homotopy import (
     track,
 )
 from .monodromy import (
+    SampledStartError,
     SolutionRegistry,
     StopPolicy,
     canonical_distance,
@@ -63,6 +64,7 @@ __all__ = [
     "PathStatus",
     "PolySystem",
     "REAL",
+    "SampledStartError",
     "SingularJacobianError",
     "SolutionRegistry",
     "StopPolicy",

@@ -12,16 +12,21 @@ distinct gammas make the e edges of one pair distinct paths, and the
 graph holds 3e - 2 independent cycles, each a monodromy loop.
 
 Each node keeps its own registry, a partial fiber, and each edge a
-partial matching between the fibers at its ends.  A round tracks, on
-every edge, the points of one end that the edge has not matched yet,
-from the end with more of them, and inserts the endpoints into the far
-node's registry.  So each solution is tracked along each edge once, in
-one direction or the other, and a solution found at any node spreads to
-the others in later rounds.  A leg that fails leaves its point
-unmatched on that edge; the point it should have reached, once some
-other edge finds it, is tracked back along the same edge.  A leg landing
-on a point its edge matched to another has jumped paths; rounds count
-jumps.  Stored entries and tracked starts solve to ``CORRECTOR_TOL``.
+partial matching between the fibers at its ends.  Every node starts
+from a known solution, a parameter-solution pair: p0 from the caller's
+start, and q1 and q2 from the decompositions the sampler drew them as
+images of.  A round tracks, on every edge, the points of one end that
+the edge has not matched yet, from the end with more of them, and
+inserts the endpoints into the far node's registry.  So each solution is
+tracked along each edge once, in one direction or the other, and a
+solution found at any node spreads to the others in later rounds; a
+form with one decomposition is settled in one round.  A round's legs
+share tracker calls of as many rows as the system's size allows (see
+``_stack_rows``).  A leg that fails leaves its point unmatched on that
+edge; the point it should have reached, once some other edge finds it,
+is tracked back along the same edge.  A leg landing on a point its edge
+matched to another has jumped paths; rounds count jumps.  Stored
+entries and tracked starts solve to ``CORRECTOR_TOL``.
 """
 
 import cmath
@@ -43,14 +48,19 @@ from .waring import Decomposition
 
 DEDUP_TOL = 1e-6
 LAMBDA_TOL = 1e-10
-# The most legs one tracker call carries.  It bounds the tracker's own
-# (K, N, N) arrays and the evaluator's cached copy of its index tables
-# per distinct stack size (see poly._TermTable); 8 rows keep the septic
-# run's peak RSS within about 1 MB of one-leg calls, where 16 rows cost
-# about 7 MB more, and one call per round cost 27 MB more on degree 8.
+# The rows a tracker call may carry at any system size (see
+# _stack_rows).  Rows bound the tracker's own (K, N, N) arrays and the
+# evaluator's cached copy of its index tables per distinct stack size
+# (see poly._TermTable); 8 rows keep the septic run's peak RSS within
+# about 1 MB of one-leg calls, where 16 rows cost about 7 MB more, and
+# one call per round cost 27 MB more on degree 8.
 MAX_STACK = 8
 # the node pairs, in the order their edges are drawn
 PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+class SampledStartError(ValueError):
+    """A sampled auxiliary node's own solution does not polish at its parameters."""
 
 
 def _has_perfect_matching(allowed: np.ndarray) -> bool:
@@ -241,17 +251,26 @@ def _pending(edge: Edge, nodes) -> list:
     return [(edge, side, i) for i in waiting[side]]
 
 
+def _stack_rows(num_unknowns: int) -> int:
+    """The most legs one tracker call carries for a system of this size:
+    as many as keep the (K, N, N) stack within the cells of 8 rows at
+    N = 36 (the septic), and never fewer than ``MAX_STACK``.  A binary
+    form's whole round is one call; the septic and degree 8 keep 8."""
+    return max(MAX_STACK, MAX_STACK * 36**2 // num_unknowns**2)
+
+
 def _round(nodes, legs) -> dict:
-    """Track ``legs`` in calls of at most ``MAX_STACK`` rows, each row
+    """Track ``legs`` in calls of at most ``_stack_rows`` rows, each row
     on its own edge, then insert every endpoint into its far node's
     registry and record the match on the edge, in leg order.
 
     Lost legs are added to ``nodes[0].transports_lost``.  Returns the
-    round's record: legs, legs by status, path-steps, the legs' Newton
-    linear solves and LU factorizations (``PathResult.newton`` and
-    ``factorizations``), lost legs, jumps (legs landing on a point the
-    edge matched to a different one; a point whose own leg was lost
-    takes none) and the new points per node.
+    round's record: legs, the rows of each tracker call (``calls``),
+    legs by status, path-steps, the legs' Newton linear solves and LU
+    factorizations (``PathResult.newton`` and ``factorizations``), lost
+    legs, jumps (legs landing on a point the edge matched to a different
+    one; a point whose own leg was lost takes none) and the new points
+    per node.
     """
     system, n = nodes[0].system, nodes[0].n
     origin, target, starts = [], [], []
@@ -260,13 +279,15 @@ def _round(nodes, legs) -> dict:
         origin.append(edge.factors[side] * here.base_params)
         target.append(edge.factors[1 - side] * there.base_params)
         starts.append(_scale_lambdas(here.solutions[i].to_vector(), n, edge.factors[side]))
+    stack = _stack_rows(system.num_unknowns)
     results = []
-    for k in range(0, len(legs), MAX_STACK):
-        rows = slice(k, k + MAX_STACK)
+    for k in range(0, len(legs), stack):
+        rows = slice(k, k + stack)
         results += track_paths(system, np.array(origin[rows]), np.array(target[rows]), starts[rows])
 
     record = {
         "legs": len(legs),
+        "calls": [min(stack, len(legs) - k) for k in range(0, len(legs), stack)],
         "status": {s.value: 0 for s in PathStatus},
         "steps": 0,
         "newton": 0,
@@ -322,26 +343,32 @@ def solve(
         system: coefficient-matching PolySystem.
         base_params: parameters of the target form.
         start: known decomposition at the base parameters.
-        sampler: sampler(rng) for the auxiliary parameter tuples.
+        sampler: sampler(rng) -> (params, start), an auxiliary parameter
+            tuple and a known solution there; each auxiliary node's
+            registry holds its start before the first round.
         policy: stop conditions (defaults: 4 edges per node pair, so 10
             independent loops, and at most 200 rounds).
         seed: randomness for the graph: q1, q2, then each edge's gamma,
             pair by pair in ``PAIRS`` order.
 
-    The search runs rounds (see ``_round``) until no edge owes a leg
-    and the three fibers have one size ("stable"), the base fiber
-    holds ``target_count`` solutions, or ``max_loops`` rounds have run
+    The search runs rounds (see ``_round``) until no edge owes a leg,
+    the three fibers have one size and every pair of nodes has an edge
+    that matched a point ("stable"), the base fiber holds
+    ``target_count`` solutions, or ``max_loops`` rounds have run
     ("loop_budget", which also sets ``warning``).  When no edge owes a
-    leg but the fibers differ in size, as lost legs can leave them, a
-    fresh edge joins each pair of unequal nodes, and its legs run in
-    the rounds that follow, within the same budget.
+    leg but a pair of nodes differs in size, as lost legs can leave
+    them, or no edge of the pair has matched a point, as when every leg
+    between them was lost, a fresh edge joins that pair, and its legs
+    run in the rounds that follow, within the same budget.
 
     Returns:
-        The base node's SolutionRegistry, with the graph's shape and
-        one record per round.
+        The base node's SolutionRegistry, with the graph's shape (and
+        which nodes were seeded) and one record per round.
 
     Raises:
         ValueError: if the start does not solve the base system.
+        SampledStartError: if a sampled start does not solve the system
+            at its own sampled parameters.
         SingularJacobianError: if the start's Jacobian at the base
             parameters fails the tracker's 1e14 pivot-ratio gate (for
             example two equal summands); every leg would be lost.
@@ -360,20 +387,30 @@ def solve(
         )
 
     rng = np.random.default_rng(seed)
-    nodes = [registry] + [
-        SolutionRegistry(system, sampler(rng), start.n) for _ in range(2)
-    ]
+    nodes = [registry]
+    for k in (1, 2):
+        params, aux_start = sampler(rng)
+        nodes.append(SolutionRegistry(system, params, start.n))
+        if not nodes[k].insert(aux_start):
+            raise SampledStartError(
+                f"the start sampled for node {k} does not solve the system at its own parameters"
+            )
     e = math.ceil((policy.stable_loops + 2) / 3)  # the least e with 3e - 2 >= stable_loops
     edges = [Edge(pair, _unit(rng)) for pair in PAIRS for _ in range(e)]
-    registry.graph = {"nodes": len(nodes), "edges_per_pair": e, "fresh_edges": 0}
+    registry.graph = {"nodes": len(nodes), "seeded": [1, 2], "edges_per_pair": e, "fresh_edges": 0}
     while True:
         if policy.target_count is not None and len(registry) >= policy.target_count:
             registry.stop_reason = "target_count"
             return registry
         legs = [leg for edge in edges for leg in _pending(edge, nodes)]
-        if not legs and len({len(node) for node in nodes}) == 1:
-            registry.stop_reason = "stable"
-            return registry
+        if not legs:
+            joined = {edge.ends for edge in edges
+                      if any(j is not None for side in edge.matched for j in side.values())}
+            unsettled = [pair for pair in PAIRS
+                         if pair not in joined or len(nodes[pair[0]]) != len(nodes[pair[1]])]
+            if not unsettled:
+                registry.stop_reason = "stable"
+                return registry
         if len(registry.history) == policy.max_loops:
             registry.stop_reason = "loop_budget"
             registry.warning = (
@@ -382,8 +419,7 @@ def solve(
             )
             return registry
         if not legs:
-            fresh = [Edge(pair, _unit(rng)) for pair in PAIRS
-                     if len(nodes[pair[0]]) != len(nodes[pair[1]])]
+            fresh = [Edge(pair, _unit(rng)) for pair in unsettled]
             registry.graph["fresh_edges"] += len(fresh)
             edges += fresh
             legs = [leg for edge in fresh for leg in _pending(edge, nodes)]

@@ -77,8 +77,9 @@ class _TermTable:
     of one point, and the copy for one point is the table itself.  The
     copies are cached for the life of the table, one per distinct K ever
     seen, each about K times the table's size, so callers bound K:
-    ``monodromy.MAX_STACK`` caps both these copies and the tracker's own
-    (K, N, N) arrays at 8 paths.  The two tables of the (8,2,15) Waring
+    ``monodromy._stack_rows`` caps both these copies and the tracker's
+    own (K, N, N) arrays at the cells of 8 paths of 36 unknowns, and at
+    8 paths for larger systems.  The two tables of the (8,2,15) Waring
     system grow the peak RSS by 322 MB over K = 1 to 64, 22 MB over 1 to 16.
     """
 

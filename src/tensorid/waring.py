@@ -218,8 +218,11 @@ def random_real_start(spec: WaringSpec, seed: int = 0) -> tuple[Decomposition, T
 
 
 def decomposition_sampler(spec: WaringSpec, base: Decomposition):
-    """Aux-instance sampler drawing coefficient vectors of random forms
-    that are themselves sums of r moderate d-th powers.
+    """Aux-instance sampler drawing random forms that are themselves
+    sums of r moderate d-th powers, each with the decomposition it was
+    built from: ``sampler(rng)`` returns (coefficients, decomposition),
+    a parameter-solution pair that seeds its node of the monodromy
+    graph.
 
     Coefficient vectors drawn coordinate-wise at the base form's scale
     put the auxiliary instances' own decompositions at weights many
@@ -248,7 +251,8 @@ def decomposition_sampler(spec: WaringSpec, base: Decomposition):
             mag = math.exp(log_mid + log_spread * rng.standard_normal())
             lam = mag * cmath.exp(2j * cmath.pi * rng.random())
             summands.append(Summand(l, lam))
-        return tensor_from_decomposition(spec, Decomposition(tuple(summands))).coeffs
+        dec = Decomposition(tuple(summands))
+        return tensor_from_decomposition(spec, dec).coeffs, dec
 
     return sampler
 

@@ -39,11 +39,14 @@ def test_waring_binary_quintic(tmp_path):
 
 
 def test_waring_exit_2_when_not_stabilized(tmp_path):
+    # the septic fixture's 5 decompositions cannot all be matched in the
+    # one round a budget of 1 allows
     out = tmp_path / "unstable.json"
     code = main(
         [
             "waring",
-            "--d", "5", "--n", "1", "--r", "3",
+            "--d", "7", "--n", "2", "--r", "12",
+            "--fixture", "deg7_rank12.json",
             "--max-loops", "1",
             "--output", str(out),
         ]

@@ -16,6 +16,7 @@ from tensorid.homotopy import (
 )
 from tensorid.monodromy import (
     Edge,
+    SampledStartError,
     SolutionRegistry,
     StopPolicy,
     canonical_distance,
@@ -27,6 +28,7 @@ from tensorid.realcert import classify
 from tensorid.waring import (
     Decomposition,
     Summand,
+    TensorParams,
     WaringSpec,
     build_system,
     bundled_fixture_path,
@@ -34,6 +36,7 @@ from tensorid.waring import (
     enumerate_decompositions,
     load_start,
     random_real_start,
+    reconstruction_error,
     sylvester_oracle,
     tensor_from_decomposition,
 )
@@ -192,7 +195,7 @@ def _loop_draws(sampler):
     """A triangle's two auxiliary parameter tuples and its exit twist,
     drawn from ``sampler`` and one unit-modulus gamma with seed 0."""
     rng = np.random.default_rng(0)
-    aux = tuple(np.asarray(sampler(rng), dtype=np.complex128) for _ in range(2))
+    aux = tuple(np.asarray(sampler(rng)[0], dtype=np.complex128) for _ in range(2))
     return aux, cmath.exp(2j * cmath.pi * rng.random())
 
 
@@ -299,20 +302,34 @@ def _assert_same_run(got, want):
     ]
 
 
-def _square_roots():
+def _square_roots(copies=1):
     """lam x^2 - a = 0, lam - b = 0 as a one-summand 'decomposition'
     (x, lam) at a complex base (a, b): jointly linear in lam and the
     parameters, like a Waring system, with two solutions x = +-sqrt(a/b),
-    swapped by every loop that winds once around a = 0."""
-    rows = [[(1.0, (2, 1), -1), (-1.0, (0, 0), 0)], [(1.0, (0, 1), -1), (-1.0, (0, 0), 1)]]
-    system = PolySystem(rows, num_unknowns=2, num_params=2)
-    base = np.array([1.0 + 0.5j, 2.0 + 1.0j])
-    start = Decomposition((Summand((np.sqrt(base[0] / base[1]),), base[1]),))
+    swapped by every loop that winds once around a = 0.  ``copies``
+    independent copies, at distinct bases, make a system of 2 * copies
+    unknowns whose summands are the copies.  The sampler draws random
+    parameters and returns them with their root x = sqrt(a/b)."""
+    rows = []
+    for c in range(copies):
+        x_sq_lam, lam = [0] * (2 * copies), [0] * (2 * copies)
+        x_sq_lam[2 * c: 2 * c + 2] = (2, 1)
+        lam[2 * c + 1] = 1
+        zero = (0,) * (2 * copies)
+        rows += [[(1.0, tuple(x_sq_lam), -1), (-1.0, zero, 2 * c)],
+                 [(1.0, tuple(lam), -1), (-1.0, zero, 2 * c + 1)]]
+    system = PolySystem(rows, num_unknowns=2 * copies, num_params=2 * copies)
+    base = np.array([1.0 + 0.5j, 2.0 + 1.0j] * copies) * np.repeat(1.0 + 0.1 * np.arange(copies), 2)
+
+    def root(params):
+        a, b = params[0::2], params[1::2]
+        return Decomposition(tuple(Summand((x,), lam) for x, lam in zip(np.sqrt(a / b), b)))
 
     def sampler(rng):
-        return rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        params = rng.standard_normal(2 * copies) + 1j * rng.standard_normal(2 * copies)
+        return params, root(params)
 
-    return system, base, start, sampler
+    return system, base, root(base), sampler
 
 
 def test_round_counts_legs_that_jump_onto_a_matched_point(monkeypatch):
@@ -323,7 +340,7 @@ def test_round_counts_legs_that_jump_onto_a_matched_point(monkeypatch):
     home = SolutionRegistry(system, base, n=1)
     for sign in (1, -1):
         assert home.insert([sign * summand.l[0], summand.lam])
-    far = SolutionRegistry(system, sampler(np.random.default_rng(0)), n=1)
+    far = SolutionRegistry(system, sampler(np.random.default_rng(0))[0], n=1)
     track_paths = monodromy.track_paths
     monkeypatch.setattr(
         monodromy, "track_paths",
@@ -354,23 +371,32 @@ def _recording_track_paths(monkeypatch):
 
 
 def test_solve_stacks_at_most_max_stack_starts(monkeypatch):
-    # both roots on 12 edges: a round of more than 8 legs is cut into
-    # calls of 8 and the rest
-    system, base, start, sampler = _square_roots()
+    # 18 copies of the square roots, 36 unknowns as in the septic: a
+    # round of more than 8 legs is cut into calls of 8 and the rest,
+    # and each round's record lists the rows of its calls
+    system, base, start, sampler = _square_roots(copies=18)
     calls = _recording_track_paths(monkeypatch)
-    reg = solve(system, base, start, sampler, StopPolicy(), seed=3)
-    assert len(reg) == 2 and reg.stop_reason == "stable"
+    reg = solve(system, base, start, sampler, StopPolicy(max_loops=2), seed=3)
+    assert reg.stop_reason == "loop_budget"
     sizes = [len(results) for _, _, results in calls]
-    assert max(sizes) == monodromy.MAX_STACK == 8
+    assert max(sizes) == monodromy.MAX_STACK == monodromy._stack_rows(36) == 8
+    assert sizes == [rows for record in reg.history for rows in record["calls"]]
     assert sum(sizes) == sum(record["legs"] for record in reg.history)
-    assert any(record["legs"] > 8 for record in reg.history)
+    assert reg.history[0]["legs"] == 12 and reg.history[0]["calls"] == [8, 4]
+
+
+def test_stack_rows_by_system_size():
+    # the septic (N = 36) and degree 8 (N = 45) keep 8 rows; a binary
+    # form's round of 12 legs fits one call
+    assert [monodromy._stack_rows(n) for n in (36, 45, 30, 8, 2)] == [8, 8, 11, 162, 2592]
 
 
 def test_target_count_stops_after_the_round_that_reaches_it():
     system, base, start, sampler = _square_roots()
-    full = solve(system, base, start, sampler, StopPolicy(), seed=3)
+    full = solve(system, base, start, sampler, StopPolicy(), seed=4)
     first = next(k for k, record in enumerate(full.history) if record["new"][0])
-    got = solve(system, base, start, sampler, StopPolicy(target_count=2), seed=3)
+    assert len(full.history) > first + 1
+    got = solve(system, base, start, sampler, StopPolicy(target_count=2), seed=4)
     assert got.stop_reason == "target_count" and got.warning is None
     assert len(got) == 2
     assert got.history == full.history[: first + 1]
@@ -386,7 +412,7 @@ def test_ledger_is_deterministic_and_counts_every_leg(monkeypatch):
     calls = _recording_track_paths(monkeypatch)
     reg = enumerate_decompositions(*args, seed=5)
     assert reg.serialize(d=5) == first
-    assert first["graph"] == {"nodes": 3, "edges_per_pair": 4, "fresh_edges": 0}
+    assert first["graph"] == {"nodes": 3, "seeded": [1, 2], "edges_per_pair": 4, "fresh_edges": 0}
     results = [r for _, _, rs in calls for r in rs]
     history = first["history"]
     assert sum(record["legs"] for record in history) == len(results) == 12
@@ -402,21 +428,25 @@ def test_ledger_is_deterministic_and_counts_every_leg(monkeypatch):
 def test_binary_forms_match_legs_tracked_alone(d, monkeypatch):
     # the six forms of the waring-binary benchmark workload, at the
     # default stop rule: a tracker call per leg gives the registry and
-    # the ledger of the chunked run, bit for bit, and no leg is lost
+    # the ledger of the stacked run, bit for bit, and no leg is lost;
+    # with every node seeded, the whole search is one round of 12 legs
+    # in one call of 12 rows
     spec = WaringSpec(d, 1, (d + 1) // 2)
     for i in range(2):
         form_seed = 1000 * d + i
         start, tensor = random_real_start(spec, seed=form_seed)
         args = (build_system(spec), np.asarray(tensor.coeffs), start,
                 decomposition_sampler(spec, start), StopPolicy(), form_seed)
-        chunked = solve(*args)
+        stacked = solve(*args)
         with monkeypatch.context() as patch:
-            patch.setattr(monodromy, "MAX_STACK", 1)
+            patch.setattr(monodromy, "_stack_rows", lambda num_unknowns: 1)
             alone = solve(*args)
-        _assert_same_run(alone, chunked)
-        assert len(chunked) == 1 and chunked.stop_reason == "stable"
-        assert sum(record["legs"] for record in chunked.history) == 12
-        assert chunked.transports_lost == 0
+        assert [record["calls"] for record in alone.history] == [[1] * 12]
+        alone.history[0]["calls"] = [12]
+        _assert_same_run(alone, stacked)
+        assert len(stacked) == 1 and stacked.stop_reason == "stable"
+        assert [(record["legs"], record["calls"]) for record in stacked.history] == [(12, [12])]
+        assert stacked.transports_lost == 0
 
 
 def test_a_lost_leg_is_matched_from_the_other_end(monkeypatch):
@@ -452,6 +482,14 @@ def test_a_lost_leg_is_matched_from_the_other_end(monkeypatch):
     assert canonical_distance(Decomposition.from_vector(home, 1), start) < 1e-6
 
 
+def _binary_cubic():
+    """The binary cubic of seed 4, one decomposition, as ``solve``'s
+    system, base, start and sampler."""
+    spec = WaringSpec(3, 1, 2)
+    start, tensor = random_real_start(spec, seed=4)
+    return build_system(spec), np.asarray(tensor.coeffs), start, decomposition_sampler(spec, start)
+
+
 @pytest.mark.parametrize(
     "policy, reason",
     [
@@ -461,18 +499,17 @@ def test_a_lost_leg_is_matched_from_the_other_end(monkeypatch):
     ],
 )
 def test_solve_records_why_it_stopped(policy, reason):
-    # 2 edges per pair: round 0 leaves p0 on its 4 edges and round 1
-    # matches q1 to q2 on theirs; a budget of 1 round stops before that
-    spec = WaringSpec(3, 1, 2)
-    start, tensor = random_real_start(spec, seed=4)
-    reg = solve(build_system(spec), np.asarray(tensor.coeffs), start,
-                decomposition_sampler(spec, start), policy, seed=4)
+    # the binary cubic's 2 edges per pair match every seeded node in one
+    # round of 6 legs; the square roots' 12 legs of round 0 never bring
+    # p0 its second root, so a budget of 1 round stops before the
+    # fibers match
+    problem = _square_roots if reason == "loop_budget" else _binary_cubic
+    reg = solve(*problem(), policy, seed=4)
     assert reg.stop_reason == reason
     assert reg.serialize(d=3)["stop_reason"] == reason
     assert (reg.warning is not None) == (reason == "loop_budget")
-    assert len(reg.history) == {"stable": 2, "target_count": 0, "loop_budget": 1}[reason]
-    if reason == "stable":
-        assert [record["legs"] for record in reg.history] == [4, 2]
+    assert [record["legs"] for record in reg.history] == {
+        "stable": [6], "target_count": [], "loop_budget": [12]}[reason]
 
 
 def _failing(track_paths, rounds):
@@ -490,17 +527,18 @@ def _failing(track_paths, rounds):
 
 
 def test_fresh_edges_join_fibers_of_unequal_size(monkeypatch):
-    # every leg of round 0 is lost, so q1 and q2 stay empty with no leg
-    # owed: one fresh edge to each of them starts the search again
-    spec = WaringSpec(3, 1, 2)
-    start, tensor = random_real_start(spec, seed=4)
+    # one triangle on the square roots: every leg of round 0 is lost,
+    # and after round 2 no leg is owed with fibers of sizes 2, 2 and 1;
+    # one fresh edge to q2 from each other node brings q2 its second root
+    system, base, start, sampler = _square_roots()
     monkeypatch.setattr(monodromy, "track_paths", _failing(monodromy.track_paths, 1))
-    reg = solve(build_system(spec), np.asarray(tensor.coeffs), start,
-                decomposition_sampler(spec, start), StopPolicy(stable_loops=2), seed=4)
-    assert reg.stop_reason == "stable" and len(reg) == 1
+    reg = solve(system, base, start, sampler, StopPolicy(stable_loops=1), seed=3)
+    assert reg.stop_reason == "stable" and len(reg) == 2
     assert reg.graph["fresh_edges"] == 2
-    assert reg.transports_lost == reg.history[0]["lost"] == 4
-    assert reg.history[1]["legs"] == 2
+    assert reg.transports_lost == reg.history[0]["lost"] == 3
+    sizes = [1 + sum(record["new"][k] for record in reg.history[:3]) for k in range(3)]
+    assert sizes == [2, 2, 1]
+    assert reg.history[3]["legs"] == 4 and reg.history[3]["new"] == [0, 0, 1]
 
 
 def test_every_leg_lost_ends_at_the_loop_budget(monkeypatch):
@@ -510,9 +548,50 @@ def test_every_leg_lost_ends_at_the_loop_budget(monkeypatch):
     reg = solve(build_system(spec), np.asarray(tensor.coeffs), start,
                 decomposition_sampler(spec, start), StopPolicy(stable_loops=2, max_loops=5),
                 seed=4)
+    # every node keeps its seed, so the fibers have one size and no leg
+    # is owed after round 1; fresh edges join the pairs that no edge has
+    # joined: 3 after round 1 and 3 after round 3
     assert reg.stop_reason == "loop_budget" and reg.warning is not None
     assert len(reg.history) == 5 and len(reg) == 1
-    assert reg.graph["fresh_edges"] == 8
+    assert reg.graph["fresh_edges"] == 6
+    assert [record["legs"] for record in reg.history] == [6, 6, 3, 3, 3]
+    assert reg.transports_lost == 21
+
+
+def test_auxiliary_nodes_start_from_the_sampled_decompositions(monkeypatch):
+    # before round 0, each auxiliary node of the septic's graph holds the
+    # decomposition its sampler drew, which reconstructs its parameters
+    spec = WaringSpec(7, 2, 12)
+    start, tensor = load_start(str(bundled_fixture_path("deg7_rank12.json")), spec)
+    sampler = decomposition_sampler(spec, start)
+    rng = np.random.default_rng(0)
+    drawn = [sampler(rng) for _ in range(2)]
+    seen = []
+
+    def first_round(nodes, legs):
+        seen.extend(nodes)
+        raise StopIteration
+
+    monkeypatch.setattr(monodromy, "_round", first_round)
+    with pytest.raises(StopIteration):
+        solve(build_system(spec), np.asarray(tensor.coeffs), start, sampler, seed=0)
+    for node, (params, dec) in zip(seen[1:], drawn):
+        assert np.array_equal(node.base_params, params) and len(node) == 1
+        assert canonical_distance(node.solutions[0], dec) < 1e-12
+        assert reconstruction_error(spec, node.solutions[0], TensorParams(7, 2, params)) < 1e-12
+
+
+def test_an_unsolvable_sampled_start_is_rejected():
+    # a sampled start at x = 0, where the square roots' Jacobian is
+    # singular, so Newton cannot polish it onto a root
+    system, base, start, sampler = _square_roots()
+
+    def singular(rng):
+        params, _ = sampler(rng)
+        return params, Decomposition((Summand((0j,), params[1]),))
+
+    with pytest.raises(SampledStartError, match="node 1 does not solve"):
+        solve(system, base, start, singular)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
