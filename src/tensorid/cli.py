@@ -310,20 +310,18 @@ def segre_search(dims, target, max_attempts, seed, output_path):
         "target": list(goal),
     }
     try:
-        space, result = seg.search_signature(
+        witness = seg.search_signature(
             spec, goal, max_attempts=max_attempts, seed=seed
         )
     except ValueError as err:
         raise click.BadParameter(str(err))
     except seg.SignatureNotFoundError as err:
-        payload["status"] = "not_found"
-        payload["attempts"] = err.attempts
+        payload.update(status="not_found", attempts=err.attempts, skipped=err.skipped)
         _write_report(f"not found in {err.attempts} attempts", payload, "segre_search.json", output_path, seed=seed)
         return 3
-    payload["status"] = "found"
-    payload["signature"] = list(result.signature)
-    payload["L"] = space.equations
-    payload["points"] = list(result.points)
+    result = witness.result
+    payload.update(status="found", attempts=witness.attempts, skipped=witness.skipped,
+                   signature=list(result.signature), L=witness.space.equations, points=list(result.points))
     _write_report(f"signature={result.signature}", payload, "segre_search.json", output_path, seed=seed)
     return 0
 

@@ -21,10 +21,13 @@ P.  On such a line the two quadrics are proportional, so it meets the
 curve where it meets the one of Q1, Q2 that P is further from, at the
 roots of the same quadratic; a double root of it (``_quadratic_roots``)
 is a double contact, the one test of tangency.  A real section is closed
-under conjugation: ``merge_section_points`` reads its dedup and its
-conjugation gaps off one ``projective_distances`` matrix, returns each
-non-real point beside its conjugate, and rejects a section whose
-non-real points ``realcert.conjugate_partners`` does not pair off.
+under conjugation: ``merge_section_points`` normalizes a section's
+points as one stack, reads its dedup and its conjugation gaps off one
+``projective_distances`` matrix, returns each non-real point beside its
+conjugate, and rejects a section whose non-real points
+``realcert.conjugate_indices`` does not pair off.  ``pencil_eig`` is the
+one generalized eigensolver of ``elliptic`` and ``segre``: one LAPACK
+``ggev`` call.
 """
 
 import cmath
@@ -32,15 +35,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
-from .realcert import REAL_TOL, conjugate_partners, is_real_point
+from .realcert import REAL_TOL, conjugate_indices, is_real_point
 
 DEDUP_TOL = 1e-6
 PLANE_ATTEMPTS = 400  # random planes drawn before a sampler gives up
 # sigma2/sigma1 of a section's best singular conic below which it is a double
 # line: 0.02 or more on 3,000 random planes, ~1e-5 at a four-fold contact
 RANK_TWO_TOL = 1e-4
+
+(_GGEV,) = get_lapack_funcs(("ggev",), dtype=np.float64)
 
 S1 = "s1"
 S2 = "s2"
@@ -129,13 +134,18 @@ class SecantLine:
 
 def normalize_projective(x) -> np.ndarray:
     """Scale so the first coordinate within a relative 1e-9 of the largest
-    modulus equals one: rounding cannot pick among ties such as (1, i, 0, 0)."""
-    v = np.asarray(x, dtype=np.complex128).ravel()
+    modulus equals one: rounding cannot pick among ties such as (1, i, 0, 0).
+    A (K, n) stack is normalized row by row, bitwise as one row at a time;
+    any other input is read as one flattened vector."""
+    v = np.asarray(x, dtype=np.complex128)
+    if v.ndim != 2:
+        v = v.ravel()
     size = np.abs(v)
-    idx = int(np.argmax(size >= (1.0 - 1e-9) * size.max()))
-    if v[idx] == 0:
+    idx = (size >= (1.0 - 1e-9) * size.max(axis=-1, keepdims=True)).argmax(axis=-1)
+    pivot = v[idx] if v.ndim == 1 else v[np.arange(len(v)), idx, None]
+    if not pivot.all():
         raise ValueError("zero vector has no projective normalization")
-    return v / v[idx]
+    return v / pivot
 
 
 def projective_distances(a, b) -> np.ndarray:
@@ -154,12 +164,11 @@ def projective_distance(x, y) -> float:
     return float(projective_distances(np.ravel(x), np.ravel(y))[0, 0])
 
 
-def _lex_order(points, *major) -> np.ndarray:
-    """Indices that sort the rows of ``points`` by the ``major`` keys, then
+def _lex_order(points, major) -> np.ndarray:
+    """Indices that sort the rows of ``points`` by the ``major`` key, then
     by their coordinates rounded to 9 digits, real part before imaginary."""
-    w = np.round(np.asarray(points, dtype=np.complex128), 9)
-    coords = np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1)
-    return np.lexsort([*coords.T[::-1], *major[::-1]])
+    coords = np.round(np.asarray(points, dtype=np.complex128), 9).view(np.float64)
+    return np.lexsort(np.vstack([coords.T[::-1], major]))
 
 
 def real_representative(x, real_tol: float = REAL_TOL) -> np.ndarray:
@@ -174,31 +183,34 @@ def real_representative(x, real_tol: float = REAL_TOL) -> np.ndarray:
 def merge_section_points(vectors):
     """Merge the endpoints of one section solve into its points.
 
-    Each vector is normalized projectively; one closer than ``DEDUP_TOL``
-    to a point already kept repeats it and is dropped.  Returns (points,
-    real_count): the real points first, ordered by their coordinates,
-    then the non-real ones, each followed by its conjugate, the pairs
-    ordered by their first points' coordinates.
+    The (K, n) vectors are normalized projectively in one pass; a point
+    closer than ``DEDUP_TOL`` to any earlier one repeats it and is
+    dropped.  Returns (points, real_count): the real points first,
+    ordered by their coordinates, then the non-real ones, each followed
+    by its conjugate, the pairs ordered by their first points'
+    coordinates.
     Raises ValueError when the non-real points are not closed under
     conjugation.
     """
-    points = np.array([normalize_projective(x) for x in vectors])
+    points = normalize_projective(np.asarray(vectors, dtype=np.complex128).reshape(len(vectors), -1))
     sines = projective_distances(np.concatenate([points, points.conj()]), points)
-    keep: list = []
-    for i in range(len(points)):
-        if (sines[i, keep] >= DEDUP_TOL).all():
-            keep.append(i)
-    real = is_real_point(points[keep])
-    order = np.asarray(keep)[_lex_order(points[keep], ~real)]
+    # a point's sine to itself is about 0, so its first sine below DEDUP_TOL
+    # is its own exactly when no earlier point lies that close
+    keep = np.flatnonzero((sines[: len(points)] < DEDUP_TOL).argmax(axis=1) == np.arange(len(points)))
+    kept = points[keep]
+    real = is_real_point(kept)
+    order = keep[_lex_order(kept, ~real)]
     real_count = int(real.sum())
     nonreal = order[real_count:]
-    partners = conjugate_partners(sines[len(points) + nonreal][:, nonreal], DEDUP_TOL)
-    unpaired = sum(j is None or j == i or partners[j] != i for i, j in enumerate(partners))
+    partners = conjugate_indices(sines[len(points) + nonreal][:, nonreal], DEDUP_TOL)
+    index = np.arange(len(partners))
+    unpaired = int(((partners < 0) | (partners == index) | (partners[partners] != index)).sum())
     if unpaired:
         raise ValueError(f"{unpaired} of {len(partners)} non-real points have no conjugate partner: "
                          "the points are not conjugation-closed")
-    paired = [nonreal[k] for i, j in enumerate(partners) if i < j for k in (i, j)]
-    return [points[i] for i in [*order[:real_count], *paired]], real_count
+    first = index[index < partners]
+    paired = nonreal[np.stack([first, partners[first]], axis=1).ravel()]
+    return list(points[np.concatenate([order[:real_count], paired])]), real_count
 
 
 def plane_basis(plane) -> np.ndarray:
@@ -213,6 +225,31 @@ def plane_basis(plane) -> np.ndarray:
     return vt[1:].T
 
 
+def pencil_eig(a, b, vectors: bool = False):
+    """Generalized eigenvalues of the real pencil (a, b), homogeneous as
+    ``scipy.linalg.eig(a, b, homogeneous_eigvals=True)`` gives them: a
+    (2, n) array of rows alpha and beta, with a v = (alpha / beta) b v.
+    With ``vectors``, also the right eigenvectors as columns, no column
+    normalized: real when every eigenvalue is, as scipy returns them, and
+    otherwise complex, conjugate pairs unpacked from LAPACK's real packing.
+    One LAPACK ``ggev`` call; LinAlgError when it does not converge."""
+    alphar, alphai, beta, _, vr, _, info = _GGEV(a, b, compute_vl=0, compute_vr=int(vectors))
+    if info:
+        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
+    pairs = np.array([alphar + 1j * alphai, beta])
+    if not vectors:
+        return pairs
+    if not alphai.any():
+        return pairs, vr
+    # a pair's first eigenvalue has alphai > 0; its columns j, j+1 hold the
+    # real and imaginary parts of its vector, the second's is the conjugate
+    first = np.flatnonzero(alphai > 0)
+    vecs = vr.astype(np.complex128)
+    vecs.imag[:, first] = vr[:, first + 1]
+    vecs[:, first + 1] = vecs[:, first].conj()
+    return pairs, vecs
+
+
 def _singular_member(a: np.ndarray, b: np.ndarray):
     """The best conditioned real singular conic of the pencil of a and
     b (unit Frobenius norms) as the ``eigh`` of its unit-norm matrix,
@@ -224,7 +261,7 @@ def _singular_member(a: np.ndarray, b: np.ndarray):
     eigenvalues |lam_1| <= |lam_2| scores |lam_1 / lam_2| (how clearly
     it is rank 2) times max(|v.a.v|, |v.b.v|), which vanishes at a
     multiple root, known only to sqrt(eps)."""
-    pairs = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True, check_finite=False)
+    pairs = pencil_eig(a, b)
     if (np.abs(pairs).max(axis=0) < 1e-12).any():
         raise DegeneratePlaneError("every conic of the pencil is singular on the plane")
     best, best_score = None, -1.0

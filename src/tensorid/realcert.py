@@ -93,20 +93,26 @@ class ClassifiedSet:
         }
 
 
-def conjugate_partners(gaps, tol: float) -> list:
+def conjugate_indices(gaps, tol: float) -> np.ndarray:
     """Conjugation as a map on indices, read off the matrix ``gaps`` whose
     entry (i, j) is the distance from the conjugate of item i to item j:
     entry i is i when ``gaps[i][i] < tol``, else the j != i of smallest
-    gap below ``tol`` (the first on a tie), or None when there is none.
+    gap below ``tol`` (the first on a tie), or -1 when there is none.
     On a set closed under conjugation the map is an involution; callers
     check that it is one."""
     g = np.array(gaps, dtype=float)
     if not len(g):
-        return []
+        return np.zeros(0, dtype=int)
+    index = np.arange(len(g))
     fixed = np.diag(g) < tol
     np.fill_diagonal(g, np.inf)
     nearest = g.argmin(axis=1)
-    return [i if fixed[i] else int(j) if g[i, j] < tol else None for i, j in enumerate(nearest)]
+    return np.where(fixed, index, np.where(g[index, nearest] < tol, nearest, -1))
+
+
+def conjugate_partners(gaps, tol: float) -> list:
+    """``conjugate_indices`` as a list, None where there is no partner."""
+    return [None if j < 0 else int(j) for j in conjugate_indices(gaps, tol)]
 
 
 def classify(registry_or_list) -> ClassifiedSet:

@@ -18,16 +18,25 @@ for z = x^a.  Each Delta_l maps Sym^a(C^n) to wedge^a(C^(n+a-1)), both
 of dimension D = C(a1+a2, a1), so the pencil (sum_l h_l Delta_l,
 Delta_0) gives all D points at once (Hochstenbach, Kosir and Plestenjak,
 Numer. Linear Algebra Appl. 2024, rectangular multiparameter eigenproblems).
+
+Each stage works on all D points at once: one LAPACK ``ggev`` call
+(``elliptic.pencil_eig``) gives every eigenvector, unnormalized, since u
+is read off singular vectors that do not depend on its scale; the wedge
+index tables are built once per shape; the polish is a stack of matmuls
+and solves, and ``elliptic.merge_section_points`` normalizes and dedups
+the stack in one pass.  A non-generic space raises
+DeficientSectionError with a ``reason`` key, which ``search_signature``
+counts over the draws it skips.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .elliptic import DEDUP_TOL, merge_section_points, projective_distances
+from .elliptic import DEDUP_TOL, merge_section_points, pencil_eig, projective_distances
 
 # |alpha| or |beta| of an eigenvalue of the unit-norm pencil at or below this
 # is 0: on 1,600 generic (2,2), (2,4), (4,2) and (3,3) sections max(|alpha|,
@@ -41,16 +50,28 @@ POLISH_STEPS = 3
 
 class DeficientSectionError(RuntimeError):
     """The space is not generic: the section is not finite, has a point
-    at an infinite eigenvalue or a double point, has non-real points not
-    closed under conjugation, or has a count other than the degree."""
+    at an infinite eigenvalue or a double point, or has non-real points
+    not closed under conjugation.  ``reason`` names the cause with one of
+    the keys of ``DEFICIENCY_REASONS``, or None when it is not given."""
+
+    def __init__(self, message, reason=None):
+        super().__init__(message)
+        self.reason = reason
+
+
+# the causes of a DeficientSectionError, in the order solve_section tests them
+DEFICIENCY_REASONS = ("singular_pencil", "infinite_eigenvalue", "line", "double_point", "not_conjugation_closed")
 
 
 class SignatureNotFoundError(RuntimeError):
-    """No section with the requested realness signature within budget."""
+    """No section with the requested realness signature within budget;
+    ``attempts`` sections were tried, ``skipped`` counts the deficient
+    ones by reason."""
 
-    def __init__(self, message, attempts=0):
+    def __init__(self, message, attempts=0, skipped=None):
         super().__init__(message)
         self.attempts = attempts
+        self.skipped = skipped or {}
 
 
 @dataclass(frozen=True)
@@ -163,31 +184,47 @@ def random_section_space(spec: SegreSpec, seed: int = 0) -> LinearSpace:
     return LinearSpace(equations=rng.standard_normal((spec.variety_dim, spec.ambient_dim + 1)))
 
 
+@functools.lru_cache(maxsize=None)
+def _wedge_tables(a: int, n: int, rows: int):
+    """What ``_wedge_maps`` reads for a stack of a + 1 maps of shape
+    rows x n: the counts of the multisets of a of the n indices, as rows;
+    for each a-subset I of the rows and each l, the flat indices (i, k)
+    of the a x a block of rows I and columns k != l; and the signs
+    (-1)^l."""
+    multisets = itertools.combinations_with_replacement(range(n), a)
+    samples = np.array([np.bincount(c, minlength=n) for c in multisets], dtype=float)
+    subsets = np.array(list(itertools.combinations(range(rows), a)))
+    others = np.array([[k for k in range(a + 1) if k != l] for l in range(a + 1)])
+    blocks = subsets[:, None, :, None] * (a + 1) + others[None, :, None, :]
+    tables = samples, blocks, (-1.0) ** np.arange(a + 1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _wedge_maps(mats: np.ndarray) -> np.ndarray:
     """The maps Delta_l of the stack ``mats`` of A_l, as an (a+1, D, D)
     stack: entry (I, s) of Delta_l is (-1)^l times the minor on rows I of
     the columns A_k x_s, k != l.  x_s counts the indices of the s-th
     multiset of a of them, so the x_s^a are a well conditioned basis."""
-    a, n = len(mats) - 1, mats.shape[2]
-    multisets = itertools.combinations_with_replacement(range(n), a)
-    samples = np.array([np.bincount(c, minlength=n) for c in multisets], dtype=float)
-    images = np.einsum("lkj,sj->skl", mats, samples)[:, list(itertools.combinations(range(mats.shape[1]), a))]
-    others = [[k for k in range(a + 1) if k != l] for l in range(a + 1)]
-    minors = np.linalg.det(np.swapaxes(images[..., others], 2, 3))
-    return (minors * (-1.0) ** np.arange(a + 1)).transpose(2, 1, 0)
+    samples, blocks, signs = _wedge_tables(len(mats) - 1, mats.shape[2], mats.shape[1])
+    images = np.einsum("lkj,sj->skl", mats, samples).reshape(len(samples), -1)
+    return (np.linalg.det(images[:, blocks]) * signs).transpose(2, 1, 0)
 
 
 def _polish(eqs: np.ndarray, u: np.ndarray, v: np.ndarray):
     """Newton steps on u^T E_k v = 0, E_k the slices of ``eqs``, for all
     points at once, each in the charts fixing its starting u^H u, v^H v."""
-    k, p = len(eqs), u.shape[1]
-    jac = np.zeros((len(u), k + 2, p + v.shape[1]), dtype=complex)
+    k, p, q = eqs.shape
+    by_v = eqs.reshape(k * p, q).T  # v @ by_v holds the E_k v
+    by_u = eqs.transpose(1, 0, 2).reshape(p, k * q)  # u @ by_u holds the u^T E_k
+    jac = np.zeros((len(u), k + 2, p + q), dtype=complex)
     jac[:, k, :p], jac[:, k + 1, p:] = u.conj(), v.conj()
     rhs = np.zeros((len(u), k + 2, 1), dtype=complex)
     for _ in range(POLISH_STEPS):
-        jac[:, :k, :p] = np.einsum("kij,dj->dki", eqs, v)
-        jac[:, :k, p:] = np.einsum("kij,di->dkj", eqs, u)
-        rhs[:, :k, 0] = -np.einsum("dki,di->dk", jac[:, :k, :p], u)
+        jac[:, :k, :p] = (v @ by_v).reshape(-1, k, p)
+        jac[:, :k, p:] = (u @ by_u).reshape(-1, k, q)
+        rhs[:, :k] = -(jac[:, :k, :p] @ u[:, :, None])
         step = np.linalg.solve(jac, rhs)[..., 0]
         u, v = u + step[:, :p], v + step[:, p:]
     return u, v
@@ -206,10 +243,11 @@ def solve_section(spec: SegreSpec, space: LinearSpace, seed: int = 0) -> Section
     real ones first in coordinate order, then each non-real one
     followed by its conjugate.
 
-    Raises DeficientSectionError naming the reason: the section is not
-    finite (the pencil is singular, or the equations at some u leave a
-    line of v), an infinite eigenvalue, a double point, or non-real
-    points not closed under conjugation.  D distinct u give D points.
+    Raises DeficientSectionError naming the reason, with its key: the
+    section is not finite (the pencil is singular, "singular_pencil", or
+    the equations at some u leave a line of v, "line"), an infinite
+    eigenvalue, a double point, or non-real points not closed under
+    conjugation.  D distinct u give D points.
     """
     a1, a2 = spec.dims
     if space.codim != spec.variety_dim:
@@ -224,26 +262,44 @@ def solve_section(spec: SegreSpec, space: LinearSpace, seed: int = 0) -> Section
     delta = _wedge_maps(np.einsum("kij,il->lkj", eqs, rot))
     delta /= np.linalg.norm(delta) or 1.0
     pencil = np.tensordot(rng.standard_normal(len(delta) - 1), delta[1:], 1), delta[0]
-    pairs, vecs = scipy.linalg.eig(*pencil, homogeneous_eigvals=True, check_finite=False)
+    pairs, vecs = pencil_eig(*pencil, vectors=True)
     if np.abs(pairs).max(axis=0).min() <= PENCIL_TOL:
-        raise DeficientSectionError("the section is not finite: its eigenvalue pencil is singular")
+        raise DeficientSectionError("the section is not finite: its eigenvalue pencil is singular", "singular_pencil")
     if np.abs(pairs[1]).min() <= PENCIL_TOL:
-        raise DeficientSectionError("infinite eigenvalue: a point lies on the chart's hyperplane u~_0 = 0")
-    u = np.linalg.svd(np.einsum("lis,sd->dil", delta, vecs))[2][:, 0] @ rot.T
-    _, svals, vh = np.linalg.svd(np.einsum("dl,klj->dkj", u, eqs))
+        raise DeficientSectionError("infinite eigenvalue: a point lies on the chart's hyperplane u~_0 = 0",
+                                    "infinite_eigenvalue")
+    # the eigenvectors are not normalized: u is a singular vector of a
+    # multiple of each, which does not depend on its scale
+    u = np.linalg.svd(np.einsum("lis,sd->dil", delta, vecs), full_matrices=False)[2][:, 0] @ rot.T
+    _, svals, vh = np.linalg.svd(np.einsum("dl,klj->dkj", u, eqs), full_matrices=False)
     if svals[:, -2].min() <= NULL_TOL:
-        raise DeficientSectionError("the section is not finite: it contains a line")
+        raise DeficientSectionError("the section is not finite: it contains a line", "line")
     sines = projective_distances(u, u) + np.eye(len(u))  # of the angles between the u's, 1 added on the diagonal
     if sines.min() < DEDUP_TOL:
-        raise DeficientSectionError(f"double point: two eigenvalues merge within {DEDUP_TOL:g}")
+        raise DeficientSectionError(f"double point: two eigenvalues merge within {DEDUP_TOL:g}", "double_point")
     u, v = _polish(eqs, u, vh[:, -1].conj())
     points = np.einsum("di,dj->dij", *((v, u) if a1 > a2 else (u, v))).reshape(len(u), -1)
     try:
         found, real_count = merge_section_points(points)
     except ValueError as err:
-        raise DeficientSectionError(str(err)) from err
+        raise DeficientSectionError(str(err), "not_conjugation_closed") from err
     want = degree(spec)
     return SectionResult(points=tuple(found), signature=(real_count, want - real_count), degree_expected=want)
+
+
+@dataclass(frozen=True)
+class SearchWitness:
+    """A space whose section has the searched signature, and the search's
+    ledger: the sections it solved, this one included, and the deficient
+    ones it skipped by reason.  Unpacks as (space, result)."""
+
+    space: LinearSpace
+    result: SectionResult
+    attempts: int
+    skipped: dict
+
+    def __iter__(self):
+        return iter((self.space, self.result))
 
 
 def search_signature(
@@ -259,10 +315,11 @@ def search_signature(
     the almost-unbalanced rank a_q (the span then has the square
     codimension and its spanning points are real section points for
     free), and (b) fully random real spaces.  Returns the first witness
-    (LinearSpace, SectionResult); raises SignatureNotFoundError after
-    max_attempts sections, which is evidence, not a disproof.  Raises
-    ValueError, before any section is solved, on a target that no
-    section can have or on max_attempts < 1.
+    as a SearchWitness; raises SignatureNotFoundError after max_attempts
+    sections, which is evidence, not a disproof.  Both count the
+    attempts and the deficient sections skipped, by the reason of their
+    DeficientSectionError.  Raises ValueError, before any section is
+    solved, on a target that no section can have or on max_attempts < 1.
     """
     target = (int(target[0]), int(target[1]))
     want = degree(spec)
@@ -276,6 +333,7 @@ def search_signature(
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     span_applicable = target[0] == almost_unbalanced_profile(spec)["a_q"]
     rng = np.random.default_rng(seed)
+    skipped = dict.fromkeys(DEFICIENCY_REASONS, 0)
     for attempt in range(max_attempts):
         draw_seed = int(rng.integers(2**31))
         if span_applicable and attempt % 2 == 0:
@@ -284,10 +342,11 @@ def search_signature(
             space = random_section_space(spec, seed=draw_seed)
         try:
             result = solve_section(spec, space, seed=int(rng.integers(2**31)))
-        except DeficientSectionError:
+        except DeficientSectionError as err:
+            skipped[err.reason] = skipped.get(err.reason, 0) + 1
             continue
         if result.signature == target:
-            return space, result
+            return SearchWitness(space, result, attempt + 1, skipped)
     raise SignatureNotFoundError(
-        f"no section with signature {target} in {max_attempts} attempts", attempts=max_attempts
+        f"no section with signature {target} in {max_attempts} attempts", attempts=max_attempts, skipped=skipped
     )

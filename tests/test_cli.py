@@ -341,6 +341,18 @@ def test_segre_search_exhausted_exit_3(tmp_path):
     assert report["attempts"] == 1
 
 
+def test_segre_search_reports_its_ledger_found_or_not(tmp_path):
+    # the seed-0 (2,4) search finds (9, 6) at its 30th section and skips none
+    none = dict.fromkeys(segre.DEFICIENCY_REASONS, 0)
+    found, missing = tmp_path / "found.json", tmp_path / "missing.json"
+    assert main(["segre", "search", "--dims", "2,4", "--target", "9,6", "--output", str(found)]) == 0
+    assert main(["segre", "search", "--dims", "2,2", "--target", "0,6", "--max-attempts", "3",
+                 "--output", str(missing)]) == 3
+    ledgers = [{k: read_report(path)[k] for k in ("status", "attempts", "skipped")} for path in (found, missing)]
+    assert ledgers == [{"status": "found", "attempts": 30, "skipped": none},
+                       {"status": "not_found", "attempts": 3, "skipped": none}]
+
+
 def test_segre_search_bad_target():
     assert main(["segre", "search", "--dims", "2,2", "--target", "3,3"]) == 1
     assert main(["segre", "search", "--dims", "2,2", "--target", "1,2,3"]) == 1

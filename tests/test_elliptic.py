@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tensorid import elliptic, homotopy, segre
 from tensorid.elliptic import (
@@ -442,3 +443,181 @@ def test_secant_directions_are_real_or_conjugate(pencil):
         else:
             assert is_real_point(d0) and is_real_point(d1)
     assert seen == {S1, S2, S3, S4}
+
+
+def _normalize_row(x):
+    # normalize_projective as it was for one vector at a time
+    v = np.asarray(x, dtype=np.complex128).ravel()
+    size = np.abs(v)
+    idx = int(np.argmax(size >= (1.0 - 1e-9) * size.max()))
+    if v[idx] == 0:
+        raise ValueError("zero vector has no projective normalization")
+    return v / v[idx]
+
+
+def _lex_order_by_key_lists(points, *major):
+    # elliptic._lex_order as it was, its keys passed as a list of rows
+    w = np.round(np.asarray(points, dtype=np.complex128), 9)
+    coords = np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1)
+    return np.lexsort([*coords.T[::-1], *major[::-1]])
+
+
+def _partners_as_list(gaps, tol):
+    # realcert.conjugate_partners as it was, one point at a time
+    g = np.array(gaps, dtype=float)
+    if not len(g):
+        return []
+    fixed = np.diag(g) < tol
+    np.fill_diagonal(g, np.inf)
+    nearest = g.argmin(axis=1)
+    return [i if fixed[i] else int(j) if g[i, j] < tol else None for i, j in enumerate(nearest)]
+
+
+def _merge_one_point_at_a_time(vectors):
+    # merge_section_points as it was with a loop over the points: a greedy
+    # dedup against the points kept so far
+    points = np.array([_normalize_row(x) for x in vectors])
+    sines = elliptic.projective_distances(np.concatenate([points, points.conj()]), points)
+    keep = []
+    for i in range(len(points)):
+        if (sines[i, keep] >= elliptic.DEDUP_TOL).all():
+            keep.append(i)
+    real = is_real_point(points[keep])
+    order = np.asarray(keep)[_lex_order_by_key_lists(points[keep], ~real)]
+    real_count = int(real.sum())
+    nonreal = order[real_count:]
+    partners = _partners_as_list(sines[len(points) + nonreal][:, nonreal], elliptic.DEDUP_TOL)
+    unpaired = sum(j is None or j == i or partners[j] != i for i, j in enumerate(partners))
+    if unpaired:
+        raise ValueError(f"{unpaired} of {len(partners)} non-real points have no conjugate partner: "
+                         "the points are not conjugation-closed")
+    paired = [nonreal[k] for i, j in enumerate(partners) if i < j for k in (i, j)]
+    return [points[i] for i in [*order[:real_count], *paired]], real_count
+
+
+def _merge_outcome(merge, vectors):
+    try:
+        points, real_count = merge(vectors)
+    except ValueError as err:
+        return str(err)
+    return [p.tobytes() for p in points], real_count
+
+
+def _nudged(x, sine, rng):
+    # x moved by the angle whose sine is ``sine``, along a random direction
+    # orthogonal to it; a real point stays real
+    x = normalize_projective(x)
+    d = rng.standard_normal(len(x)) + (0j if is_real_point(x) else 1j * rng.standard_normal(len(x)))
+    d -= (np.vdot(x, d) / np.vdot(x, x)) * x
+    d *= np.linalg.norm(x) / np.linalg.norm(d)
+    return x + (sine / np.sqrt(1.0 - sine**2)) * d
+
+
+def _section_vectors(rng, reals, pairs, n=6):
+    # real points and conjugate pairs, each vector scaled by a random phase
+    vecs = [rng.standard_normal(n) for _ in range(reals)]
+    for _ in range(pairs):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        vecs += [z, z.conj()]
+    return [v * np.exp(1j * rng.uniform(0, 2 * np.pi)) * rng.uniform(0.1, 10) for v in vecs]
+
+
+@pytest.mark.parametrize("case", ["distinct", "exact", "inside", "outside", "zero-row", "unpaired"])
+def test_one_pass_merge_matches_the_point_by_point_merge(case):
+    rng = np.random.default_rng(["distinct", "exact", "inside", "outside", "zero-row", "unpaired"].index(case))
+    tol = elliptic.DEDUP_TOL
+    for _ in range(20):
+        vecs = _section_vectors(rng, 3, 3)
+        if case == "exact":
+            vecs += [2.5j * vecs[k] for k in (0, 3, 4)]
+        elif case in ("inside", "outside"):
+            sine = 0.99 * tol if case == "inside" else 1.01 * tol
+            nudged = _nudged(vecs[3], sine, rng)
+            vecs += [_nudged(vecs[0], sine, rng), nudged, nudged.conj()]
+        elif case == "zero-row":
+            vecs.append(np.zeros(6))
+        elif case == "unpaired":
+            vecs[3] = vecs[3] + 1e-3j
+        for perm in [np.arange(len(vecs)), *(rng.permutation(len(vecs)) for _ in range(4))]:
+            shuffled = np.array([vecs[i] for i in perm])
+            want = _merge_outcome(_merge_one_point_at_a_time, shuffled)
+            assert _merge_outcome(elliptic.merge_section_points, shuffled) == want
+            if case in ("distinct", "outside"):
+                assert len(want[0]) == len(vecs)
+            elif case in ("exact", "inside"):
+                assert len(want[0]) == len(vecs) - 3
+            elif case == "zero-row":
+                assert want == "zero vector has no projective normalization"
+            else:
+                assert "not conjugation-closed" in want
+
+
+def test_stacked_normalize_projective_equals_row_by_row():
+    ulp = [np.nextafter(1.0, target) for target in (2.0, 0.0)]
+    rows = [[1.0, 1j, 0.0, 0.0], [1j, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0], [0.5, -0.5j, 0.5, 0.5j]]
+    rows += [[1.0, s * 1j * m, 0.0, 0.0] for m in ulp for s in (1, -1)]
+    rows += [[s * 1j * m, 1.0, 0.0, 0.0] for m in ulp for s in (1, -1)]
+    rows += list(np.random.default_rng(0).standard_normal((5, 4)) * (1 + 2j))
+    stack = np.array(rows, dtype=np.complex128)
+    got = normalize_projective(stack)
+    assert got.shape == stack.shape
+    assert got.tobytes() == np.array([normalize_projective(r) for r in stack]).tobytes()
+    assert got.tobytes() == np.array([_normalize_row(r) for r in stack]).tobytes()
+    with pytest.raises(ValueError, match="zero vector"):
+        normalize_projective(np.vstack([stack, np.zeros(4)]))
+
+
+def _assert_matches_scipy_eig(a, b):
+    pairs, vecs = elliptic.pencil_eig(a, b, vectors=True)
+    want, want_vecs = scipy.linalg.eig(a, b, homogeneous_eigvals=True)
+    assert pairs.tobytes() == want.tobytes()
+    assert elliptic.pencil_eig(a, b).tobytes() == want.tobytes()
+    assert vecs.dtype == want_vecs.dtype  # real when every eigenvalue is
+    # the same vectors up to scale: scipy divides each by its norm
+    ratio = np.linalg.norm(vecs, axis=0)
+    assert np.allclose(vecs / ratio, want_vecs, rtol=0, atol=1e-13)
+    alpha, beta = pairs
+    assert np.allclose(beta * (a @ vecs), alpha * (b @ vecs), rtol=0, atol=1e-12 * np.abs(vecs).max())
+    return pairs
+
+
+def test_pencil_eig_real_eigenvalues():
+    rng = np.random.default_rng(0)
+    basis, b = rng.standard_normal((2, 6, 6))
+    a = b @ basis @ np.diag([-3.0, -1.0, 0.5, 1.0, 2.0, 4.0]) @ np.linalg.inv(basis)
+    pairs = _assert_matches_scipy_eig(a, b)
+    assert (pairs.imag == 0).all()
+    assert np.allclose(np.sort((pairs[0] / pairs[1]).real), [-3.0, -1.0, 0.5, 1.0, 2.0, 4.0])
+
+
+def test_pencil_eig_unpacks_conjugate_pairs():
+    rng = np.random.default_rng(1)
+    for n in (6, 15, 20):
+        a, b = rng.standard_normal((2, n, n))
+        pairs = _assert_matches_scipy_eig(a, b)
+        assert (pairs[0].imag > 0).any()
+
+
+def test_pencil_eig_infinite_eigenvalue():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((4, 4))
+    b = np.diag([1.0, 2.0, -1.0, 0.0]) @ rng.standard_normal((4, 4))
+    pairs = _assert_matches_scipy_eig(a, b)
+    assert np.abs(pairs[1]).min() < 1e-12 < np.abs(pairs[1]).max()
+
+
+def test_singular_member_eigenvalues_are_scipy_eigvals(monkeypatch, pencil):
+    calls = []
+    real_eig = elliptic.pencil_eig
+
+    def recorded(a, b, vectors=False):
+        calls.append((a.copy(), b.copy(), real_eig(a, b, vectors)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(elliptic, "pencil_eig", recorded)
+    rng = np.random.default_rng(3)
+    for plane in rng.standard_normal((40, 4)):
+        elliptic.plane_record(pencil, plane)
+    assert len(calls) == 40
+    for a, b, pairs in calls:
+        assert pairs.tobytes() == scipy.linalg.eigvals(a, b, homogeneous_eigvals=True).tobytes()

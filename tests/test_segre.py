@@ -1,5 +1,7 @@
 """Linear sections of two-factor Segre varieties and signature search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,8 @@ def test_span_contains_its_points():
         assert np.max(np.abs(space.equations @ p)) < 1e-10
 
 
-@pytest.mark.parametrize("spec", [P2xP2, P2xP4], ids=["P2xP2", "P2xP4"])
+@pytest.mark.parametrize("spec", [P2xP2, P2xP4, SegreSpec((4, 2)), SegreSpec((3, 3))],
+                         ids=["P2xP2", "P2xP4", "P4xP2", "P3xP3"])
 def test_section_points_lie_on_variety_and_space(spec):
     # independent check of what an intersection point is: rank one as a
     # matrix and inside the linear space
@@ -186,24 +189,26 @@ def test_tangent_line_section_is_deficient():
     space = LinearSpace(
         equations=np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]])
     )
-    with pytest.raises(DeficientSectionError, match=r"double point: two eigenvalues merge within 1e-06"):
+    with pytest.raises(DeficientSectionError, match=r"double point: two eigenvalues merge within 1e-06") as err:
         solve_section(P1xP1, space, seed=0)
+    assert err.value.reason == "double_point"
 
 
 @pytest.mark.parametrize(
-    "equations, why",
+    "equations, why, reason",
     [
         # u0*v0 = u0*v1 = 0: the line u = [0:1] of v, all at one eigenvalue
-        ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], "it contains a line"),
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], "it contains a line", "line"),
         # u0*v0 = u1*v0 = 0: the line v = [0:1] of u, an eigenvalue everywhere
-        ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], "its eigenvalue pencil is singular"),
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], "its eigenvalue pencil is singular", "singular_pencil"),
     ],
     ids=["line-of-v", "line-of-u"],
 )
-def test_section_containing_a_line_is_not_finite(equations, why):
+def test_section_containing_a_line_is_not_finite(equations, why, reason):
     space = LinearSpace(equations=np.array(equations))
-    with pytest.raises(DeficientSectionError, match=f"the section is not finite: {why}"):
+    with pytest.raises(DeficientSectionError, match=f"the section is not finite: {why}") as err:
         solve_section(P1xP1, space, seed=0)
+    assert err.value.reason == reason
 
 
 def test_section_point_on_the_chart_hyperplane_is_an_infinite_eigenvalue():
@@ -216,8 +221,9 @@ def test_section_point_on_the_chart_hyperplane_is_an_infinite_eigenvalue():
     _, _, vt = np.linalg.svd(np.array([np.outer(u, [1.0, 0.5]).ravel(), other]))
     space = LinearSpace(equations=vt[2:])
     assert solve_section(P1xP1, space, seed=4).signature == (2, 0)
-    with pytest.raises(DeficientSectionError, match="infinite eigenvalue"):
+    with pytest.raises(DeficientSectionError, match="infinite eigenvalue") as err:
         solve_section(P1xP1, space, seed=3)
+    assert err.value.reason == "infinite_eigenvalue"
 
 
 def test_section_not_closed_under_conjugation_is_deficient(monkeypatch):
@@ -236,8 +242,9 @@ def test_section_not_closed_under_conjugation_is_deficient(monkeypatch):
         raise AssertionError("the section has no non-real point")
 
     monkeypatch.setattr(segre, "merge_section_points", moved)
-    with pytest.raises(DeficientSectionError, match=r"^2 of 2 non-real points have no conjugate partner"):
+    with pytest.raises(DeficientSectionError, match=r"^2 of 2 non-real points have no conjugate partner") as err:
         solve_section(P2xP2, space, seed=0)
+    assert err.value.reason == "not_conjugation_closed"
 
 
 def test_search_signature_validates_target():
@@ -281,3 +288,58 @@ def test_search_signature_exhausts_budget():
     with pytest.raises(SignatureNotFoundError) as err:
         search_signature(P2xP2, (0, 6), max_attempts=2, seed=0)
     assert err.value.attempts == 2
+
+
+def _wedge_maps_uncached(mats):
+    # _wedge_maps as it was, its index tables built on every call
+    a, n = len(mats) - 1, mats.shape[2]
+    multisets = itertools.combinations_with_replacement(range(n), a)
+    samples = np.array([np.bincount(c, minlength=n) for c in multisets], dtype=float)
+    images = np.einsum("lkj,sj->skl", mats, samples)[:, list(itertools.combinations(range(mats.shape[1]), a))]
+    others = [[k for k in range(a + 1) if k != l] for l in range(a + 1)]
+    minors = np.linalg.det(np.swapaxes(images[..., others], 2, 3))
+    return (minors * (-1.0) ** np.arange(a + 1)).transpose(2, 1, 0)
+
+
+def test_wedge_tables_are_keyed_by_the_whole_shape():
+    # (a, n, rows) = (2, 3, 4), (2, 5, 6) twice, (3, 4, 6) from the four
+    # section shapes, and stacks that share two of the three with one of them
+    rng = np.random.default_rng(0)
+    stacks = []
+    for dims in ((2, 2), (2, 4), (4, 2), (3, 3)):
+        eqs = rng.standard_normal((sum(dims), dims[0] + 1, dims[1] + 1))
+        if dims[0] > dims[1]:
+            eqs = eqs.transpose(0, 2, 1)
+        stacks.append(np.einsum("kij,il->lkj", eqs, np.linalg.qr(rng.standard_normal((eqs.shape[1],) * 2))[0]))
+    stacks += [rng.standard_normal(shape) for shape in ((3, 5, 3), (3, 4, 4), (4, 4, 3))]
+    segre._wedge_tables.cache_clear()
+    for k in [*range(len(stacks)), *reversed(range(len(stacks))), 0, 3, 1, 4]:
+        got = segre._wedge_maps(stacks[k])
+        assert got.tobytes() == _wedge_maps_uncached(stacks[k]).tobytes()
+    assert segre._wedge_tables.cache_info().currsize == 6
+
+
+def test_search_counts_skipped_draws_by_reason_and_keeps_its_draws(monkeypatch):
+    real_solve = segre.solve_section
+
+    def run(skip):
+        calls = []
+
+        def solve(spec, space, seed=0):
+            calls.append((space.equations.tobytes(), seed))
+            if len(calls) <= len(skip):
+                raise DeficientSectionError("skipped", skip[len(calls) - 1])
+            return real_solve(spec, space, seed=seed)
+
+        monkeypatch.setattr(segre, "solve_section", solve)
+        with pytest.raises(SignatureNotFoundError) as err:
+            search_signature(P2xP2, (0, 6), max_attempts=6, seed=2)
+        return calls, err.value
+
+    plain_calls, plain = run([])
+    reasons = ["line", "double_point", "line", "not_conjugation_closed"]
+    calls, skipped = run(reasons)
+    assert calls == plain_calls
+    assert plain.attempts == skipped.attempts == 6
+    assert plain.skipped == dict.fromkeys(segre.DEFICIENCY_REASONS, 0)
+    assert skipped.skipped == {**plain.skipped, "line": 2, "double_point": 1, "not_conjugation_closed": 1}
